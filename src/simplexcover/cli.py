@@ -9,6 +9,7 @@ timings block.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -205,12 +206,15 @@ def _cmd_random_trials(cfg: RunConfig) -> Tuple[Dict[str, Any], List[str]]:
         raise InputFormatError("random-trials needs --sample, --n and --dim")
     if cfg.trials < 1:
         raise InputFormatError("--trials must be positive")
+    if cfg.jobs < 1:
+        raise InputFormatError("--jobs must be positive")
+    workers = min(cfg.jobs, cfg.trials, os.cpu_count() or 1)
     work = [
         (cfg.body, cfg.n, cfg.dim, cfg.seed + i, cfg.mode.value, cfg.enum_cap)
         for i in range(cfg.trials)
     ]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_trial_worker, work))
     else:
         results = [_trial_worker(w) for w in work]

@@ -365,7 +365,9 @@ def verify_counterexample(cfg: CounterexampleConfig) -> CounterexampleReport:
         geometry=geometry,
         implications=implications,
         implications_ok=implications_ok,
-        verified=(all_exceed and certs and mirror_ok) if cfg.feasible else None,
+        verified=(
+            (all_exceed and certs and mirror_ok and implications_ok) if cfg.feasible else None
+        ),
     )
 
 

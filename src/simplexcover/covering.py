@@ -1,16 +1,26 @@
 """Minimal dilation covers of a point set by translates of a simplex.
 
-``min_dilation`` solves, exactly in Fractions when asked,
+``min_dilation`` answers, exactly in Fractions when asked, the LP
 
     minimize lambda  over translates t and scale lambda
     subject to a_i . (x_j - t) <= lambda          (all facets i, points j)
 
 where (a_i) is the centered unit-offset halfspace form of the covering
-simplex.  NEGATIVE sign first reflects the simplex through its centroid.
-The constraint block for a fixed facet is dominated by the point maximizing
-a_i . x_j, so the LP handed to the solver has only d+1 rows; the returned
-dual certificate is re-expanded over the full (d+1) * n row set and can be
-re-verified against ``dilation_lp`` by plain substitution.
+simplex; NEGATIVE sign first reflects the simplex through its centroid,
+which negates every a_i.  The LP has a closed form.  Only the largest value
+M_i = max_j a_i . (x_j - c) of each facet can bind, and the normals sum to
+zero, so summing the d+1 binding rows gives
+
+    lambda = (M_0 + ... + M_d) / (d+1),
+
+with every row tight at the unique translate z = -(1/(d+1)) sum_i
+(M_i - lambda)(v_i - c), and the dual y = 1/(d+1) on each facet's extreme
+row.  In barycentric coordinates beta this reads lambda+ = 1 - sum_i
+min_j beta_i and lambda- = sum_i max_j beta_i - 1.  The slab values come
+from ``slab_kernel``; the answer is not trusted on that algebra alone but
+re-checked by substitution, as a dual certificate (``check_certificate``)
+on the d+1 binding rows and by testing that every point is covered.  The
+dual re-expanded over all (d+1) * n rows certifies ``dilation_lp`` too.
 
 The two covering guarantees for a swap-locally-maximal simplex T follow
 from the slab property of its facet functionals:
@@ -24,7 +34,6 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import List, Optional, Tuple
 
@@ -33,14 +42,21 @@ from .geometry import (
     Point,
     PointSet,
     Simplex,
-    centroid,
     dilate_about_center,
+    dot,
     halfspace_form,
     reflect_through_centroid,
+    slab_kernel,
     vec_add,
     vec_scale,
 )
-from .linprog import LinearProgram, LPStatus, solve_lp
+from .linprog import (
+    _FLOAT_CHECK_TOL,
+    LinearProgram,
+    LPSolution,
+    LPStatus,
+    check_certificate,
+)
 from .mvs import (
     DEFAULT_ENUM_CAP,
     LocalMaximalityReport,
@@ -116,76 +132,64 @@ def min_dilation(
     mode: Optional[ScalarMode] = None,
 ) -> DilationResult:
     """Minimal lambda and translate covering x by a dilate of +/-t."""
-    if mode is None:
-        mode = infer_mode(
-            [v for p in x.points for v in p] + [v for p in t.vertices for v in p]
-        )
+    k = slab_kernel(t, x, mode)
     d = t.dim
     n = len(x)
-    body = t if sign is DilationSign.POSITIVE else reflect_through_centroid(t)
-    h = halfspace_form(body)
+    s = 1 if sign is DilationSign.POSITIVE else -1
+    # The body's facet i has normal s * a_i, so its slab values are s * u_i.
+    u = k.values if s == 1 else [[-v for v in row] for row in k.values]
+    argmax = [max(range(n), key=row.__getitem__) for row in u]  # first j on ties
+    top = [row[j] for row, j in zip(u, argmax)]
+    lam = k.scalar(sum(top), d + 1)
+    w = [k.scalar(m) - lam for m in top]
+    c = k.center
+    # Offset of the covering body's centroid from c, so the covering body is
+    # (c + z) + lam * (body - c); every facet row is tight: s a_i . z = w_i.
+    z = tuple(
+        -s * sum(wi * (v[q] - c[q]) for wi, v in zip(w, k.vertices)) / (d + 1)
+        for q in range(d)
+    )
 
-    # Per facet only the extreme point can bind: the t and lambda terms are
-    # shared by the whole block, so the LP shrinks to d+1 rows.
-    maxima: List[Scalar] = []
-    argmax: List[int] = []
-    for a in h.normals:
-        best = None
-        best_j = 0
-        for j, p in enumerate(x.points):
-            val = sum(c * (pv - cv) for c, pv, cv in zip(a, p, h.center))
-            if best is None or val > best:
-                best, best_j = val, j
-        maxima.append(best)
-        argmax.append(best_j)
-
+    normals = [tuple(s * a for a in normal) for normal in k.normals]
     reduced = LinearProgram(
         d + 1,
         (0,) * d + (1,),
-        tuple(tuple(-c for c in a) + (-1,) for a in h.normals),
-        tuple(-m for m in maxima),
+        tuple(tuple(-a for a in normal) + (-1,) for normal in normals),
+        tuple(-k.scalar(m) for m in top),
     )
-    sol = solve_lp(reduced, mode)
-    if sol.status is LPStatus.NUMERICAL_BREAKDOWN:
+    share = k.ratio(1, d + 1)
+    certificate = LPSolution(
+        status=LPStatus.OPTIMAL, z=z + (lam,), value=lam, dual=(share,) * (d + 1)
+    )
+    if k.mode is ScalarMode.EXACT:
+        if not check_certificate(reduced, certificate, tol=0):
+            raise LPInternalError("closed-form dilation failed its dual certificate")
+    elif not check_certificate(reduced, certificate, tol=_FLOAT_CHECK_TOL):
         raise NumericalBreakdownError(
-            "dilation LP broke down in float mode; rerun in exact mode"
+            "dilation certificate failed in float mode; rerun in exact mode"
         )
-    if sol.status is not LPStatus.OPTIMAL:
-        raise LPInternalError(
-            f"dilation LP returned {sol.status.value}; it is feasible and bounded by construction"
-        )
-    lam = sol.value
-    # LP variable: offset of the covering body's centroid from centroid(t),
-    # so the covering body is (c + z) + lam * (body - c).
-    t_body = sol.z[:d]
 
-    zero: Scalar = Fraction(0) if mode is ScalarMode.EXACT else 0.0
-    dual = [zero] * ((d + 1) * n)
+    # Containment of every point: s u_ij / den - s a_i . z <= lam + tol.
+    tol = default_tol(k.mode)
+    for row, normal in zip(u, normals):
+        bound = (lam + tol + dot(normal, z)) * k.den
+        if any(val > bound for val in row):
+            raise LPInternalError("optimal dilation fails to contain its own input")
+
+    dual = [k.ratio(0, 1)] * ((d + 1) * n)
     for i in range(d + 1):
-        dual[i * n + argmax[i]] = sol.dual[i]
+        dual[i * n + argmax[i]] = share
 
     # (c + z) + lam (T - c) = (z + (1 - lam) c) + lam T, and with the
     # reflected body (c + z) - lam (T - c) = (z + (1 + lam) c) + lam (-T).
-    c = centroid(t)
     offset = vec_scale(c, 1 - lam if sign is DilationSign.POSITIVE else 1 + lam)
-    translate = vec_add(t_body, offset)
-
-    tol = default_tol(mode)
-    for p in x.points:
-        for a in h.normals:
-            val = sum(
-                av * (pv - cv - tv)
-                for av, pv, cv, tv in zip(a, p, h.center, t_body)
-            )
-            if val > lam + tol:
-                raise LPInternalError("optimal dilation fails to contain its own input")
     return DilationResult(
         lam=lam,
         sign=sign,
-        translate=tuple(translate),
-        status=sol.status,
+        translate=vec_add(z, offset),
+        status=LPStatus.OPTIMAL,
         dual=tuple(dual),
-        lp_translate=tuple(t_body),
+        lp_translate=z,
     )
 
 

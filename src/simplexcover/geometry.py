@@ -12,9 +12,14 @@ Conventions used throughout:
   Facet i is the one opposite vertex i, hence a_i . (v_i - center) = -d.
 * ``dilate_about_center(S, lam)`` scales about the centroid; lam < 0 gives
   the point-reflected copy scaled by |lam|.
+* In barycentric coordinates beta (with respect to S) the same functional
+  is a_i . (x - center) = 1 - (d+1) beta_i(x).  ``slab_kernel`` evaluates it
+  for a whole point set from one inversion of the homogenized vertex
+  matrix; the slab, maximality and dilation computations all read it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -25,9 +30,10 @@ from .errors import (
     DegeneratePointSetError,
     DegenerateSimplexError,
     DimensionMismatchError,
+    InputFormatError,
     SingularMatrixError,
 )
-from .scalars import Scalar
+from .scalars import Scalar, ScalarMode, infer_mode
 
 Point = Tuple[Scalar, ...]
 
@@ -66,6 +72,10 @@ class PointSet:
                 raise DimensionMismatchError(
                     f"point {k} has {len(p)} coordinates, expected {dim}"
                 )
+            # Only floats can be non-finite; float() of a huge Fraction would
+            # overflow, so exact coordinates are not converted to test them.
+            if any(isinstance(v, float) and not math.isfinite(v) for v in p):
+                raise InputFormatError(f"point {k} has a non-finite coordinate: {p}")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "points", pts)
 
@@ -244,6 +254,95 @@ def contains(h: HalfspaceForm, x: Sequence[Scalar], tol: Scalar = 0) -> bool:
     return all(dot(a, diff) <= b + tol for a, b in zip(h.normals, h.offsets))
 
 
+def _ratio(mode: ScalarMode, num: Scalar, den: Scalar) -> Scalar:
+    if mode is ScalarMode.EXACT:
+        return Fraction(int(num), int(den))
+    return float(num) / float(den)
+
+
+@dataclass(frozen=True)
+class SlabKernel:
+    """Slab values of a point set against a simplex, over one denominator.
+
+    ``values[i][j] / den`` is u_ij = a_i . (x_j - center) = 1 - (d+1)
+    beta_i(x_j) for facet i and point j, with a_i as in ``HalfspaceForm``.
+    In exact mode the values are ints over a positive int ``den``; in float
+    mode both are floats.  ``vertices``, ``center`` and ``normals`` are in
+    the same scalar family as the values they come with (Fractions in exact
+    mode, floats otherwise).
+    """
+
+    mode: ScalarMode
+    den: Scalar
+    values: Tuple[Tuple[Scalar, ...], ...]  # d+1 rows of n, facet-major
+    vertices: Tuple[Point, ...]
+    center: Point
+    normals: Tuple[Point, ...]
+
+    def ratio(self, num: Scalar, den: Scalar) -> Scalar:
+        """num / den in this kernel's scalar family."""
+        return _ratio(self.mode, num, den)
+
+    def scalar(self, num: Scalar, scale: Scalar = 1) -> Scalar:
+        """The value of a numerator over ``scale * den``."""
+        return _ratio(self.mode, num, scale * self.den)
+
+    def slab(self) -> List[Tuple[Scalar, Scalar]]:
+        """Per-facet (min, max) of u over the points."""
+        return [(self.scalar(min(row)), self.scalar(max(row))) for row in self.values]
+
+
+def slab_kernel(t: Simplex, x: PointSet, mode: Optional[ScalarMode] = None) -> SlabKernel:
+    """Every slab value a_i . (x_j - c) of x against t, from one inversion.
+
+    With A the homogenized vertex matrix (column i is (v_i, 1)), beta(x) =
+    A^-1 (x, 1).  Exact input is scaled to integers by its common
+    denominator first, so A^-1 = N / D with integer N and D and every slab
+    value is an integer over |D|.  mode=None infers EXACT when every
+    coordinate is an int or Fraction.
+    """
+    if x.dim != t.dim:
+        raise DimensionMismatchError(f"point set is {x.dim}-dimensional, simplex is {t.dim}")
+    d = t.dim
+    rows = t.vertices + x.points
+    if mode is None:
+        mode = infer_mode(v for p in rows for v in p)
+    if mode is ScalarMode.EXACT:
+        ints, scale = linalg.clear_denominators(rows)
+        one = 1
+    else:
+        ints, scale = [[float(v) for v in p] for p in rows], 1.0
+        one = 1.0
+    verts, pts = ints[: d + 1], ints[d + 1:]
+    homog = [[v[q] for v in verts] for q in range(d)] + [[one] * (d + 1)]
+    try:
+        inv, det = linalg.scaled_inverse(homog)
+    except SingularMatrixError:
+        raise DegenerateSimplexError("vertices are affinely dependent (volume 0)") from None
+    if det < 0:
+        inv, det = [[-v for v in r] for r in inv], -det
+    # Row i of inv dotted with (x, 1) is det * beta_i(x); the slab value is
+    # det * (1 - (d+1) beta_i(x)).
+    values = tuple(
+        tuple(det - (d + 1) * (sum(a * b for a, b in zip(r, p)) + r[d]) for p in pts)
+        for r in inv
+    )
+    return SlabKernel(
+        mode=mode,
+        den=det,
+        values=values,
+        vertices=tuple(tuple(_ratio(mode, v, scale) for v in vert) for vert in verts),
+        center=tuple(
+            _ratio(mode, sum(v[q] for v in verts), (d + 1) * scale) for q in range(d)
+        ),
+        # u_i(x) = 1 - (d+1) beta_i(x): a_i is -(d+1) times row i of A^-1
+        # without its last entry, undoing the integer scaling.
+        normals=tuple(
+            tuple(_ratio(mode, -(d + 1) * scale * r[q], det) for q in range(d)) for r in inv
+        ),
+    )
+
+
 def slab_bounds(
     shape: Union[Simplex, HalfspaceForm], x: PointSet
 ) -> List[Tuple[Scalar, Scalar]]:
@@ -252,7 +351,9 @@ def slab_bounds(
     For an exactly maximum-volume (or swap-locally-maximal) simplex these
     ranges land inside [-d, d+2].
     """
-    h = shape if isinstance(shape, HalfspaceForm) else halfspace_form(shape)
+    if isinstance(shape, Simplex):
+        return slab_kernel(shape, x).slab()
+    h = shape
     if x.dim != h.dim:
         raise DimensionMismatchError(f"point set is {x.dim}-dimensional, simplex is {h.dim}")
     out: List[Tuple[Scalar, Scalar]] = []

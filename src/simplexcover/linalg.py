@@ -7,8 +7,10 @@ which stays exact; float inputs use partial pivoting by magnitude.
 """
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from typing import List, Sequence
+from math import lcm
+from typing import List, Sequence, Tuple
 
 from .errors import SingularMatrixError
 from .scalars import Scalar, is_exact_value
@@ -91,6 +93,50 @@ def solve(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> List[Scala
             for c in range(k, n + 1):
                 row[c] = row[c] - factor * prow[c]
     return [m[k][n] / m[k][k] for k in range(n)]
+
+
+def scaled_inverse(rows: Sequence[Sequence[Scalar]]) -> Tuple[List[List[Scalar]], Scalar]:
+    """Fraction-free inverse of a square matrix: (N, D) with N / D = A^-1.
+
+    Gauss-Jordan in Bareiss form (Montante's method): every update is a 2x2
+    determinant divided by the previous pivot, and for integer input that
+    division is exact, so N and D stay integers and D = +/- det(A).  Float
+    input runs the same steps with true division and magnitude pivoting.
+    Raises SingularMatrixError when A is rank-deficient.
+    """
+    n = len(rows)
+    exact = all(isinstance(x, int) for r in rows for x in r)
+    div = operator.floordiv if exact else operator.truediv
+    one: Scalar = 1 if exact else 1.0
+    m = [list(r) + [one if c == k else one * 0 for c in range(n)] for k, r in enumerate(rows)]
+    for r in m:
+        if len(r) != 2 * n:
+            raise ValueError("scaled_inverse requires a square matrix")
+    prev = one
+    for k in range(n):
+        p = _pivot_row([m[r][k] for r in range(n)], k, exact)
+        if p < 0:
+            raise SingularMatrixError(f"singular matrix (rank < {n})")
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+        prow = m[k]
+        pivot = prow[k]
+        for r in range(n):
+            if r == k:
+                continue
+            row = m[r]
+            f = row[k]
+            for c in range(2 * n):
+                row[c] = div(pivot * row[c] - f * prow[c], prev)
+        prev = pivot
+    return [r[n:] for r in m], prev
+
+
+def clear_denominators(points: Sequence[Sequence[Scalar]]) -> Tuple[List[List[int]], int]:
+    """Integer rows and the positive scale s with row * s = ints, exactly."""
+    fracs = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in p] for p in points]
+    scale = lcm(*(x.denominator for p in fracs for x in p))
+    return [[x.numerator * (scale // x.denominator) for x in p] for p in fracs], scale
 
 
 def int_det_bareiss(rows: Sequence[Sequence[int]]) -> int:

@@ -27,7 +27,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,6 +40,7 @@ from .geometry import (
     halfspace_form,
     require_spanning,
     simplex_volume,
+    slab_kernel,
     vec_sub,
 )
 from .scalars import Scalar, ScalarMode, infer_mode
@@ -120,16 +121,6 @@ def _int64_safe(d: int, max_abs_coord: int) -> bool:
     return bound < _INT64_SAFE
 
 
-def _clear_denominators(points: Sequence[Sequence[Scalar]]) -> Tuple[List[List[int]], int]:
-    denoms = [Fraction(x).denominator for p in points for x in p]
-    scale = lcm(*denoms) if denoms else 1
-    ints = [
-        [int(Fraction(x) * scale) for x in p]
-        for p in points
-    ]
-    return ints, scale
-
-
 def _combo_chunks(n: int, k: int):
     it = itertools.combinations(range(n), k)
     while True:
@@ -179,7 +170,7 @@ def mvs_exact(x: PointSet, *, enum_cap: int = DEFAULT_ENUM_CAP) -> MvsResult:
         )
     mode = infer_mode(v for p in x.points for v in p)
     if mode is ScalarMode.EXACT:
-        ints, scale = _clear_denominators(x.points)
+        ints, scale = linalg.clear_denominators(x.points)
         max_abs = max((abs(v) for row in ints for v in row), default=0)
         if _int64_safe(d, max_abs):
             P = np.asarray(ints, dtype=np.int64)
@@ -294,24 +285,20 @@ def verify_local_maximality(
     (up to tol).  Reports the worst offending (facet, point) pair.
     """
     d = t.dim
-    h = halfspace_form(t)
-    worst: Scalar = -(d + 2)  # any finite value below every possible excess
+    k = slab_kernel(t, x)
+    hi, lo = (d + 2) * k.den, -d * k.den
+    worst: Scalar = -(d + 2) * k.den  # below every possible excess
     worst_facet = worst_point = None
-    slab: List[Tuple[Scalar, Scalar]] = []
-    for i, a in enumerate(h.normals):
-        lo = hi = None
-        for j, p in enumerate(x.points):
-            val = h.value(i, p)
-            lo = val if lo is None or val < lo else lo
-            hi = val if hi is None or val > hi else hi
-            excess = max(val - (d + 2), -d - val)
+    for i, row in enumerate(k.values):
+        for j, val in enumerate(row):
+            excess = max(val - hi, lo - val)
             if excess > worst:
                 worst, worst_facet, worst_point = excess, i, j
-        slab.append((lo, hi))
+    worst = k.scalar(worst)
     return LocalMaximalityReport(
         ok=worst <= tol,
         worst_facet=worst_facet,
         worst_point=worst_point,
         excess=worst,
-        slab=slab,
+        slab=k.slab(),
     )

@@ -14,6 +14,7 @@ float only when a float operand is present, so exact constants such as
 from __future__ import annotations
 
 import enum
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -70,7 +71,14 @@ def parse_scalar(text: str, mode: ScalarMode) -> Scalar:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse scalar {text!r}: {exc}") from None
-    return value if mode is ScalarMode.EXACT else float(value)
+    if mode is ScalarMode.EXACT:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        # Past the float range the nearest double is infinite; PointSet
+        # rejects non-finite coordinates with an input error.
+        return math.inf if value > 0 else -math.inf
 
 
 def scalar_to_str(x: Scalar) -> str:

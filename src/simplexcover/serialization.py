@@ -87,15 +87,12 @@ def parse_points_json(text: str, mode: ScalarMode) -> PointSet:
             raise InputFormatError(f"point {i}: expected {dim} coordinates")
         coords = []
         for v in row:
-            if isinstance(v, str):
-                try:
-                    coords.append(parse_scalar(v, mode))
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise InputFormatError(f"point {i}: {exc}") from exc
-            elif isinstance(v, bool) or not isinstance(v, int):
+            if isinstance(v, bool) or not isinstance(v, (int, str)):
                 raise InputFormatError(f"point {i}: unsupported entry {v!r}")
-            else:
-                coords.append(Fraction(v) if mode is ScalarMode.EXACT else float(v))
+            try:
+                coords.append(parse_scalar(str(v), mode))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise InputFormatError(f"point {i}: {exc}") from exc
         pts.append(tuple(coords))
     if not pts:
         raise InputFormatError("no points found")

@@ -188,6 +188,55 @@ def test_sweep_needs_grids():
     assert code == 1
 
 
+def test_non_finite_input_is_an_input_error(tmp_path):
+    # 1e400 parses to inf in float mode; it must not reach the float kernel.
+    for name, text in (("inf.csv", "0,0\n1,0\n0,1\n1e400,1\n"),
+                       ("inf.json", '{"dim": 2, "points": [[0, 0], [1, 0], [0, 1], [1e400, 1]]}')):
+        code, rep = run(RunConfig(command="john", input=write(tmp_path, name, text),
+                                  mode=ScalarMode.FLOAT))
+        assert code == 1
+        assert rep["error_kind"] == "input-error"
+        assert "non-finite" in rep["error"]
+
+
+@pytest.mark.parametrize(
+    "jobs,trials,cpus,expected",
+    [(64, 3, 8, [3]), (64, 5, 2, [2]), (2, 5, None, []), (3, 1, 8, [])],
+)
+def test_random_trials_clamps_jobs(monkeypatch, jobs, trials, cpus, expected):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, runs serially."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    code, rep = run(RunConfig(command="random-trials", body="square", n=5, dim=2,
+                              trials=trials, jobs=jobs))
+    assert code == 0 and rep["result"]["ok_count"] == trials
+    assert sizes == expected
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_random_trials_rejects_non_positive_jobs(jobs):
+    code, rep = run(RunConfig(command="random-trials", body="square", n=5, dim=2, jobs=jobs))
+    assert code == 1
+    assert rep["error_kind"] == "input-error"
+    assert "--jobs" in rep["error"]
+
+
 def test_random_trials_parallel_matches_serial():
     base = dict(command="random-trials", body="square", n=7, dim=2, trials=3, seed=11)
     _, serial = run(RunConfig(**base, jobs=1))

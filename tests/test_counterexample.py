@@ -216,6 +216,23 @@ def test_verify_other_feasible_configs(eps, dlt):
     assert rep.mirror_symmetric and rep.certificates_ok and rep.implications_ok
 
 
+def test_failing_implication_is_not_verified(monkeypatch):
+    import simplexcover.counterexample as counterexample
+
+    real = counterexample.CaseImplication
+
+    def case6_unconfirmed(**fields):
+        if fields["case"] == 6:
+            fields["lp_confirms"] = False
+        return real(**fields)
+
+    monkeypatch.setattr(counterexample, "CaseImplication", case6_unconfirmed)
+    rep = verify_counterexample(FIFTH)
+    assert rep.all_exceed_two and rep.certificates_ok and rep.mirror_symmetric
+    assert not rep.implications_ok
+    assert rep.verified is False
+
+
 def test_infeasible_config_reports_none():
     rep = verify_counterexample(CounterexampleConfig(F(2, 5), F(2, 5)))
     assert not rep.feasible

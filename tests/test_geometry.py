@@ -8,6 +8,7 @@ from simplexcover.errors import (
     DegeneratePointSetError,
     DegenerateSimplexError,
     DimensionMismatchError,
+    InputFormatError,
 )
 from simplexcover.geometry import (
     PointSet,
@@ -30,6 +31,7 @@ from simplexcover.geometry import (
     vec_scale,
     vec_sub,
 )
+from simplexcover.mvs import mvs_exact
 
 F = Fraction
 
@@ -53,6 +55,16 @@ def test_pointset_validation():
         PointSet(2, ((F(0), F(0)), (F(1),)))
     with pytest.raises(ValueError):
         PointSet(0, ())
+
+
+def test_pointset_rejects_non_finite_floats():
+    nan, inf = float("nan"), float("inf")
+    for bad in (nan, inf, -inf):
+        with pytest.raises(InputFormatError, match="non-finite"):
+            mvs_exact(PointSet(2, ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (bad, 0.5))))
+    # exact coordinates are never converted to float, so size is no problem
+    huge = F(10**400, 3)
+    assert PointSet(1, ((huge,), (-huge,))).points[0] == (huge,)
 
 
 def test_simplex_requires_d_plus_1_vertices():

@@ -1,0 +1,196 @@
+"""Oracle tests for the closed-form slab kernel and the routines built on it.
+
+``slab_kernel`` replaces a simplex-method LP in ``min_dilation`` and the
+per-facet Fraction loops of the slab checks.  Every result here is compared
+with the machinery it replaced: ``solve_lp`` on the full ``dilation_lp``,
+and facet-by-facet scans over ``halfspace_form(...).value``.  The inputs are
+deliberately not the friendly ones the MVS pipeline produces: arbitrary
+(non-maximal) simplices, points far outside T, and coordinates far beyond
+int64.
+"""
+import random
+from fractions import Fraction
+
+import pytest
+
+from simplexcover import (
+    DilationSign,
+    LPSolution,
+    LPStatus,
+    PointSet,
+    ScalarMode,
+    Simplex,
+    centroid,
+    check_certificate,
+    dilation_lp,
+    halfspace_form,
+    make_simplex,
+    min_dilation,
+    simplex_volume,
+    slab_bounds,
+    solve_lp,
+    verify_local_maximality,
+    verify_sandwich,
+)
+from simplexcover.errors import DegenerateSimplexError, SingularMatrixError
+from simplexcover.geometry import slab_kernel
+from simplexcover.linalg import det, scaled_inverse
+
+F = Fraction
+DIMS = (1, 2, 3, 4, 5)
+
+
+def _coord(rng: random.Random, kind: str) -> Fraction:
+    if kind == "grid":
+        return F(rng.randint(-64, 64), 64)
+    if kind == "far":  # points up to 1000x the size of T
+        return F(rng.randint(-64000, 64000), rng.randint(1, 64))
+    # bigint: numerators and denominators well past int64
+    return F(rng.randint(-(10**30), 10**30), rng.randint(1, 10**12))
+
+
+def random_instance(d: int, seed: int, kind: str):
+    """A random non-degenerate simplex (not from x) and a point set x."""
+    rng = random.Random(f"{kind}/{d}/{seed}")
+    while True:
+        verts = [tuple(_coord(rng, "grid" if kind == "far" else kind) for _ in range(d))
+                 for _ in range(d + 1)]
+        t = Simplex(d, tuple(verts))
+        if simplex_volume(t) != 0:
+            break
+    n = rng.randint(1, 7)
+    x = PointSet(d, [tuple(_coord(rng, kind) for _ in range(d)) for _ in range(n)])
+    return t, x
+
+
+CASES = [(d, seed, kind) for d in DIMS for kind in ("grid", "far", "bigint") for seed in range(3)]
+
+
+def case_id(case):
+    d, seed, kind = case
+    return f"d{d}-{kind}-{seed}"
+
+
+def reference_local_maximality(t: Simplex, x: PointSet):
+    """The facet-by-facet scan: (slab, excess, worst_facet, worst_point)."""
+    d = t.dim
+    h = halfspace_form(t)
+    worst, worst_facet, worst_point = -(d + 2), None, None
+    slab = []
+    for i in range(d + 1):
+        vals = [h.value(i, p) for p in x.points]
+        for j, val in enumerate(vals):
+            excess = max(val - (d + 2), -d - val)
+            if excess > worst:
+                worst, worst_facet, worst_point = excess, i, j
+        slab.append((min(vals), max(vals)))
+    return slab, worst, worst_facet, worst_point
+
+
+def floats(t: Simplex, x: PointSet):
+    return (
+        Simplex(t.dim, tuple(tuple(float(v) for v in p) for p in t.vertices)),
+        PointSet(x.dim, [tuple(float(v) for v in p) for p in x.points]),
+    )
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_kernel_matches_halfspace_form(case):
+    t, x = random_instance(*case)
+    k = slab_kernel(t, x)
+    h = halfspace_form(t)
+    assert k.mode is ScalarMode.EXACT and isinstance(k.den, int) and k.den > 0
+    assert k.center == centroid(t)
+    assert k.normals == h.normals
+    for i in range(t.dim + 1):
+        for j, p in enumerate(x.points):
+            assert isinstance(k.values[i][j], int)
+            assert k.scalar(k.values[i][j]) == h.value(i, p)
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+@pytest.mark.parametrize("sign", list(DilationSign), ids=lambda s: s.value)
+def test_min_dilation_matches_full_lp(case, sign):
+    t, x = random_instance(*case)
+    d = t.dim
+    res = min_dilation(t, x, sign)
+    full = dilation_lp(t, x, sign)
+    oracle = solve_lp(full, ScalarMode.EXACT)
+    assert oracle.status is LPStatus.OPTIMAL
+    assert res.lam == oracle.value
+    # The optimum is unique: every binding row is tight at one translate.
+    assert res.lp_translate == oracle.z[:d]
+    cert = LPSolution(
+        status=LPStatus.OPTIMAL, z=res.lp_translate + (res.lam,), value=res.lam, dual=res.dual
+    )
+    assert check_certificate(full, cert, tol=0)
+    assert all(isinstance(v, Fraction) for v in (res.lam,) + res.translate + res.dual)
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_local_maximality_matches_facet_scan(case):
+    t, x = random_instance(*case)
+    rep = verify_local_maximality(t, x)
+    slab, excess, worst_facet, worst_point = reference_local_maximality(t, x)
+    assert (rep.slab, rep.excess, rep.worst_facet, rep.worst_point) == (
+        slab, excess, worst_facet, worst_point
+    )
+    assert rep.ok == (excess <= 0)
+    assert verify_sandwich(t, x).slab == slab == slab_bounds(t, x)
+
+
+def test_ties_keep_the_first_point_and_facet():
+    # Duplicated far points tie on every facet: the scan order keeps the
+    # first facet and, within it, the first of the tied points.
+    t = make_simplex([(F(0), F(0)), (F(1), F(0)), (F(0), F(1))])
+    far, near = (F(9), F(9)), (F(-9), F(-9))
+    x = PointSet(2, [(F(0), F(0)), far, far, near, near])
+    n = len(x)
+    rep = verify_local_maximality(t, x)
+    _, _, worst_facet, worst_point = reference_local_maximality(t, x)
+    assert (rep.worst_facet, rep.worst_point) == (worst_facet, worst_point)
+    h = halfspace_form(t)
+    for sign, s in ((DilationSign.POSITIVE, 1), (DilationSign.NEGATIVE, -1)):
+        res = min_dilation(t, x, sign)
+        for i in range(3):
+            vals = [s * h.value(i, p) for p in x.points]
+            assert [j for j in range(n) if res.dual[i * n + j]] == [vals.index(max(vals))]
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_float_mode_matches_exact(case):
+    t, x = random_instance(*case)
+    tf, xf = floats(t, x)
+    for sign in DilationSign:
+        exact = min_dilation(t, x, sign, ScalarMode.EXACT)
+        approx = min_dilation(tf, xf, sign, ScalarMode.FLOAT)
+        assert isinstance(approx.lam, float)
+        assert abs(approx.lam - float(exact.lam)) <= 1e-9 * max(1.0, abs(float(exact.lam)))
+    exact_slab = verify_local_maximality(t, x).slab
+    float_slab = verify_local_maximality(tf, xf, tol=1e-9).slab
+    for (lo, hi), (flo, fhi) in zip(exact_slab, float_slab):
+        assert abs(flo - float(lo)) <= 1e-9 * max(1.0, abs(float(lo)))
+        assert abs(fhi - float(hi)) <= 1e-9 * max(1.0, abs(float(hi)))
+
+
+def test_degenerate_simplex_is_rejected():
+    flat = Simplex(2, ((F(0), F(0)), (F(1), F(1)), (F(2), F(2))))
+    with pytest.raises(DegenerateSimplexError):
+        slab_kernel(flat, PointSet(2, [(F(0), F(0))]))
+
+
+def test_scaled_inverse_is_exact():
+    rng = random.Random(17)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if det([[F(v) for v in row] for row in a]) == 0:
+            with pytest.raises(SingularMatrixError):
+                scaled_inverse(a)
+            continue
+        inv, den = scaled_inverse(a)
+        assert isinstance(den, int) and abs(den) == abs(det([[F(v) for v in row] for row in a]))
+        for i in range(n):
+            for j in range(n):
+                assert isinstance(inv[i][j], int)
+                assert sum(F(a[i][k]) * F(inv[k][j], den) for k in range(n)) == (i == j)
