@@ -30,6 +30,9 @@ from .covering import (
     min_dilation,
 )
 from .errors import (
+    DegeneratePointSetError,
+    DegenerateSimplexError,
+    DimensionMismatchError,
     EnumerationCapError,
     InputFormatError,
     LPInternalError,
@@ -306,10 +309,11 @@ def run(cfg: RunConfig) -> Tuple[int, Dict[str, Any]]:
         code = 2
     except (
         InputFormatError,
+        DegeneratePointSetError,
+        DegenerateSimplexError,
+        DimensionMismatchError,
         EnumerationCapError,
         NumericalBreakdownError,
-        ValueError,
-        TypeError,
         OSError,
     ) as exc:
         envelope["error"] = str(exc)

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .covering import DilationResult, DilationSign, dilation_lp, min_dilation
-from .errors import DegenerateSimplexError
+from .errors import DegenerateSimplexError, InputFormatError
 from .geometry import PointSet, Simplex, simplex_volume
 from .linprog import LPSolution, LPStatus, check_certificate
 from .scalars import ScalarMode
@@ -71,7 +71,7 @@ class CounterexampleConfig:
         eps = _as_fraction(epsilon, "epsilon")
         dlt = _as_fraction(delta, "delta")
         if not (0 < eps < 1) or not (0 < dlt < 1):
-            raise ValueError("epsilon and delta must lie strictly between 0 and 1")
+            raise InputFormatError("epsilon and delta must lie strictly between 0 and 1")
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "delta", dlt)
 

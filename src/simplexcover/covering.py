@@ -37,6 +37,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from .errors import LPInternalError, NumericalBreakdownError, TheoremViolationError
 from .geometry import (
     Point,
@@ -137,9 +139,9 @@ def min_dilation(
     n = len(x)
     s = 1 if sign is DilationSign.POSITIVE else -1
     # The body's facet i has normal s * a_i, so its slab values are s * u_i.
-    u = k.values if s == 1 else [[-v for v in row] for row in k.values]
-    argmax = [max(range(n), key=row.__getitem__) for row in u]  # first j on ties
-    top = [row[j] for row, j in zip(u, argmax)]
+    u = k.values if s == 1 else -k.values
+    argmax = np.argmax(u, axis=1).tolist()  # first j on ties
+    top = u[np.arange(d + 1), argmax].tolist()
     lam = k.scalar(sum(top), d + 1)
     w = [k.scalar(m) - lam for m in top]
     c = k.center
@@ -169,11 +171,11 @@ def min_dilation(
             "dilation certificate failed in float mode; rerun in exact mode"
         )
 
-    # Containment of every point: s u_ij / den - s a_i . z <= lam + tol.
+    # Containment of every point: s u_ij / den - s a_i . z <= lam + tol,
+    # which holds for all j exactly when it holds for the row maximum.
     tol = default_tol(k.mode)
-    for row, normal in zip(u, normals):
-        bound = (lam + tol + dot(normal, z)) * k.den
-        if any(val > bound for val in row):
+    for m, normal in zip(top, normals):
+        if m > (lam + tol + dot(normal, z)) * k.den:
             raise LPInternalError("optimal dilation fails to contain its own input")
 
     dual = [k.ratio(0, 1)] * ((d + 1) * n)

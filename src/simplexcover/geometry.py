@@ -25,6 +25,8 @@ from fractions import Fraction
 from math import factorial
 from typing import List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from . import linalg
 from .errors import (
     DegeneratePointSetError,
@@ -264,17 +266,19 @@ def _ratio(mode: ScalarMode, num: Scalar, den: Scalar) -> Scalar:
 class SlabKernel:
     """Slab values of a point set against a simplex, over one denominator.
 
-    ``values[i][j] / den`` is u_ij = a_i . (x_j - center) = 1 - (d+1)
-    beta_i(x_j) for facet i and point j, with a_i as in ``HalfspaceForm``.
-    In exact mode the values are ints over a positive int ``den``; in float
-    mode both are floats.  ``vertices``, ``center`` and ``normals`` are in
-    the same scalar family as the values they come with (Fractions in exact
-    mode, floats otherwise).
+    ``values`` is a (d+1, n) numpy array, one row per facet and one column
+    per point: ``values[i, j] / den`` is u_ij = a_i . (x_j - center) = 1 -
+    (d+1) beta_i(x_j), with a_i as in ``HalfspaceForm``.  In exact mode the
+    array has object dtype and holds Python ints over a positive int
+    ``den``; in float mode it is float64 over a float ``den``.  Everything
+    else is plain Python: ``den``, ``vertices``, ``center`` and ``normals``
+    (Fractions in exact mode, floats otherwise), and every value ``scalar``
+    and ``slab`` return, so no numpy scalar reaches a report.
     """
 
     mode: ScalarMode
     den: Scalar
-    values: Tuple[Tuple[Scalar, ...], ...]  # d+1 rows of n, facet-major
+    values: np.ndarray
     vertices: Tuple[Point, ...]
     center: Point
     normals: Tuple[Point, ...]
@@ -289,7 +293,8 @@ class SlabKernel:
 
     def slab(self) -> List[Tuple[Scalar, Scalar]]:
         """Per-facet (min, max) of u over the points."""
-        return [(self.scalar(min(row)), self.scalar(max(row))) for row in self.values]
+        lows, highs = self.values.min(axis=1).tolist(), self.values.max(axis=1).tolist()
+        return [(self.scalar(lo), self.scalar(hi)) for lo, hi in zip(lows, highs)]
 
 
 def slab_kernel(t: Simplex, x: PointSet, mode: Optional[ScalarMode] = None) -> SlabKernel:
@@ -309,11 +314,11 @@ def slab_kernel(t: Simplex, x: PointSet, mode: Optional[ScalarMode] = None) -> S
         mode = infer_mode(v for p in rows for v in p)
     if mode is ScalarMode.EXACT:
         ints, scale = linalg.clear_denominators(rows)
-        one = 1
+        one, dtype = 1, object
     else:
         ints, scale = [[float(v) for v in p] for p in rows], 1.0
-        one = 1.0
-    verts, pts = ints[: d + 1], ints[d + 1:]
+        one, dtype = 1.0, np.float64
+    verts = ints[: d + 1]
     homog = [[v[q] for v in verts] for q in range(d)] + [[one] * (d + 1)]
     try:
         inv, det = linalg.scaled_inverse(homog)
@@ -322,15 +327,16 @@ def slab_kernel(t: Simplex, x: PointSet, mode: Optional[ScalarMode] = None) -> S
     if det < 0:
         inv, det = [[-v for v in r] for r in inv], -det
     # Row i of inv dotted with (x, 1) is det * beta_i(x); the slab value is
-    # det * (1 - (d+1) beta_i(x)).
-    values = tuple(
-        tuple(det - (d + 1) * (sum(a * b for a, b in zip(r, p)) + r[d]) for p in pts)
-        for r in inv
-    )
+    # det * (1 - (d+1) beta_i(x)).  The dot product is summed left to right,
+    # r[0] x[0] + ... + r[d-1] x[d-1] + r[d], one coordinate at a time, so
+    # a float value is bitwise the one the scalar formula gives.
+    pts = np.array(ints[d + 1:], dtype=dtype).reshape(len(x), d)
+    cols = np.array(inv, dtype=dtype).T[:, :, None]  # column q of inv, shaped (d+1, 1)
+    dots = linalg.combine(cols[:d], pts.T)
     return SlabKernel(
         mode=mode,
         den=det,
-        values=values,
+        values=det - (d + 1) * (dots + cols[d]),
         vertices=tuple(tuple(_ratio(mode, v, scale) for v in vert) for vert in verts),
         center=tuple(
             _ratio(mode, sum(v[q] for v in verts), (d + 1) * scale) for q in range(d)

@@ -170,6 +170,18 @@ def int_det_bareiss(rows: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def combine(coeffs: Sequence, terms: Sequence):
+    """coeffs[0] * terms[0] + coeffs[1] * terms[1] + ..., summed left to right.
+
+    Works on scalars and numpy arrays alike (elementwise); the fixed order
+    makes a float result reproducible by the same loop over scalars.
+    """
+    acc = coeffs[0] * terms[0]
+    for c, t in zip(coeffs[1:], terms[1:]):
+        acc = acc + c * t
+    return acc
+
+
 def gram_det(vectors: Sequence[Sequence[Scalar]]) -> Scalar:
     """det(V V^T) for k row-vectors in R^d; proportional to the squared k-volume."""
     k = len(vectors)

@@ -10,10 +10,17 @@ Two entry points:
   big-integer path takes over, so arbitrary rational input stays exact.
   Ties are broken toward the lexicographically smallest sorted index tuple.
 
-* ``mvs_local_search``: greedy seeding (farthest pair, then volume-greedy
-  extension) followed by best-improvement single-vertex swaps.  The result
-  is swap-locally maximal: no single vertex replacement by a point of X
-  increases the volume (beyond relative 1e-12 in float mode).
+* ``mvs_local_search``: a greedy seed, then single-vertex swaps until none
+  helps.  The points, in a seeded shuffled order, go into one numpy array:
+  float64 in float mode, Python ints (object dtype) scaled by a common
+  denominator in exact mode.  The seed is the farthest pair, found by
+  scanning blocks of rows against all later rows, extended one vertex at a
+  time by the point with the largest bordered Gram determinant; all
+  candidates are scored at once.  Each swap step reads one ``slab_kernel``
+  of the current simplex and takes the first (facet, point) pair with the
+  largest |u - 1|.  The result is swap-locally maximal: no single vertex
+  replacement by a point of X increases the volume (beyond relative 1e-12
+  in float mode).
 
 Swap-local maximality is exactly the slab property checked by
 ``verify_local_maximality``: replacing vertex i by x scales the volume by
@@ -37,7 +44,7 @@ from .errors import DegeneratePointSetError, EnumerationCapError
 from .geometry import (
     PointSet,
     Simplex,
-    halfspace_form,
+    dot,
     require_spanning,
     simplex_volume,
     slab_kernel,
@@ -48,6 +55,7 @@ from .scalars import Scalar, ScalarMode, infer_mode
 DEFAULT_ENUM_CAP = 2_000_000
 _CHUNK = 65_536
 _INT64_SAFE = 1 << 62
+_PAIR_BLOCK = 32  # rows per block of the farthest-pair scan
 
 
 @dataclass
@@ -205,36 +213,60 @@ def mvs_exact(x: PointSet, *, enum_cap: int = DEFAULT_ENUM_CAP) -> MvsResult:
 # local search
 # ---------------------------------------------------------------------------
 
-def _greedy_seed(x: PointSet, order: Sequence[int]) -> List[int]:
-    d = x.dim
-    pts = x.points
-    best_pair = None
-    best_d2 = None
-    for a in range(len(order)):
-        for b in range(a + 1, len(order)):
-            i, j = order[a], order[b]
-            diff = vec_sub(pts[i], pts[j])
-            d2 = sum(v * v for v in diff)
-            if best_d2 is None or d2 > best_d2:
-                best_d2, best_pair = d2, (i, j)
-    if not best_d2:
-        raise DegeneratePointSetError("all points coincide")
-    chosen = list(best_pair)
-    basis = [vec_sub(pts[chosen[1]], pts[chosen[0]])]
+def _points_array(x: PointSet, mode: ScalarMode) -> np.ndarray:
+    """(n, d) coordinates: float64, or Python ints scaled by one common factor."""
+    if mode is ScalarMode.EXACT:
+        return np.array(linalg.clear_denominators(x.points)[0], dtype=object)
+    return np.array(x.points, dtype=np.float64)
+
+
+def _farthest_pair(P: np.ndarray) -> Tuple[int, int]:
+    """The first pair a < b of rows, in row order, at the largest distance.
+
+    Rows are scanned in blocks of ``_PAIR_BLOCK`` against every later row;
+    squared distances are summed coordinate by coordinate, left to right.
+    """
+    n, d = P.shape
+    best_d2, best = -1, (0, 1)
+    for a0 in range(0, n - 1, _PAIR_BLOCK):
+        a1 = min(a0 + _PAIR_BLOCK, n - 1)
+        later = P[a0 + 1:]
+        d2 = None
+        for q in range(d):
+            diff = P[a0:a1, q, None] - later[:, q]
+            d2 = diff * diff if d2 is None else d2 + diff * diff
+        d2[np.arange(1, n - a0) <= np.arange(a1 - a0)[:, None]] = -1  # b <= a
+        pos = int(np.argmax(d2))  # first maximum in row-major, i.e. (a, b) order
+        a, b = divmod(pos, n - a0 - 1)
+        if d2[a, b] > best_d2:
+            best_d2, best = d2[a, b], (a0 + a, a0 + 1 + b)
+    return best
+
+
+def _greedy_seed(P: np.ndarray) -> List[int]:
+    """Farthest pair, then repeatedly the point that most enlarges the volume.
+
+    A candidate v (taken relative to the first vertex) extends the basis B
+    with Gram matrix G = B B^T to the bordered Gram determinant
+    det(G) |v|^2 - b^T adj(G) b, with b = B v; all candidates are scored at
+    once from one fraction-free inverse of G.  Ties go to the first row.
+    """
+    d = P.shape[1]
+    chosen = list(_farthest_pair(P))
     while len(chosen) < d + 1:
-        best_j = None
-        best_g = 0
-        for j in order:
-            if j in chosen:
-                continue
-            cand = basis + [vec_sub(pts[j], pts[chosen[0]])]
-            g = linalg.gram_det(cand)
-            if g > best_g:
-                best_g, best_j = g, j
-        if best_j is None:
+        rel = [P[:, q] - P[chosen[0], q] for q in range(d)]  # coordinate-major
+        basis = [[rel[q][c] for q in range(d)] for c in chosen[1:]]
+        adj, det = linalg.scaled_inverse([[dot(u, v) for v in basis] for u in basis])
+        if det < 0:
+            adj, det = [[-v for v in row] for row in adj], -det
+        b = [linalg.combine(u, rel) for u in basis]
+        adj_b = [linalg.combine(row, b) for row in adj]
+        score = det * linalg.combine(rel, rel) - linalg.combine(b, adj_b)
+        score[chosen] = 0
+        best = int(np.argmax(score))
+        if not score[best] > 0:
             raise DegeneratePointSetError("points do not affinely span the ambient space")
-        chosen.append(best_j)
-        basis.append(vec_sub(pts[best_j], pts[chosen[0]]))
+        chosen.append(best)
     return chosen
 
 
@@ -247,7 +279,7 @@ def mvs_local_search(x: PointSet, seed: int = 0, _trace: Optional[list] = None) 
     mode = infer_mode(v for p in x.points for v in p)
     order = list(range(n))
     random.Random(seed).shuffle(order)
-    chosen = _greedy_seed(x, order)
+    chosen = [order[i] for i in _greedy_seed(_points_array(x, mode)[order])]
 
     threshold: Scalar = d + 1 if mode is ScalarMode.EXACT else (d + 1) * (1.0 + 1e-12)
     swaps = 0
@@ -255,18 +287,14 @@ def mvs_local_search(x: PointSet, seed: int = 0, _trace: Optional[list] = None) 
         simplex = Simplex(d, tuple(x.points[i] for i in chosen), tuple(chosen))
         if _trace is not None:
             _trace.append(simplex_volume(simplex))
-        h = halfspace_form(simplex)
-        best_gain: Scalar = threshold
-        best_swap = None
-        for i in range(d + 1):
-            for j in range(n):
-                val = h.value(i, x.points[j])
-                gain = val - 1 if val >= 1 else 1 - val
-                if gain > best_gain:
-                    best_gain, best_swap = gain, (i, j)
-        if best_swap is None:
+        # Swapping vertex i for point j scales the volume by |u_ij - 1| / (d+1).
+        k = slab_kernel(simplex, x, mode)
+        gain = np.abs(k.values - k.den)
+        pos = int(np.argmax(gain))  # first maximum, facet-major
+        if not gain.flat[pos] > threshold * k.den:
             break
-        chosen[best_swap[0]] = best_swap[1]
+        i, j = divmod(pos, n)
+        chosen[i] = j
         swaps += 1
     return MvsResult(
         simplex=simplex,
@@ -286,15 +314,10 @@ def verify_local_maximality(
     """
     d = t.dim
     k = slab_kernel(t, x)
-    hi, lo = (d + 2) * k.den, -d * k.den
-    worst: Scalar = -(d + 2) * k.den  # below every possible excess
-    worst_facet = worst_point = None
-    for i, row in enumerate(k.values):
-        for j, val in enumerate(row):
-            excess = max(val - hi, lo - val)
-            if excess > worst:
-                worst, worst_facet, worst_point = excess, i, j
-    worst = k.scalar(worst)
+    excess = np.maximum(k.values - (d + 2) * k.den, -d * k.den - k.values)
+    pos = int(np.argmax(excess))  # first maximum, facet-major
+    worst_facet, worst_point = divmod(pos, len(x))
+    worst = k.scalar(excess.flat[pos])
     return LocalMaximalityReport(
         ok=worst <= tol,
         worst_facet=worst_facet,

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from .errors import InputFormatError
 from .geometry import PointSet, Simplex
 
 _SVG_WIDTH = 640
@@ -39,10 +40,10 @@ def render_scene_2d(
     When ``path`` is given the SVG is also written there.
     """
     if x.dim != 2:
-        raise ValueError(f"rendering needs d = 2 input, got d = {x.dim}")
+        raise InputFormatError(f"rendering needs d = 2 input, got d = {x.dim}")
     for s, _ in simplices:
         if s.dim != 2:
-            raise ValueError("all rendered simplices must be planar")
+            raise InputFormatError("all rendered simplices must be planar")
 
     xs = [float(p[0]) for p in x.points]
     ys = [float(p[1]) for p in x.points]

@@ -16,6 +16,7 @@ import random
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
+from .errors import InputFormatError
 from .geometry import Point, PointSet
 from .scalars import Scalar, ScalarMode
 
@@ -63,7 +64,7 @@ def _regular_simplex_vertices(d: int, exact: bool) -> Tuple[Point, ...]:
             (-f, -f, f),
         )
     if exact:
-        raise ValueError(
+        raise InputFormatError(
             f"regular-simplex has no exact rational realization in dimension {d}"
         )
     # Float construction: e_1..e_{d+1} in R^{d+1}, centered, expressed in an
@@ -102,11 +103,11 @@ def sample_body(
     combinations.
     """
     if body not in BODIES:
-        raise ValueError(f"unknown body {body!r}; expected one of {BODIES}")
+        raise InputFormatError(f"unknown body {body!r}; expected one of {BODIES}")
     if d < 1:
-        raise ValueError("dimension must be at least 1")
+        raise InputFormatError("dimension must be at least 1")
     if n < d + 1:
-        raise ValueError(f"need at least d+1 = {d + 1} points, got {n}")
+        raise InputFormatError(f"need at least d+1 = {d + 1} points, got {n}")
     exact = mode is ScalarMode.EXACT
     rng = random.Random(seed)
 
@@ -119,7 +120,7 @@ def sample_body(
         ]
     elif body == "annulus":
         if d != 2:
-            raise ValueError("annulus sampling is only defined for d = 2")
+            raise InputFormatError("annulus sampling is only defined for d = 2")
         lo = Fraction(1, 4) if exact else 0.25
         pts = [
             _reject_sample(rng, d, exact, lambda p: lo <= _norm_sq(p) <= 1)

@@ -18,6 +18,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+from .errors import InputFormatError
+
 Scalar = Union[int, float, Fraction]
 
 DEFAULT_FLOAT_TOL = 1e-9
@@ -34,7 +36,9 @@ class ScalarMode(enum.Enum):
         try:
             return cls(text.strip().lower())
         except ValueError:
-            raise ValueError(f"unknown scalar mode {text!r}; expected 'float' or 'exact'") from None
+            raise InputFormatError(
+                f"unknown scalar mode {text!r}; expected 'float' or 'exact'"
+            ) from None
 
 
 def default_tol(mode: ScalarMode) -> Scalar:
@@ -70,7 +74,7 @@ def parse_scalar(text: str, mode: ScalarMode) -> Scalar:
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot parse scalar {text!r}: {exc}") from None
+        raise InputFormatError(f"cannot parse scalar {text!r}: {exc}") from None
     if mode is ScalarMode.EXACT:
         return value
     try:

@@ -4,19 +4,28 @@ The oracles deliberately avoid the code paths they are checking:
 ``brute_mvs`` walks subsets with the plain Fraction determinant volume,
 ``lp_vertex_minimum`` enumerates basic points of boxed LPs by solving
 square systems, and neither touches the simplex tableau or the batched
-minor expansion.
+minor expansion.  ``reference_local_search`` is the scalar swap local
+search that the array version in ``mvs`` must reproduce.
 """
 from __future__ import annotations
 
 import itertools
 import random
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from simplexcover.errors import SingularMatrixError
-from simplexcover.geometry import PointSet, Simplex, simplex_volume
+from simplexcover.geometry import (
+    PointSet,
+    Simplex,
+    halfspace_form,
+    simplex_volume,
+    vec_sub,
+)
+from simplexcover.linalg import det
 from simplexcover.linalg import solve as linear_solve
 from simplexcover.linprog import LinearProgram
+from simplexcover.scalars import ScalarMode, infer_mode
 
 
 def rational_points(n: int, d: int, seed: int, denom: int = 64) -> PointSet:
@@ -105,3 +114,69 @@ def point_in_simplex(s: Simplex, p) -> bool:
     from simplexcover.geometry import barycentric_coordinates
 
     return all(b >= 0 for b in barycentric_coordinates(s, p))
+
+
+def _dot(a: Sequence, b: Sequence):
+    # An explicit left-to-right loop: the builtin sum compensates float
+    # rounding on Python >= 3.12, which the array code does not.
+    acc = 0
+    for u, v in zip(a, b):
+        acc = acc + u * v
+    return acc
+
+
+def reference_local_search(x: PointSet, seed: int = 0):
+    """Scalar swap local search: (vertex_indices, swap_count, volumes).
+
+    The same algorithm as ``mvs.mvs_local_search``, one pair, candidate and
+    (facet, point) at a time: the farthest pair over the seeded shuffled
+    order (first pair on ties), volume-greedy extension by one Gram
+    determinant per candidate (first candidate on ties), then
+    best-improvement swaps scanned facet-major with ``halfspace_form``.
+    ``volumes`` holds the volume of every simplex visited.
+    """
+    n, d = len(x), x.dim
+    pts = x.points
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    best_pair, best_d2 = None, None
+    for a in range(n):
+        for b in range(a + 1, n):
+            i, j = order[a], order[b]
+            diff = vec_sub(pts[i], pts[j])
+            d2 = _dot(diff, diff)
+            if best_d2 is None or d2 > best_d2:
+                best_d2, best_pair = d2, (i, j)
+    chosen = list(best_pair)
+    basis = [vec_sub(pts[chosen[1]], pts[chosen[0]])]
+    while len(chosen) < d + 1:
+        best_j, best_g = None, 0
+        for j in order:
+            if j in chosen:
+                continue
+            cand = basis + [vec_sub(pts[j], pts[chosen[0]])]
+            g = det([[_dot(u, v) for v in cand] for u in cand])
+            if g > best_g:
+                best_g, best_j = g, j
+        chosen.append(best_j)
+        basis.append(vec_sub(pts[best_j], pts[chosen[0]]))
+
+    exact = infer_mode(v for p in pts for v in p) is ScalarMode.EXACT
+    threshold = d + 1 if exact else (d + 1) * (1.0 + 1e-12)
+    volumes = []
+    swaps = 0
+    while True:
+        simplex = Simplex(d, tuple(pts[i] for i in chosen), tuple(chosen))
+        volumes.append(simplex_volume(simplex))
+        h = halfspace_form(simplex)
+        best_gain, best_swap = threshold, None
+        for i in range(d + 1):
+            for j in range(n):
+                val = _dot(h.normals[i], vec_sub(pts[j], h.center))
+                gain = val - 1 if val >= 1 else 1 - val
+                if gain > best_gain:
+                    best_gain, best_swap = gain, (i, j)
+        if best_swap is None:
+            return tuple(chosen), swaps, volumes
+        chosen[best_swap[0]] = best_swap[1]
+        swaps += 1

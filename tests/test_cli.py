@@ -125,6 +125,35 @@ def test_theorem_violation_exit_2(monkeypatch):
     assert rep["error_kind"] == "theorem-violation"
 
 
+@pytest.mark.parametrize("exc", [TypeError, ValueError])
+def test_internal_errors_are_not_input_errors(monkeypatch, exc):
+    # A bug deep in the library must surface, not read as bad input.
+    def broken(*args, **kwargs):
+        raise exc("internal bug")
+
+    monkeypatch.setattr(cli, "john_positive_cover", broken)
+    with pytest.raises(exc, match="internal bug"):
+        run(RunConfig(command="john", body="square", n=8, dim=2))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        RunConfig(command="john", body="annulus", n=9, dim=3),
+        RunConfig(command="john", body="square", n=2, dim=2),
+        RunConfig(command="john", body="regular-simplex", n=5, dim=2),
+        RunConfig(command="random-trials", body="square", n=5, dim=0),
+        RunConfig(command="render", body="square", n=5, dim=3, output="unused.svg"),
+        RunConfig(command="sweep", epsilons="2", deltas="1/5"),
+    ],
+    ids=["annulus-d3", "too-few", "inexact-simplex", "dim-0", "render-3d", "sweep-range"],
+)
+def test_bad_input_deep_in_the_library_is_an_input_error(cfg):
+    code, rep = run(cfg)
+    assert code == 1
+    assert rep["error_kind"] == "input-error"
+
+
 # ---------------------------------------------------------------------------
 # individual commands through run()
 # ---------------------------------------------------------------------------

@@ -8,11 +8,15 @@ deliberately not the friendly ones the MVS pipeline produces: arbitrary
 (non-maximal) simplices, points far outside T, and coordinates far beyond
 int64.
 """
+import dataclasses
+import enum
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from helpers import float_points, rational_points
 from simplexcover import (
     DilationSign,
     LPSolution,
@@ -24,6 +28,7 @@ from simplexcover import (
     check_certificate,
     dilation_lp,
     halfspace_form,
+    john_positive_cover,
     make_simplex,
     min_dilation,
     simplex_volume,
@@ -171,6 +176,61 @@ def test_float_mode_matches_exact(case):
     for (lo, hi), (flo, fhi) in zip(exact_slab, float_slab):
         assert abs(flo - float(lo)) <= 1e-9 * max(1.0, abs(float(lo)))
         assert abs(fhi - float(hi)) <= 1e-9 * max(1.0, abs(float(hi)))
+
+
+def scalar_slab_values(t: Simplex, x: PointSet):
+    """Float slab numerators one entry at a time: (den, rows)."""
+    d = t.dim
+    verts = [[float(v) for v in p] for p in t.vertices]
+    inv, den = scaled_inverse([[v[q] for v in verts] for q in range(d)] + [[1.0] * (d + 1)])
+    if den < 0:
+        inv, den = [[-v for v in r] for r in inv], -den
+    rows = []
+    for r in inv:
+        row = []
+        for p in x.points:
+            acc = 0
+            for a, b in zip(r, p):
+                acc = acc + a * float(b)
+            row.append(den - (d + 1) * (acc + r[d]))
+        rows.append(row)
+    return den, rows
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_float_kernel_is_the_scalar_formula_bitwise(case):
+    t, x = floats(*random_instance(*case))
+    k = slab_kernel(t, x)
+    den, rows = scalar_slab_values(t, x)
+    assert k.values.dtype == np.float64 and k.values.shape == (t.dim + 1, len(x))
+    assert type(k.den) is float and k.den == den
+    as_hex = [[v.hex() for v in row] for row in k.values.tolist()]
+    assert as_hex == [[v.hex() for v in row] for row in rows]
+
+
+def _leaves(obj):
+    if dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _leaves(getattr(obj, f.name))
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from _leaves(v)
+    else:
+        yield obj
+
+
+@pytest.mark.parametrize("mode", list(ScalarMode), ids=lambda m: m.value)
+def test_reports_hold_only_python_scalars(mode):
+    # enum_cap=10 sends both modes through local search.
+    x = float_points(40, 2, seed=3) if mode is ScalarMode.FLOAT else rational_points(40, 2, seed=3)
+    cover = john_positive_cover(x, mode, enum_cap=10)
+    assert cover.mvs.method == "local-search"
+    t = cover.mvs.simplex
+    reports = [cover, verify_local_maximality(t, x)]
+    reports += [min_dilation(t, x, sign, mode) for sign in DilationSign]
+    plain = (int, float, Fraction, bool, str, type(None))
+    for leaf in _leaves(reports):
+        assert type(leaf) in plain or isinstance(leaf, enum.Enum), type(leaf)
 
 
 def test_degenerate_simplex_is_rejected():

@@ -1,0 +1,77 @@
+"""The array swap local search against its scalar reference.
+
+``mvs_local_search`` scans pairs in row blocks, scores every seed candidate
+at once and takes each swap from one slab kernel.  ``reference_local_search``
+(helpers.py) does the same search one pair, candidate and (facet, point) at
+a time.  Both must visit the same simplices: equal vertex indices, swap
+counts and traced volumes.  The inputs cover the block edges of the pair
+scan, integer lattices where many distances and volumes tie (so the
+first-in-order tie-breaking is exercised), and coordinates near 10^30 whose
+products only fit Python ints.  Float mode is compared on random points,
+where no two candidates tie.
+"""
+import random
+from fractions import Fraction
+
+import pytest
+
+from helpers import reference_local_search
+from simplexcover.geometry import PointSet, affinely_spans
+from simplexcover.mvs import _PAIR_BLOCK, mvs_local_search
+
+F = Fraction
+SIZES = ("d+1", _PAIR_BLOCK - 1, _PAIR_BLOCK, _PAIR_BLOCK + 1, 70)
+
+
+def _coord(rng: random.Random, kind: str):
+    if kind == "grid":
+        return F(rng.randint(-64, 64), 64)
+    if kind == "lattice":
+        return F(rng.randint(-2, 2))
+    if kind == "huge":
+        return F(rng.randint(-(10**30), 10**30), 7)
+    return rng.uniform(-1.0, 1.0)
+
+
+def spanning_points(d: int, size, kind: str, seed: int) -> PointSet:
+    rng = random.Random(f"{kind}/{d}/{size}/{seed}")
+    n = d + 1 if size == "d+1" else size
+    while True:
+        x = PointSet(d, [tuple(_coord(rng, kind) for _ in range(d)) for _ in range(n)])
+        if affinely_spans(x):
+            return x
+
+
+EXACT = [(d, n, kind) for d in (1, 2, 3, 4, 5) for n in SIZES
+         for kind in ("grid", "lattice", "huge")]
+FLOAT = [(d, n, "float") for d in (2, 3, 4) for n in SIZES]
+
+
+@pytest.mark.parametrize("d,n,kind", EXACT + FLOAT)
+def test_matches_scalar_reference(d, n, kind):
+    for seed in (0, 1):
+        x = spanning_points(d, n, kind, seed)
+        trace = []
+        res = mvs_local_search(x, seed=seed, _trace=trace)
+        indices, swaps, volumes = reference_local_search(x, seed=seed)
+        assert res.simplex.vertex_indices == indices
+        assert res.swap_count == swaps
+        assert trace == volumes
+        assert res.volume == volumes[-1]
+
+
+@pytest.mark.parametrize("d,n", [(d, n) for d in (2, 3, 4) for n in SIZES])
+def test_float_search_on_a_lattice_follows_exact_mode(d, n):
+    # On small integers every float operation of the search is exact, so
+    # ties between candidates and swaps are real ties and resolve as in
+    # exact mode.  (The scalar float search breaks some of them by the
+    # rounding of its Gaussian elimination instead.)
+    for seed in (0, 1):
+        x = spanning_points(d, n, "lattice", seed)
+        xf = PointSet(d, [tuple(float(v) for v in p) for p in x.points])
+        trace = []
+        res = mvs_local_search(xf, seed=seed, _trace=trace)
+        indices, swaps, volumes = reference_local_search(x, seed=seed)
+        assert (res.simplex.vertex_indices, res.swap_count) == (indices, swaps)
+        assert trace == pytest.approx([float(v) for v in volumes], rel=1e-12)
+
