@@ -253,15 +253,16 @@ def _greedy_seed(P: np.ndarray) -> List[int]:
     """
     d = P.shape[1]
     chosen = list(_farthest_pair(P))
+    rel = [P[:, q] - P[chosen[0], q] for q in range(d)]  # coordinate-major
+    norm2 = linalg.combine(rel, rel)
     while len(chosen) < d + 1:
-        rel = [P[:, q] - P[chosen[0], q] for q in range(d)]  # coordinate-major
         basis = [[rel[q][c] for q in range(d)] for c in chosen[1:]]
         adj, det = linalg.scaled_inverse([[dot(u, v) for v in basis] for u in basis])
         if det < 0:
             adj, det = [[-v for v in row] for row in adj], -det
         b = [linalg.combine(u, rel) for u in basis]
         adj_b = [linalg.combine(row, b) for row in adj]
-        score = det * linalg.combine(rel, rel) - linalg.combine(b, adj_b)
+        score = det * norm2 - linalg.combine(b, adj_b)
         score[chosen] = 0
         best = int(np.argmax(score))
         if not score[best] > 0:
