@@ -51,13 +51,11 @@ from .geometry import (
     contains,
     dilate_about_center,
     halfspace_form,
-    line_facet_intersection,
     make_simplex,
     reflect_through_centroid,
     reflect_vertex,
     simplex_volume,
     slab_bounds,
-    translate_simplex,
 )
 from .linprog import (
     LinearProgram,
@@ -132,7 +130,6 @@ __all__ = [
     "halfspace_form",
     "john_negative_cover",
     "john_positive_cover",
-    "line_facet_intersection",
     "make_simplex",
     "min_dilation",
     "min_dilation_all",
@@ -151,7 +148,6 @@ __all__ = [
     "slab_bounds",
     "solve_lp",
     "sweep",
-    "translate_simplex",
     "verify_counterexample",
     "verify_local_maximality",
     "verify_sandwich",

@@ -15,7 +15,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from math import comb
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .counterexample import (
@@ -26,6 +25,7 @@ from .counterexample import (
 )
 from .covering import (
     DilationSign,
+    _auto_mvs,
     john_positive_cover,
     min_dilation,
 )
@@ -237,10 +237,10 @@ def _cmd_random_trials(cfg: RunConfig) -> Tuple[Dict[str, Any], List[str]]:
 
 def _john_scene(cfg: RunConfig, x: PointSet):
     d = x.dim
-    if cfg.local or comb(len(x), d + 1) > cfg.enum_cap:
+    if cfg.local:
         m = mvs_local_search(x, seed=cfg.seed)
     else:
-        m = mvs_exact(x, enum_cap=cfg.enum_cap)
+        m = _auto_mvs(x, cfg.enum_cap, cfg.seed)
     t = m.simplex
     return [
         (t, SimplexStyle(stroke="#d62728", label="T")),
@@ -345,8 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--mode", default="exact", choices=("float", "exact"))
-        p.add_argument("--tol", type=float, default=None,
-                       help="float-mode verification tolerance")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", default=None,
                        help="also write the JSON report here (SVG path for render)")
@@ -363,6 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mvs", parents=[], help="maximum-volume simplex")
     common(p)
     inputs(p)
+    p.add_argument("--tol", type=float, default=None,
+                   help="float-mode tolerance of the swap-local slab check")
     p.add_argument("--enum-cap", dest="enum_cap", type=int, default=DEFAULT_ENUM_CAP)
     p.add_argument("--local", action="store_true",
                    help="use swap local search instead of exact enumeration")
@@ -415,7 +415,7 @@ def parse_argv(argv: Sequence[str]) -> RunConfig:
     parser = build_parser()
     ns = parser.parse_args(list(argv))
     mode = ScalarMode.from_str(ns.mode)
-    if ns.tol is not None and mode is ScalarMode.EXACT:
+    if getattr(ns, "tol", None) is not None and mode is ScalarMode.EXACT:
         parser.error("--tol applies to float mode only")
     if mode is ScalarMode.FLOAT and ns.command in ("counterexample", "sweep"):
         parser.error(f"{ns.command} is exact-only; float mode is not accepted")

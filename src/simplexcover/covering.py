@@ -32,7 +32,6 @@ from the slab property of its facet functionals:
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass
 from math import comb
 from typing import List, Optional, Tuple
@@ -212,10 +211,7 @@ def john_negative_cover(
 
     The dilation factor always satisfies lambda <= d.
     """
-    if mode is None:
-        mode = infer_mode(v for p in x.points for v in p)
-    result = _john_cover_with_escalation(x, mode, enum_cap, seed)[1]
-    return result
+    return john_positive_cover(x, mode, enum_cap=enum_cap, seed=seed).negative
 
 
 def john_positive_cover(
@@ -225,58 +221,36 @@ def john_positive_cover(
     enum_cap: int = DEFAULT_ENUM_CAP,
     seed: int = 0,
 ) -> CoverReport:
-    """Full covering report: constructive (d+2)-dilation plus both LP optima."""
+    """Full covering report: constructive (d+2)-dilation plus both LP optima.
+
+    A local-search simplex that fails a check is reported as it is; a failing
+    exactly maximal simplex raises ``TheoremViolationError``.
+    """
     if mode is None:
         mode = infer_mode(v for p in x.points for v in p)
-    report, _ = _john_cover_with_escalation(x, mode, enum_cap, seed, want_report=True)
-    return report
-
-
-def _john_cover_with_escalation(
-    x: PointSet,
-    mode: ScalarMode,
-    enum_cap: int,
-    seed: int,
-    want_report: bool = False,
-) -> Tuple[Optional[CoverReport], DilationResult]:
     d = x.dim
     tol = default_tol(mode)
     m = _auto_mvs(x, enum_cap, seed)
-    for attempt in (0, 1):
-        t = m.simplex
-        sandwich = verify_sandwich(t, x, tol=tol)
-        centered_ok = all(hi <= d + 2 + tol for _, hi in sandwich.slab)
-        negative = min_dilation(t, x, DilationSign.NEGATIVE, mode)
-        positive = min_dilation(t, x, DilationSign.POSITIVE, mode)
-        bounds_ok = negative.lam <= d + tol and positive.lam <= d + 2 + tol
-        if sandwich.ok and centered_ok and bounds_ok:
-            break
-        if m.method == "exact":
-            raise TheoremViolationError(
-                "covering guarantee failed for an exactly maximal simplex: "
-                f"sandwich={sandwich.ok} centered={centered_ok} bounds={bounds_ok}"
-            )
-        if attempt == 0 and comb(len(x), d + 1) <= enum_cap:
-            warnings.warn(
-                "local-search simplex failed a covering check; escalating to exact MVS",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            m = mvs_exact(x, enum_cap=enum_cap)
-            continue
-        break
-    report = None
-    if want_report:
-        report = CoverReport(
-            mvs=m,
-            positive=positive,
-            negative=negative,
-            d_plus_2_construction=dilate_about_center(m.simplex, d + 2),
-            sandwich=sandwich,
-            centered_containment_ok=centered_ok,
-            bounds_ok=bounds_ok,
+    t = m.simplex
+    sandwich = verify_sandwich(t, x, tol=tol)
+    centered_ok = all(hi <= d + 2 + tol for _, hi in sandwich.slab)
+    negative = min_dilation(t, x, DilationSign.NEGATIVE, mode)
+    positive = min_dilation(t, x, DilationSign.POSITIVE, mode)
+    bounds_ok = negative.lam <= d + tol and positive.lam <= d + 2 + tol
+    if m.method == "exact" and not (sandwich.ok and centered_ok and bounds_ok):
+        raise TheoremViolationError(
+            "covering guarantee failed for an exactly maximal simplex: "
+            f"sandwich={sandwich.ok} centered={centered_ok} bounds={bounds_ok}"
         )
-    return report, negative
+    return CoverReport(
+        mvs=m,
+        positive=positive,
+        negative=negative,
+        d_plus_2_construction=dilate_about_center(t, d + 2),
+        sandwich=sandwich,
+        centered_containment_ok=centered_ok,
+        bounds_ok=bounds_ok,
+    )
 
 
 def verify_sandwich(t: Simplex, x: PointSet, tol: Scalar = 0) -> SandwichReport:

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -209,19 +209,6 @@ def reflect_vertex(s: Simplex, i: int) -> Point:
     return vec_add(c, vec_scale(u, -Fraction(d + 2, d)))
 
 
-def line_facet_intersection(s: Simplex, i: int) -> Point:
-    """Where the line through vertex i and the centroid meets the opposite facet.
-
-    This is the opposite facet's centroid, -(v_i - center)/d in centered
-    coordinates.
-    """
-    d = s.dim
-    _require_nondegenerate(s)
-    c = centroid(s)
-    u = vec_sub(s.vertices[i], c)
-    return vec_add(c, vec_scale(u, -Fraction(1, d)))
-
-
 def _require_nondegenerate(s: Simplex) -> None:
     if simplex_volume(s) == 0:
         raise DegenerateSimplexError("operation requires a non-degenerate simplex")
@@ -234,10 +221,6 @@ def dilate_about_center(s: Simplex, lam: Scalar) -> Simplex:
     c = centroid(s)
     verts = [vec_add(c, vec_scale(vec_sub(v, c), lam)) for v in s.vertices]
     return Simplex(s.dim, tuple(verts), None)
-
-
-def translate_simplex(s: Simplex, t: Sequence[Scalar]) -> Simplex:
-    return Simplex(s.dim, tuple(vec_add(v, t) for v in s.vertices), s.vertex_indices)
 
 
 def reflect_through_centroid(s: Simplex) -> Simplex:
@@ -349,25 +332,13 @@ def slab_kernel(t: Simplex, x: PointSet, mode: Optional[ScalarMode] = None) -> S
     )
 
 
-def slab_bounds(
-    shape: Union[Simplex, HalfspaceForm], x: PointSet
-) -> List[Tuple[Scalar, Scalar]]:
+def slab_bounds(t: Simplex, x: PointSet) -> List[Tuple[Scalar, Scalar]]:
     """Per-facet (min, max) of a_i . (p - center) over all points p of x.
 
     For an exactly maximum-volume (or swap-locally-maximal) simplex these
     ranges land inside [-d, d+2].
     """
-    if isinstance(shape, Simplex):
-        return slab_kernel(shape, x).slab()
-    h = shape
-    if x.dim != h.dim:
-        raise DimensionMismatchError(f"point set is {x.dim}-dimensional, simplex is {h.dim}")
-    out: List[Tuple[Scalar, Scalar]] = []
-    centered = [vec_sub(p, h.center) for p in x.points]
-    for a in h.normals:
-        vals = [dot(a, u) for u in centered]
-        out.append((min(vals), max(vals)))
-    return out
+    return slab_kernel(t, x).slab()
 
 
 def barycentric_coordinates(s: Simplex, x: Sequence[Scalar]) -> List[Scalar]:

@@ -6,8 +6,10 @@ Two entry points:
   Rational input is scaled to integers once, and whenever a conservative
   a-priori bound proves that every intermediate of a d x d minor expansion
   fits in int64, the subsets are evaluated in vectorized numpy batches with
-  *exact* integer arithmetic.  Otherwise (or for d > 6) a pure-Python
-  big-integer path takes over, so arbitrary rational input stays exact.
+  *exact* integer arithmetic; float input with d <= 6 takes the same
+  batches in float64.  Otherwise one determinant at a time is taken in pure
+  Python: big-integer Bareiss, so arbitrary rational input stays exact, or
+  pivoted elimination for float input with d > 6.
   Ties are broken toward the lexicographically smallest sorted index tuple.
 
 * ``mvs_local_search``: a greedy seed, then single-vertex swaps until none
@@ -48,7 +50,6 @@ from .geometry import (
     require_spanning,
     simplex_volume,
     slab_kernel,
-    vec_sub,
 )
 from .scalars import Scalar, ScalarMode, infer_mode
 
@@ -153,13 +154,16 @@ def _best_subset_numpy(P: np.ndarray, n: int, d: int) -> Tuple[Tuple[int, ...], 
     return tuple(best_combo), best_val
 
 
-def _best_subset_python(P: Sequence[Sequence[int]], n: int, d: int):
+def _best_subset_python(P: Sequence[Sequence[Scalar]], n: int, d: int):
+    """Subset enumeration one determinant at a time: big-integer Bareiss on
+    int rows, pivoted elimination (``linalg.det``) on float rows."""
+    det = linalg.det if isinstance(P[0][0], float) else linalg.int_det_bareiss
     best_val = -1
     best_combo = None
     for combo in itertools.combinations(range(n), d + 1):
         base = P[combo[0]]
         rows = [[P[i][k] - base[k] for k in range(d)] for i in combo[1:]]
-        val = abs(linalg.int_det_bareiss(rows))
+        val = abs(det(rows))
         if val > best_val:
             best_val = val
             best_combo = combo
@@ -176,34 +180,24 @@ def mvs_exact(x: PointSet, *, enum_cap: int = DEFAULT_ENUM_CAP) -> MvsResult:
         raise EnumerationCapError(
             f"C({n}, {d + 1}) = {total} subsets exceeds the cap of {enum_cap}"
         )
-    mode = infer_mode(v for p in x.points for v in p)
-    if mode is ScalarMode.EXACT:
-        ints, scale = linalg.clear_denominators(x.points)
-        max_abs = max((abs(v) for row in ints for v in row), default=0)
-        if _int64_safe(d, max_abs):
-            P = np.asarray(ints, dtype=np.int64)
-            combo, val = _best_subset_numpy(P, n, d)
-            best_val = int(val)
-        else:
-            combo, best_val = _best_subset_python(ints, n, d)
-        if best_val == 0:
-            raise DegeneratePointSetError("points do not affinely span the ambient space")
+    exact = infer_mode(v for p in x.points for v in p) is ScalarMode.EXACT
+    if exact:
+        P, scale = linalg.clear_denominators(x.points)
+        max_abs = max((abs(v) for row in P for v in row), default=0)
+        batched, dtype = _int64_safe(d, max_abs), np.int64
+    else:
+        P = [[float(v) for v in p] for p in x.points]
+        batched, dtype = d <= 6, np.float64
+    if batched:
+        combo, val = _best_subset_numpy(np.asarray(P, dtype=dtype), n, d)
+        best_val = val.item()  # a Python int or float
+    else:
+        combo, best_val = _best_subset_python(P, n, d)
+    if best_val == 0:
+        raise DegeneratePointSetError("points do not affinely span the ambient space")
+    if exact:
         volume = Fraction(best_val, factorial(d) * scale ** d)
     else:
-        if d <= 6:
-            P = np.asarray([[float(v) for v in p] for p in x.points], dtype=np.float64)
-            combo, val = _best_subset_numpy(P, n, d)
-            best_val = float(val)
-        else:
-            best_val = -1.0
-            combo = None
-            for cand in itertools.combinations(range(n), d + 1):
-                rows = [vec_sub(x.points[i], x.points[cand[0]]) for i in cand[1:]]
-                v = abs(linalg.det(rows))
-                if v > best_val:
-                    best_val, combo = v, cand
-        if best_val == 0:
-            raise DegeneratePointSetError("points do not affinely span the ambient space")
         volume = best_val / factorial(d)
     simplex = Simplex(d, tuple(x.points[i] for i in combo), tuple(combo))
     return MvsResult(simplex=simplex, volume=volume, method="exact", swap_count=0)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import List, Tuple
 
 from .errors import InputFormatError
 from .geometry import Point, PointSet
@@ -36,14 +36,19 @@ def _cube_point(rng: random.Random, d: int, exact: bool) -> Point:
     return tuple(rng.uniform(-1.0, 1.0) for _ in range(d))
 
 
-def _reject_sample(
-    rng: random.Random, d: int, exact: bool, accept: Callable[[Point], bool]
-) -> Point:
+def _reject_sample(rng: random.Random, d: int, exact: bool, body: str) -> Point:
+    """A point of the disk (|x| <= 1) or annulus (1/2 <= |x| <= 1), drawn from
+    the cube by rejection."""
+    lo = 0 if body == "disk" else (Fraction(1, 4) if exact else 0.25)
     for _ in range(_MAX_REJECT):
         p = _cube_point(rng, d, exact)
-        if accept(p):
+        if lo <= _norm_sq(p) <= 1:
             return p
-    raise RuntimeError("rejection sampling failed to hit the body")
+    # The ball fills about (pi e / 2d)^(d/2) / sqrt(pi d) of the cube: 2e-14 at d = 30.
+    raise InputFormatError(
+        f"rejection sampling found no point of the {body} in dimension {d} "
+        f"in {_MAX_REJECT} draws from the cube"
+    )
 
 
 def _norm_sq(p: Point) -> Scalar:
@@ -113,19 +118,10 @@ def sample_body(
 
     if body == "square":
         pts = [_cube_point(rng, d, exact) for _ in range(n)]
-    elif body == "disk":
-        pts = [
-            _reject_sample(rng, d, exact, lambda p: _norm_sq(p) <= 1)
-            for _ in range(n)
-        ]
-    elif body == "annulus":
-        if d != 2:
+    elif body in ("disk", "annulus"):
+        if body == "annulus" and d != 2:
             raise InputFormatError("annulus sampling is only defined for d = 2")
-        lo = Fraction(1, 4) if exact else 0.25
-        pts = [
-            _reject_sample(rng, d, exact, lambda p: lo <= _norm_sq(p) <= 1)
-            for _ in range(n)
-        ]
+        pts = [_reject_sample(rng, d, exact, body) for _ in range(n)]
     else:  # regular-simplex
         verts = _regular_simplex_vertices(d, exact)
         pts = list(verts)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .errors import InputFormatError
 
@@ -55,19 +55,6 @@ def infer_mode(values: Iterable[Scalar]) -> ScalarMode:
     return ScalarMode.EXACT if all(is_exact_value(v) for v in values) else ScalarMode.FLOAT
 
 
-def coerce_scalar(x: Scalar, mode: ScalarMode) -> Scalar:
-    """Convert a number to the representation of ``mode``.
-
-    Floats fed to EXACT mode are taken at their exact binary value; callers
-    that want decimal semantics should pass strings through parse_scalar.
-    """
-    if mode is ScalarMode.EXACT:
-        if isinstance(x, Fraction):
-            return x
-        return Fraction(x)
-    return float(x)
-
-
 def parse_scalar(text: str, mode: ScalarMode) -> Scalar:
     """Parse 'p/q', integer, or decimal notation in the requested mode."""
     text = text.strip()
@@ -92,18 +79,3 @@ def scalar_to_str(x: Scalar) -> str:
     if isinstance(x, (int, Fraction)):
         return str(x)
     return format(float(x), ".17g")
-
-
-def coerce_point(coords: Sequence[Scalar], mode: ScalarMode) -> tuple:
-    return tuple(coerce_scalar(v, mode) for v in coords)
-
-
-def rel_close(a: Scalar, b: Scalar, tol: Scalar) -> bool:
-    """|a - b| <= tol * max(1, |a|, |b|); exact equality when tol == 0."""
-    diff = a - b
-    if diff < 0:
-        diff = -diff
-    if tol == 0:
-        return diff == 0
-    scale = max(1, abs(a), abs(b))
-    return diff <= tol * scale

@@ -46,6 +46,9 @@ def test_check_tol_defaults():
     "argv",
     [
         ["mvs", "--input", "x", "--tol", "1e-9"],  # tol is float-mode only
+        # only mvs reads --tol
+        ["john", "--sample", "disk", "--n", "40", "--dim", "2", "--mode", "float",
+         "--tol", "1e-6"],
         ["counterexample", "--mode", "float"],
         ["sweep", "--mode", "float", "--epsilons", "1/5", "--deltas", "1/5"],
         ["mvs", "--input", "x", "--sample", "square"],

@@ -1,5 +1,6 @@
 """Minimal-dilation covers and the two-sided covering guarantee."""
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,6 @@ from simplexcover import (
     simplex_volume,
     verify_sandwich,
 )
-from simplexcover.covering import _john_cover_with_escalation  # noqa: F401
 from simplexcover.mvs import MvsResult
 
 F = Fraction
@@ -251,16 +251,21 @@ def test_john_cover_float_mode():
 
 
 def test_escalation_from_bad_local_simplex(monkeypatch):
+    # There is no escalation: a local-search simplex that fails a covering
+    # check is reported as it is, without a warning or an exact re-run.
     import simplexcover.covering as covering
 
     corners = PointSet(2, ((F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1))))
     small = make_simplex([(F(0), F(0)), (F(1, 4), F(0)), (F(0), F(1, 4))])
     bad = MvsResult(simplex=small, volume=simplex_volume(small), method="local-search")
     monkeypatch.setattr(covering, "_auto_mvs", lambda x, cap, seed: bad)
-    with pytest.warns(RuntimeWarning, match="escalating to exact"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rep = john_positive_cover(corners)
-    assert rep.mvs.method == "exact"
-    assert rep.sandwich.ok and rep.bounds_ok
+    assert rep.mvs is bad
+    assert rep.mvs.method == "local-search"
+    assert not rep.sandwich.ok
+    assert not rep.bounds_ok and not rep.centered_containment_ok
 
 
 def test_exactly_maximal_failure_is_a_theorem_violation(monkeypatch):

@@ -19,14 +19,12 @@ from simplexcover.geometry import (
     contains,
     dilate_about_center,
     halfspace_form,
-    line_facet_intersection,
     make_simplex,
     reflect_through_centroid,
     reflect_vertex,
     require_spanning,
     simplex_volume,
     slab_bounds,
-    translate_simplex,
     vec_add,
     vec_scale,
     vec_sub,
@@ -113,17 +111,6 @@ def test_reflect_vertex_factor():
             assert h.value(i, vh) == d + 2
 
 
-def test_line_facet_intersection():
-    for s in (RIGHT_TRIANGLE, TETRA):
-        d = s.dim
-        c = centroid(s)
-        for i, v in enumerate(s.vertices):
-            w = line_facet_intersection(s, i)
-            assert w == vec_sub(c, vec_scale(vec_sub(v, c), F(1, d)))
-            # w lies on facet i: its i-th barycentric coordinate vanishes
-            assert barycentric_coordinates(s, w)[i] == 0
-
-
 def test_dilate_about_center():
     s2 = dilate_about_center(RIGHT_TRIANGLE, 2)
     assert simplex_volume(s2) == 4 * simplex_volume(RIGHT_TRIANGLE)
@@ -143,12 +130,6 @@ def test_negative_dilation_reflects():
 def test_reflect_through_centroid_is_dilation_by_minus_one():
     s = reflect_through_centroid(RIGHT_TRIANGLE)
     assert s.vertices == dilate_about_center(RIGHT_TRIANGLE, -1).vertices
-    assert simplex_volume(s) == simplex_volume(RIGHT_TRIANGLE)
-
-
-def test_translate():
-    s = translate_simplex(RIGHT_TRIANGLE, (F(5), F(-2)))
-    assert centroid(s) == vec_add(centroid(RIGHT_TRIANGLE), (F(5), F(-2)))
     assert simplex_volume(s) == simplex_volume(RIGHT_TRIANGLE)
 
 
@@ -229,7 +210,8 @@ coord = st.fractions(
 def test_volume_scaling_and_translation_invariance(verts, lam, shift):
     s = Simplex(2, tuple(verts))
     vol = simplex_volume(s)
-    assert simplex_volume(translate_simplex(s, shift)) == vol
+    moved = Simplex(2, tuple(vec_add(v, shift) for v in s.vertices))
+    assert simplex_volume(moved) == vol
     if vol != 0 and lam != 0:
         assert simplex_volume(dilate_about_center(s, lam)) == abs(lam) ** 2 * vol
 

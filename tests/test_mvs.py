@@ -83,6 +83,17 @@ def test_huge_coordinates_fall_back_to_bigint_path():
     assert res.volume == vol and res.simplex.vertex_indices == idx
 
 
+@pytest.mark.parametrize("points", [rational_points, float_points], ids=["exact", "float"])
+def test_dimension_seven_matches_brute(points):
+    # d > 6 has no batched determinants: one determinant per subset, Bareiss
+    # on ints or pivoted elimination on floats, equal bit for bit to the oracle.
+    x = points(11, 7, seed=7)
+    res = mvs_exact(x)
+    vol, idx = brute_mvs(x)
+    assert res.volume == vol
+    assert res.simplex.vertex_indices == idx
+
+
 def test_float_mode_matches_brute():
     x = float_points(10, 2, seed=31)
     res = mvs_exact(x)

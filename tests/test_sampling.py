@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from helpers import point_in_simplex
-from simplexcover import ScalarMode, make_simplex, sample_body
+from simplexcover import InputFormatError, ScalarMode, make_simplex, sample_body
+from simplexcover.cli import parse_argv, run
+import simplexcover.sampling as sampling
 from simplexcover.sampling import BODIES, _GRID
 
 F = Fraction
@@ -105,6 +107,22 @@ def test_input_validation():
         sample_body("square", 2, 2, seed=0)
     with pytest.raises(ValueError, match="dimension"):
         sample_body("square", 5, 0, seed=0)
+
+
+def test_rejection_miss_is_an_input_error(monkeypatch):
+    # A 30-ball fills ~2e-14 of its cube, so a few draws never hit it.
+    monkeypatch.setattr(sampling, "_MAX_REJECT", 20)
+    with pytest.raises(InputFormatError, match="disk in dimension 30"):
+        sample_body("disk", 40, 30, seed=0)
+
+
+def test_rejection_miss_reports_through_the_cli(monkeypatch):
+    monkeypatch.setattr(sampling, "_MAX_REJECT", 20)
+    argv = ["john", "--mode", "float", "--sample", "disk", "--n", "40", "--dim", "30"]
+    code, rep = run(parse_argv(argv))
+    assert code == 1
+    assert rep["error_kind"] == "input-error"
+    assert "disk in dimension 30" in rep["error"]
 
 
 def test_bodies_tuple_is_the_public_contract():

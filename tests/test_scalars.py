@@ -6,13 +6,10 @@ from hypothesis import given, strategies as st
 from simplexcover.scalars import (
     DEFAULT_FLOAT_TOL,
     ScalarMode,
-    coerce_point,
-    coerce_scalar,
     default_tol,
     infer_mode,
     is_exact_value,
     parse_scalar,
-    rel_close,
     scalar_to_str,
 )
 
@@ -39,19 +36,6 @@ def test_is_exact_value():
     assert is_exact_value(3)
     assert is_exact_value(Fraction(-2, 7))
     assert not is_exact_value(0.25)
-
-
-def test_coerce_scalar_exact_takes_float_binary_value():
-    # 0.25 is exactly representable; coercion must not re-round.
-    assert coerce_scalar(0.25, ScalarMode.EXACT) == Fraction(1, 4)
-    assert coerce_scalar(Fraction(1, 3), ScalarMode.FLOAT) == pytest.approx(1 / 3)
-    assert isinstance(coerce_scalar(2, ScalarMode.EXACT), Fraction)
-
-
-def test_coerce_point():
-    p = coerce_point((1, 0.5), ScalarMode.EXACT)
-    assert p == (Fraction(1), Fraction(1, 2))
-    assert all(isinstance(c, Fraction) for c in p)
 
 
 @pytest.mark.parametrize(
@@ -97,12 +81,3 @@ def test_float_serialization_round_trips(x):
 @given(st.fractions())
 def test_fraction_serialization_round_trips(q):
     assert Fraction(scalar_to_str(q)) == q
-
-
-def test_rel_close():
-    assert rel_close(Fraction(1, 3), Fraction(1, 3), 0)
-    assert not rel_close(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**30), 0)
-    assert rel_close(1.0, 1.0 + 1e-12, 1e-9)
-    assert not rel_close(1.0, 1.1, 1e-9)
-    # relative scaling kicks in above magnitude 1
-    assert rel_close(1e6, 1e6 + 1e-4, 1e-9)
