@@ -4,9 +4,9 @@ Each case runs ``cli.run(parse_argv(argv))`` in a fresh directory with
 relative file names, drops the ``timings`` block and compares the sha256 of
 the serialized report with a recorded value.  Together the cases reach every
 enumeration path of ``mvs_exact`` (int64, big-integer, float64 for d <= 6,
-and both d > 6 paths), local search in both modes, both dilation signs, the
-counterexample on both sides of feasibility, the sweep, random trials and an
-input-error report.  A refactor that is meant to keep answers unchanged must
+and both d > 6 paths), local search in both modes, both dilation signs, a
+float dilation, the counterexample on both sides of feasibility, the sweep,
+random trials and an input-error report.  A refactor that is meant to keep answers unchanged must
 keep every hash.  The float cases pin Python's uncompensated float ``sum``;
 Python 3.12 changed it, so their digests hold for Python 3.10 and 3.11.
 """
@@ -52,6 +52,8 @@ CASES = [
      "50133a873c0c298147c426cccd0893899d9963bdee1d2312cf90735b355de8d8"),
     (["dilation", "--input", "p.csv", "--simplex", "t.csv", "--sign", "negative"], 0,
      "0ef11e3c1e118b20d768b34819893b7e061f2ca819db3f3415c26b5b4f2ebbb8"),
+    (["dilation", "--mode", "float", "--input", "p.csv", "--simplex", "t.csv"], 0,
+     "fe6a32ffb1066e3e225d82a9d91d5d34075795a258cb3e65d19a19755c22c8c4"),
     (["counterexample", "--epsilon", "1/5", "--delta", "1/5"], 0,
      "2bb17eaa6647c5873198a99050cab85c65884b9aa8d41b39a3ad0a0f7f3bf63c"),
     (["counterexample", "--epsilon", "1/3", "--delta", "1/4"], 0,
