@@ -9,6 +9,7 @@ timings block.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -52,10 +53,6 @@ from .serialization import (
 )
 
 SCHEMA_VERSION = 1
-
-COMMANDS = (
-    "mvs", "dilation", "john", "counterexample", "sweep", "random-trials", "render",
-)
 
 
 @dataclass
@@ -122,13 +119,13 @@ def _cmd_dilation(cfg: RunConfig) -> Tuple[Dict[str, Any], List[str]]:
         )
     t = make_simplex(t_pts.points)
     sign = DilationSign(cfg.sign)
-    res = min_dilation(t, x, sign, cfg.mode)
+    res = min_dilation(t, x, sign)
     return {"dilation": res}, []
 
 
 def _cmd_john(cfg: RunConfig) -> Tuple[Dict[str, Any], List[str]]:
     x = _load_points(cfg)
-    report = john_positive_cover(x, cfg.mode, enum_cap=cfg.enum_cap, seed=cfg.seed)
+    report = john_positive_cover(x, enum_cap=cfg.enum_cap, seed=cfg.seed)
     violations = []
     if not report.sandwich.ok:
         violations.append("maximum simplex fails the swap-local slab check")
@@ -188,9 +185,8 @@ def _cmd_sweep(cfg: RunConfig) -> Tuple[Dict[str, Any], List[str]]:
 
 def _trial_worker(args: Tuple[str, int, int, int, str, int]) -> Dict[str, Any]:
     body, n, dim, seed, mode_value, enum_cap = args
-    mode = ScalarMode(mode_value)
-    x = sample_body(body, n, dim, seed, mode)
-    rep = john_positive_cover(x, mode, enum_cap=enum_cap, seed=seed)
+    x = sample_body(body, n, dim, seed, ScalarMode(mode_value))
+    rep = john_positive_cover(x, enum_cap=enum_cap, seed=seed)
     ok = rep.bounds_ok and rep.sandwich.ok and rep.centered_containment_ok
     return {
         "seed": seed,
@@ -415,7 +411,10 @@ def parse_argv(argv: Sequence[str]) -> RunConfig:
     parser = build_parser()
     ns = parser.parse_args(list(argv))
     mode = ScalarMode.from_str(ns.mode)
-    if getattr(ns, "tol", None) is not None and mode is ScalarMode.EXACT:
+    tol = getattr(ns, "tol", None)
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        parser.error(f"--tol must be finite and >= 0, got {tol}")
+    if tol is not None and mode is ScalarMode.EXACT:
         parser.error("--tol applies to float mode only")
     if mode is ScalarMode.FLOAT and ns.command in ("counterexample", "sweep"):
         parser.error(f"{ns.command} is exact-only; float mode is not accepted")

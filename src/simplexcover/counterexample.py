@@ -30,7 +30,6 @@ from .covering import DilationResult, DilationSign, dilation_lp, min_dilation
 from .errors import DegenerateSimplexError, InputFormatError
 from .geometry import PointSet, Simplex, simplex_volume
 from .linprog import LPSolution, LPStatus, check_certificate
-from .scalars import ScalarMode
 
 RationalLike = Union[int, str, Fraction]
 
@@ -129,7 +128,7 @@ def min_dilation_all(
     best = None
     for tri in enumerate_triangles(x):
         label = "".join(POINT_LABELS[i] for i in tri.vertex_indices)
-        res = min_dilation(tri, x, DilationSign.POSITIVE, ScalarMode.EXACT)
+        res = min_dilation(tri, x, DilationSign.POSITIVE)
         full = dilation_lp(tri, x, DilationSign.POSITIVE)
         sol = LPSolution(
             status=LPStatus.OPTIMAL,

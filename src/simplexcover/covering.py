@@ -1,6 +1,6 @@
 """Minimal dilation covers of a point set by translates of a simplex.
 
-``min_dilation`` answers, exactly in Fractions when asked, the LP
+``min_dilation`` answers, exactly in Fractions for rational input, the LP
 
     minimize lambda  over translates t and scale lambda
     subject to a_i . (x_j - t) <= lambda          (all facets i, points j)
@@ -34,7 +34,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import comb
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -126,14 +126,9 @@ def dilation_lp(t: Simplex, x: PointSet, sign: DilationSign) -> LinearProgram:
     return LinearProgram(d + 1, objective, tuple(rows), tuple(rhs))
 
 
-def min_dilation(
-    t: Simplex,
-    x: PointSet,
-    sign: DilationSign,
-    mode: Optional[ScalarMode] = None,
-) -> DilationResult:
+def min_dilation(t: Simplex, x: PointSet, sign: DilationSign) -> DilationResult:
     """Minimal lambda and translate covering x by a dilate of +/-t."""
-    k = slab_kernel(t, x, mode)
+    k = slab_kernel(t, x)
     d = t.dim
     n = len(x)
     s = 1 if sign is DilationSign.POSITIVE else -1
@@ -201,41 +196,32 @@ def _auto_mvs(x: PointSet, enum_cap: int, seed: int) -> MvsResult:
 
 
 def john_negative_cover(
-    x: PointSet,
-    mode: Optional[ScalarMode] = None,
-    *,
-    enum_cap: int = DEFAULT_ENUM_CAP,
-    seed: int = 0,
+    x: PointSet, *, enum_cap: int = DEFAULT_ENUM_CAP, seed: int = 0
 ) -> DilationResult:
     """Cover x by a translate of lambda * (-T), T a maximum-volume simplex.
 
     The dilation factor always satisfies lambda <= d.
     """
-    return john_positive_cover(x, mode, enum_cap=enum_cap, seed=seed).negative
+    return john_positive_cover(x, enum_cap=enum_cap, seed=seed).negative
 
 
 def john_positive_cover(
-    x: PointSet,
-    mode: Optional[ScalarMode] = None,
-    *,
-    enum_cap: int = DEFAULT_ENUM_CAP,
-    seed: int = 0,
+    x: PointSet, *, enum_cap: int = DEFAULT_ENUM_CAP, seed: int = 0
 ) -> CoverReport:
     """Full covering report: constructive (d+2)-dilation plus both LP optima.
 
-    A local-search simplex that fails a check is reported as it is; a failing
-    exactly maximal simplex raises ``TheoremViolationError``.
+    Exact input is checked at zero tolerance, float input at the float
+    tolerance.  A local-search simplex that fails a check is reported as it
+    is; a failing exactly maximal simplex raises ``TheoremViolationError``.
     """
-    if mode is None:
-        mode = infer_mode(v for p in x.points for v in p)
     d = x.dim
-    tol = default_tol(mode)
+    tol = default_tol(infer_mode(v for p in x.points for v in p))
     m = _auto_mvs(x, enum_cap, seed)
     t = m.simplex
     sandwich = verify_sandwich(t, x, tol=tol)
     centered_ok = all(hi <= d + 2 + tol for _, hi in sandwich.slab)
-    negative = min_dilation(t, x, DilationSign.NEGATIVE, mode)
-    positive = min_dilation(t, x, DilationSign.POSITIVE, mode)
+    negative = min_dilation(t, x, DilationSign.NEGATIVE)
+    positive = min_dilation(t, x, DilationSign.POSITIVE)
     bounds_ok = negative.lam <= d + tol and positive.lam <= d + 2 + tol
     if m.method == "exact" and not (sandwich.ok and centered_ok and bounds_ok):
         raise TheoremViolationError(

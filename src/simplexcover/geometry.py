@@ -251,9 +251,9 @@ class SlabKernel:
 
     ``values`` is a (d+1, n) numpy array, one row per facet and one column
     per point: ``values[i, j] / den`` is u_ij = a_i . (x_j - center) = 1 -
-    (d+1) beta_i(x_j), with a_i as in ``HalfspaceForm``.  In exact mode the
-    array has object dtype and holds Python ints over a positive int
-    ``den``; in float mode it is float64 over a float ``den``.  Everything
+    (d+1) beta_i(x_j), with a_i as in ``HalfspaceForm``.  The input's scalars
+    set ``mode``: exact input gives object dtype Python ints over a positive
+    int ``den``; float input gives float64 over a float ``den``.  Everything
     else is plain Python: ``den``, ``vertices``, ``center`` and ``normals``
     (Fractions in exact mode, floats otherwise), and every value ``scalar``
     and ``slab`` return, so no numpy scalar reaches a report.
@@ -280,21 +280,20 @@ class SlabKernel:
         return [(self.scalar(lo), self.scalar(hi)) for lo, hi in zip(lows, highs)]
 
 
-def slab_kernel(t: Simplex, x: PointSet, mode: Optional[ScalarMode] = None) -> SlabKernel:
+def slab_kernel(t: Simplex, x: PointSet) -> SlabKernel:
     """Every slab value a_i . (x_j - c) of x against t, from one inversion.
 
     With A the homogenized vertex matrix (column i is (v_i, 1)), beta(x) =
     A^-1 (x, 1).  Exact input is scaled to integers by its common
     denominator first, so A^-1 = N / D with integer N and D and every slab
-    value is an integer over |D|.  mode=None infers EXACT when every
-    coordinate is an int or Fraction.
+    value is an integer over |D|.  The arithmetic is exact when every
+    coordinate of t and x is an int or Fraction, float otherwise.
     """
     if x.dim != t.dim:
         raise DimensionMismatchError(f"point set is {x.dim}-dimensional, simplex is {t.dim}")
     d = t.dim
     rows = t.vertices + x.points
-    if mode is None:
-        mode = infer_mode(v for p in rows for v in p)
+    mode = infer_mode(v for p in rows for v in p)
     if mode is ScalarMode.EXACT:
         ints, scale = linalg.clear_denominators(rows)
         one, dtype = 1, object

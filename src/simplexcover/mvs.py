@@ -42,7 +42,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import linalg
-from .errors import DegeneratePointSetError, EnumerationCapError
+from .errors import DegeneratePointSetError, EnumerationCapError, NumericalBreakdownError
 from .geometry import (
     PointSet,
     Simplex,
@@ -266,7 +266,11 @@ def _greedy_seed(P: np.ndarray) -> List[int]:
 
 
 def mvs_local_search(x: PointSet, seed: int = 0, _trace: Optional[list] = None) -> MvsResult:
-    """Swap-locally-maximal simplex; the seed varies tie-breaking and starts."""
+    """Swap-locally-maximal simplex; the seed varies tie-breaking and starts.
+
+    A float search that comes back to a simplex raises
+    ``NumericalBreakdownError``.
+    """
     n, d = len(x), x.dim
     if n < d + 1:
         raise DegeneratePointSetError(f"need at least {d + 1} points, got {n}")
@@ -278,12 +282,22 @@ def mvs_local_search(x: PointSet, seed: int = 0, _trace: Optional[list] = None) 
 
     threshold: Scalar = d + 1 if mode is ScalarMode.EXACT else (d + 1) * (1.0 + 1e-12)
     swaps = 0
+    # Exact swaps strictly increase the volume; only a float kernel that has
+    # lost precision can lead back to a simplex already seen, and from there
+    # the deterministic search would repeat forever.
+    visited = set()
     while True:
-        simplex = Simplex(d, tuple(x.points[i] for i in chosen), tuple(chosen))
+        key = tuple(chosen)
+        if key in visited:
+            raise NumericalBreakdownError(
+                "local search revisited a simplex in float mode; rerun in exact mode"
+            )
+        visited.add(key)
+        simplex = Simplex(d, tuple(x.points[i] for i in chosen), key)
         if _trace is not None:
             _trace.append(simplex_volume(simplex))
         # Swapping vertex i for point j scales the volume by |u_ij - 1| / (d+1).
-        k = slab_kernel(simplex, x, mode)
+        k = slab_kernel(simplex, x)
         gain = np.abs(k.values - k.den)
         pos = int(np.argmax(gain))  # first maximum, facet-major
         if not gain.flat[pos] > threshold * k.den:

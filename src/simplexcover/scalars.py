@@ -1,6 +1,7 @@
 """Scalar modes and conversions.
 
-Every geometric routine in this package runs in one of two arithmetic modes:
+Every geometric routine in this package runs in one of two arithmetic modes,
+and the scalar family of the input chooses the mode (``infer_mode``):
 
 * EXACT: coordinates are ``fractions.Fraction`` (or int) and every comparison
   is exact.  Nothing is ever rounded.

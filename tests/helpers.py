@@ -46,6 +46,25 @@ def float_points(n: int, d: int, seed: int) -> PointSet:
     )
 
 
+def revisiting_float_inputs() -> dict:
+    """Float inputs on which the swap search's kernel loses precision.
+
+    ``huge`` is two points near 1e200 on a line; ``coplanar`` is seven points
+    of R^4 on the hyperplane x4 = 0.3 (x1 + x2 + x3).  On both, the largest
+    |u - 1| sits at a vertex's own column, so the float search would swap a
+    vertex for itself forever.
+    """
+    rng = random.Random(0)
+    coplanar = []
+    for _ in range(7):
+        p = [rng.uniform(-1, 1) for _ in range(3)]
+        coplanar.append((*p, 0.3 * (p[0] + p[1] + p[2])))
+    return {
+        "huge": PointSet(1, [(-7.3e199,), (6.9e199,)]),
+        "coplanar": PointSet(4, coplanar),
+    }
+
+
 def brute_mvs(x: PointSet) -> Tuple[Fraction, Tuple[int, ...]]:
     """Best (volume, index tuple) by direct subset enumeration."""
     best_vol = None

@@ -62,8 +62,8 @@ def suite() -> List[Instance]:
         for i in range(PER_DIM):
             x = rational_points(N_POINTS, d, seed=d * 1000 + i)
             t = mvs_exact(x).simplex
-            neg = min_dilation(t, x, DilationSign.NEGATIVE, ScalarMode.EXACT)
-            pos = min_dilation(t, x, DilationSign.POSITIVE, ScalarMode.EXACT)
+            neg = min_dilation(t, x, DilationSign.NEGATIVE)
+            pos = min_dilation(t, x, DilationSign.POSITIVE)
             slab = verify_local_maximality(t, x, tol=0).slab
             shell = halfspace_form(dilate_about_center(t, d + 2))
             centered_ok = all(contains(shell, p, tol=0) for p in x.points)
@@ -186,6 +186,6 @@ def test_criterion_8_dilation_matches_grid_search():
         x = float_points(8, 2, seed=500 + k)
         t = mvs_exact(x).simplex
         sign = DilationSign.POSITIVE if k % 2 == 0 else DilationSign.NEGATIVE
-        res = min_dilation(t, x, sign, ScalarMode.FLOAT)
+        res = min_dilation(t, x, sign)
         body = t if sign is DilationSign.POSITIVE else reflect_through_centroid(t)
         assert abs(res.lam - grid_min_dilation(body, x)) <= 1e-6

@@ -4,8 +4,10 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from helpers import revisiting_float_inputs
 from simplexcover import ScalarMode, TheoremViolationError
 from simplexcover.cli import RunConfig, main, parse_argv, run
+from simplexcover.serialization import dumps_report
 import simplexcover.cli as cli
 
 NS = "{http://www.w3.org/2000/svg}"
@@ -55,6 +57,10 @@ def test_check_tol_defaults():
         ["dilation", "--input", "x"],  # missing --simplex
         ["john", "--sample", "torus", "--n", "5", "--dim", "2"],
         ["nonsense"],
+        # --tol must be finite and >= 0
+        ["mvs", "--input", "x", "--mode", "float", "--tol", "-1"],
+        ["mvs", "--input", "x", "--mode", "float", "--tol", "nan"],
+        ["mvs", "--input", "x", "--mode", "float", "--tol", "inf"],
     ],
 )
 def test_bad_argv_exits_1(argv):
@@ -229,6 +235,19 @@ def test_non_finite_input_is_an_input_error(tmp_path):
         assert code == 1
         assert rep["error_kind"] == "input-error"
         assert "non-finite" in rep["error"]
+
+
+@pytest.mark.parametrize("name", sorted(revisiting_float_inputs()))
+def test_float_search_that_revisits_a_simplex_is_an_input_error(tmp_path, name):
+    x = revisiting_float_inputs()[name]
+    text = "".join(",".join(repr(v) for v in p) + "\n" for p in x.points)
+    code, rep = run(RunConfig(command="mvs", input=write(tmp_path, "p.csv", text),
+                              mode=ScalarMode.FLOAT, local=True))
+    assert code == 1
+    rep = json.loads(dumps_report(rep))
+    assert rep["schema_version"] == 1
+    assert rep["error_kind"] == "input-error"
+    assert "rerun in exact mode" in rep["error"]
 
 
 @pytest.mark.parametrize(

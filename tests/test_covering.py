@@ -244,10 +244,21 @@ def test_john_negative_cover_shortcut():
 def test_john_cover_float_mode():
     for body, seed in (("disk", 1), ("annulus", 2), ("square", 3)):
         x = sample_body(body, 12, 2, seed=seed, mode=ScalarMode.FLOAT)
-        rep = john_positive_cover(x, mode=ScalarMode.FLOAT)
+        rep = john_positive_cover(x)
         assert rep.sandwich.ok and rep.centered_containment_ok and rep.bounds_ok
         assert rep.negative.lam <= 2 + 1e-9
         assert rep.positive.lam <= 4 + 1e-9
+
+
+def test_float_points_on_the_outer_shell_pass_at_float_tolerance():
+    # The reflected vertices lie on the d+2 shell up to rounding, so a check
+    # at exact-mode tolerance 0 would fail most of these float inputs.
+    for seed in range(100):
+        rng = random.Random(seed)
+        t = make_simplex([(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)])
+        x = PointSet(2, t.vertices + tuple(reflect_vertex(t, i) for i in range(3)))
+        rep = john_positive_cover(x)
+        assert rep.sandwich.ok and rep.centered_containment_ok and rep.bounds_ok, seed
 
 
 def test_escalation_from_bad_local_simplex(monkeypatch):
@@ -304,6 +315,6 @@ def test_random_float_matches_exact():
         t = mvs_exact(x).simplex
         tf = make_simplex([tuple(float(v) for v in p) for p in t.vertices])
         for sign in DilationSign:
-            exact = min_dilation(t, x, sign, mode=ScalarMode.EXACT)
-            approx = min_dilation(tf, xf, sign, mode=ScalarMode.FLOAT)
+            exact = min_dilation(t, x, sign)
+            approx = min_dilation(tf, xf, sign)
             assert approx.lam == pytest.approx(float(exact.lam), abs=1e-9)

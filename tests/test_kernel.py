@@ -167,8 +167,8 @@ def test_float_mode_matches_exact(case):
     t, x = random_instance(*case)
     tf, xf = floats(t, x)
     for sign in DilationSign:
-        exact = min_dilation(t, x, sign, ScalarMode.EXACT)
-        approx = min_dilation(tf, xf, sign, ScalarMode.FLOAT)
+        exact = min_dilation(t, x, sign)
+        approx = min_dilation(tf, xf, sign)
         assert isinstance(approx.lam, float)
         assert abs(approx.lam - float(exact.lam)) <= 1e-9 * max(1.0, abs(float(exact.lam)))
     exact_slab = verify_local_maximality(t, x).slab
@@ -223,11 +223,11 @@ def _leaves(obj):
 def test_reports_hold_only_python_scalars(mode):
     # enum_cap=10 sends both modes through local search.
     x = float_points(40, 2, seed=3) if mode is ScalarMode.FLOAT else rational_points(40, 2, seed=3)
-    cover = john_positive_cover(x, mode, enum_cap=10)
+    cover = john_positive_cover(x, enum_cap=10)
     assert cover.mvs.method == "local-search"
     t = cover.mvs.simplex
     reports = [cover, verify_local_maximality(t, x)]
-    reports += [min_dilation(t, x, sign, mode) for sign in DilationSign]
+    reports += [min_dilation(t, x, sign) for sign in DilationSign]
     plain = (int, float, Fraction, bool, str, type(None))
     for leaf in _leaves(reports):
         assert type(leaf) in plain or isinstance(leaf, enum.Enum), type(leaf)

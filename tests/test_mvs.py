@@ -5,8 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import brute_mvs, float_points, rational_points
-from simplexcover.errors import DegeneratePointSetError, EnumerationCapError
+from helpers import brute_mvs, float_points, rational_points, revisiting_float_inputs
+from simplexcover.errors import (
+    DegeneratePointSetError,
+    EnumerationCapError,
+    NumericalBreakdownError,
+)
 from simplexcover.geometry import (
     PointSet,
     Simplex,
@@ -176,6 +180,13 @@ def test_local_search_float_mode():
     res = mvs_local_search(x, seed=0)
     rep = verify_local_maximality(res.simplex, x, tol=1e-9)
     assert rep.ok
+
+
+@pytest.mark.parametrize("name", sorted(revisiting_float_inputs()))
+def test_float_search_that_revisits_a_simplex_breaks_down(name):
+    x = revisiting_float_inputs()[name]
+    with pytest.raises(NumericalBreakdownError, match="rerun in exact mode"):
+        mvs_local_search(x, seed=0)
 
 
 def test_scale_equivariance():
