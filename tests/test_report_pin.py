@@ -6,8 +6,9 @@ the serialized report with a recorded value.  Together the cases reach every
 enumeration path of ``mvs_exact`` (int64, big-integer, float64 for d <= 6,
 and both d > 6 paths), local search in both modes, both dilation signs, a
 float dilation, the counterexample on both sides of feasibility, the sweep,
-random trials and an input-error report.  A refactor that is meant to keep answers unchanged must
-keep every hash.  The float cases pin Python's uncompensated float ``sum``;
+random trials, an input-error report from exact enumeration and local
+search's spanning error in dimensions 2 and 1.  A refactor that is meant
+to keep answers unchanged must keep every hash.  The float cases pin Python's uncompensated float ``sum``;
 Python 3.12 changed it, so their digests hold for Python 3.10 and 3.11.
 """
 import hashlib
@@ -32,6 +33,9 @@ FILES = {
         "0.343403,0.011908,-0.644420\n"
     ),
     "p.csv": "0,0\n3,1\n1,4\n-2,2\n1/2,-3/2\n5/2,7/2\n",
+    # Collinear in the plane, and three equal points on the line.
+    "col.csv": "0,0\n1,2\n2,4\n1/2,1\n",
+    "same1.csv": "1\n1\n1\n",
     "t.csv": "0,0\n1,0\n0,1\n",
 }
 
@@ -65,6 +69,12 @@ CASES = [
      "c653d022bd0e377500221f1311e34a574f66e632a9edf3e2d2bc0d5abf2d880c"),
     (["john", "--sample", "regular-simplex", "--n", "5", "--dim", "2"], 1,
      "03bbeb95652a0e6318272b262d5bcabb2ef9d45dd93526a535057232aa2c607b"),
+    (["john", "--mode", "float", "--sample", "square", "--n", "12", "--dim", "3"], 0,
+     "a63ccc3652b9cf1a6dcd7ac4f16634c58768038a5f49785202cc81dd5b6ed2fc"),
+    (["mvs", "--local", "--input", "col.csv"], 1,
+     "0e99207cb5321c6da15b08954b69bb830cbeddaf2863d05adf159481ca588e33"),
+    (["mvs", "--local", "--input", "same1.csv"], 1,
+     "67aac2dae63e8594b902c4e6af728b13344a4ee76735620a73672c72ca758d14"),
 ]
 
 
