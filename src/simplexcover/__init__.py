@@ -25,7 +25,6 @@ from .covering import (
     DilationSign,
     SandwichReport,
     dilation_lp,
-    john_negative_cover,
     john_positive_cover,
     min_dilation,
     verify_sandwich,
@@ -46,16 +45,12 @@ from .geometry import (
     HalfspaceForm,
     PointSet,
     Simplex,
-    barycentric_coordinates,
     centroid,
-    contains,
     dilate_about_center,
     halfspace_form,
     make_simplex,
     reflect_through_centroid,
-    reflect_vertex,
     simplex_volume,
-    slab_bounds,
 )
 from .linprog import (
     LinearProgram,
@@ -80,8 +75,6 @@ from .serialization import (
     parse_points_csv,
     parse_points_file,
     parse_points_json,
-    points_to_csv,
-    points_to_json,
 )
 
 __version__ = "0.1.0"
@@ -117,18 +110,15 @@ __all__ = [
     "SingularMatrixError",
     "TheoremViolationError",
     "analytic_case_bounds",
-    "barycentric_coordinates",
     "build_points",
     "case6_geometry",
     "centroid",
     "check_certificate",
     "check_farkas",
-    "contains",
     "dilate_about_center",
     "dilation_lp",
     "enumerate_triangles",
     "halfspace_form",
-    "john_negative_cover",
     "john_positive_cover",
     "make_simplex",
     "min_dilation",
@@ -138,14 +128,10 @@ __all__ = [
     "parse_points_csv",
     "parse_points_file",
     "parse_points_json",
-    "points_to_csv",
-    "points_to_json",
     "reflect_through_centroid",
-    "reflect_vertex",
     "render_scene_2d",
     "sample_body",
     "simplex_volume",
-    "slab_bounds",
     "solve_lp",
     "sweep",
     "verify_counterexample",

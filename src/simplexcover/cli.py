@@ -430,10 +430,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     cfg = parse_argv(sys.argv[1:] if argv is None else argv)
     code, report = run(cfg)
     text = dumps_report(report)
-    sys.stdout.write(text)
     if cfg.output is not None and cfg.command != "render":
-        with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            # The report never reached its file: an input error, like an
+            # unwritable render or sweep --csv path.
+            for key in ("result", "violations"):
+                report.pop(key, None)
+            report.update(error=str(exc), error_kind="input-error")
+            code, text = 1, dumps_report(report)
+    sys.stdout.write(text)
     if "error" in report:
         print(f"simplexcover: {report['error']}", file=sys.stderr)
     return code

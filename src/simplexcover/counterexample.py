@@ -162,9 +162,6 @@ class Line:
     def y_at(self, x: Fraction) -> Fraction:
         return self.slope * x + self.intercept
 
-    def x_at(self, y: Fraction) -> Fraction:
-        return (y - self.intercept) / self.slope
-
 
 def intersect(l1: Line, l2: Line) -> Tuple[Fraction, Fraction]:
     if l1.slope == l2.slope:

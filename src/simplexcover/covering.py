@@ -195,16 +195,6 @@ def _auto_mvs(x: PointSet, enum_cap: int, seed: int) -> MvsResult:
     return mvs_local_search(x, seed=seed)
 
 
-def john_negative_cover(
-    x: PointSet, *, enum_cap: int = DEFAULT_ENUM_CAP, seed: int = 0
-) -> DilationResult:
-    """Cover x by a translate of lambda * (-T), T a maximum-volume simplex.
-
-    The dilation factor always satisfies lambda <= d.
-    """
-    return john_positive_cover(x, enum_cap=enum_cap, seed=seed).negative
-
-
 def john_positive_cover(
     x: PointSet, *, enum_cap: int = DEFAULT_ENUM_CAP, seed: int = 0
 ) -> CoverReport:

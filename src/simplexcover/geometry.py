@@ -29,7 +29,6 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    DegeneratePointSetError,
     DegenerateSimplexError,
     DimensionMismatchError,
     InputFormatError,
@@ -197,23 +196,6 @@ def halfspace_form(s: Simplex) -> HalfspaceForm:
     return HalfspaceForm(dim=d, center=c, normals=tuple(normals), offsets=(one,) * (d + 1))
 
 
-def reflect_vertex(s: Simplex, i: int) -> Point:
-    """Reflection of vertex i through the opposite facet along the centroid line.
-
-    In centered coordinates the image is -((d+2)/d) * (v_i - center).
-    """
-    d = s.dim
-    _require_nondegenerate(s)
-    c = centroid(s)
-    u = vec_sub(s.vertices[i], c)
-    return vec_add(c, vec_scale(u, -Fraction(d + 2, d)))
-
-
-def _require_nondegenerate(s: Simplex) -> None:
-    if simplex_volume(s) == 0:
-        raise DegenerateSimplexError("operation requires a non-degenerate simplex")
-
-
 def dilate_about_center(s: Simplex, lam: Scalar) -> Simplex:
     """Scale about the centroid by lam (lam < 0 reflects through the centroid)."""
     if lam == 0:
@@ -226,17 +208,6 @@ def dilate_about_center(s: Simplex, lam: Scalar) -> Simplex:
 def reflect_through_centroid(s: Simplex) -> Simplex:
     """Point reflection through the centroid (the -1 dilation)."""
     return dilate_about_center(s, -1)
-
-
-def contains(h: HalfspaceForm, x: Sequence[Scalar], tol: Scalar = 0) -> bool:
-    """Membership test a_i . (x - center) <= b_i + tol for every facet.
-
-    Use tol = 0 in exact mode.
-    """
-    if len(x) != h.dim:
-        raise DimensionMismatchError(f"point has {len(x)} coordinates, expected {h.dim}")
-    diff = vec_sub(x, h.center)
-    return all(dot(a, diff) <= b + tol for a, b in zip(h.normals, h.offsets))
 
 
 def _ratio(mode: ScalarMode, num: Scalar, den: Scalar) -> Scalar:
@@ -329,45 +300,3 @@ def slab_kernel(t: Simplex, x: PointSet) -> SlabKernel:
             tuple(_ratio(mode, -(d + 1) * scale * r[q], det) for q in range(d)) for r in inv
         ),
     )
-
-
-def slab_bounds(t: Simplex, x: PointSet) -> List[Tuple[Scalar, Scalar]]:
-    """Per-facet (min, max) of a_i . (p - center) over all points p of x.
-
-    For an exactly maximum-volume (or swap-locally-maximal) simplex these
-    ranges land inside [-d, d+2].
-    """
-    return slab_kernel(t, x).slab()
-
-
-def barycentric_coordinates(s: Simplex, x: Sequence[Scalar]) -> List[Scalar]:
-    """Barycentric coordinates of x with respect to s (they sum to 1)."""
-    _require_nondegenerate(s)
-    d = s.dim
-    cols = [vec_sub(v, s.vertices[0]) for v in s.vertices[1:]]
-    rows = [[cols[j][k] for j in range(d)] for k in range(d)]
-    mu = linalg.solve(rows, list(vec_sub(x, s.vertices[0])))
-    return [1 - sum(mu)] + list(mu)
-
-
-def affinely_spans(x: PointSet) -> bool:
-    """True when some d+1 points of x form a non-degenerate simplex."""
-    d = x.dim
-    base = x.points[0]
-    rows: List[Point] = []
-    for p in x.points[1:]:
-        cand = rows + [vec_sub(p, base)]
-        if len(cand) <= d and linalg.gram_det(cand) != 0:
-            rows = cand
-            if len(rows) == d:
-                return True
-    return False
-
-
-def require_spanning(x: PointSet) -> None:
-    if len(x) < x.dim + 1:
-        raise DegeneratePointSetError(
-            f"need at least {x.dim + 1} points in dimension {x.dim}, got {len(x)}"
-        )
-    if not affinely_spans(x):
-        raise DegeneratePointSetError("points do not affinely span the ambient space")

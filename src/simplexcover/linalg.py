@@ -181,9 +181,3 @@ def combine(coeffs: Sequence, terms: Sequence):
         acc = acc + c * t
     return acc
 
-
-def gram_det(vectors: Sequence[Sequence[Scalar]]) -> Scalar:
-    """det(V V^T) for k row-vectors in R^d; proportional to the squared k-volume."""
-    k = len(vectors)
-    g = [[sum(a * b for a, b in zip(vectors[i], vectors[j])) for j in range(k)] for i in range(k)]
-    return det(g)

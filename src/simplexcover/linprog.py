@@ -374,22 +374,17 @@ def _scale(x: Scalar) -> Scalar:
     return max(1, abs(x)) if isinstance(x, float) else 1
 
 
-def check_certificate(lp: LinearProgram, sol: LPSolution, tol: Optional[Scalar] = None) -> bool:
+def check_certificate(lp: LinearProgram, sol: LPSolution, tol: Scalar) -> bool:
     """Re-verify an OPTIMAL solution by substitution.
 
     Checks primal feasibility, objective consistency, dual nonnegativity,
-    y . G = -c, and y . h = -value.  tol=None means exact equality for
-    rational data and 1e-9 relative for float data.
+    y . G = -c, and y . h = -value: exactly when tol is 0, otherwise to
+    tol relative.
     """
     if sol.status is not LPStatus.OPTIMAL:
         raise ValueError(f"certificate check needs an optimal solution, got {sol.status}")
     if sol.z is None or sol.dual is None or sol.value is None:
         raise ValueError("solution is missing its point, value, or dual certificate")
-    if tol is None:
-        exact = infer_mode(
-            list(sol.z) + list(sol.dual) + [x for r in lp.rows for x in r]
-        ) is ScalarMode.EXACT
-        tol = 0 if exact else _FLOAT_FEAS_TOL
 
     def close(a, b):
         d = a - b

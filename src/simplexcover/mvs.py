@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, factorial
 from typing import List, Optional, Sequence, Tuple
@@ -42,12 +42,17 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import linalg
-from .errors import DegeneratePointSetError, EnumerationCapError, NumericalBreakdownError
+from .errors import (
+    DegeneratePointSetError,
+    EnumerationCapError,
+    NumericalBreakdownError,
+    SingularMatrixError,
+)
 from .geometry import (
     PointSet,
     Simplex,
+    SlabKernel,
     dot,
-    require_spanning,
     simplex_volume,
     slab_kernel,
 )
@@ -57,6 +62,7 @@ DEFAULT_ENUM_CAP = 2_000_000
 _CHUNK = 65_536
 _INT64_SAFE = 1 << 62
 _PAIR_BLOCK = 32  # rows per block of the farthest-pair scan
+_NOT_SPANNING = "points do not affinely span the ambient space"
 
 
 @dataclass
@@ -194,7 +200,7 @@ def mvs_exact(x: PointSet, *, enum_cap: int = DEFAULT_ENUM_CAP) -> MvsResult:
     else:
         combo, best_val = _best_subset_python(P, n, d)
     if best_val == 0:
-        raise DegeneratePointSetError("points do not affinely span the ambient space")
+        raise DegeneratePointSetError(_NOT_SPANNING)
     if exact:
         volume = Fraction(best_val, factorial(d) * scale ** d)
     else:
@@ -244,14 +250,24 @@ def _greedy_seed(P: np.ndarray) -> List[int]:
     with Gram matrix G = B B^T to the bordered Gram determinant
     det(G) |v|^2 - b^T adj(G) b, with b = B v; all candidates are scored at
     once from one fraction-free inverse of G.  Ties go to the first row.
+
+    This is the search's only test that the points affinely span R^d: it
+    raises ``DegeneratePointSetError`` when the farthest pair coincides, when
+    G is singular (a float score can be positive by rounding alone) or when
+    no candidate adds volume.
     """
     d = P.shape[1]
     chosen = list(_farthest_pair(P))
+    if (P[chosen[0]] == P[chosen[1]]).all():
+        raise DegeneratePointSetError(_NOT_SPANNING)
     rel = [P[:, q] - P[chosen[0], q] for q in range(d)]  # coordinate-major
     norm2 = linalg.combine(rel, rel)
     while len(chosen) < d + 1:
         basis = [[rel[q][c] for q in range(d)] for c in chosen[1:]]
-        adj, det = linalg.scaled_inverse([[dot(u, v) for v in basis] for u in basis])
+        try:
+            adj, det = linalg.scaled_inverse([[dot(u, v) for v in basis] for u in basis])
+        except SingularMatrixError:
+            raise DegeneratePointSetError(_NOT_SPANNING) from None
         if det < 0:
             adj, det = [[-v for v in row] for row in adj], -det
         b = [linalg.combine(u, rel) for u in basis]
@@ -260,12 +276,12 @@ def _greedy_seed(P: np.ndarray) -> List[int]:
         score[chosen] = 0
         best = int(np.argmax(score))
         if not score[best] > 0:
-            raise DegeneratePointSetError("points do not affinely span the ambient space")
+            raise DegeneratePointSetError(_NOT_SPANNING)
         chosen.append(best)
     return chosen
 
 
-def mvs_local_search(x: PointSet, seed: int = 0, _trace: Optional[list] = None) -> MvsResult:
+def mvs_local_search(x: PointSet, seed: int = 0) -> MvsResult:
     """Swap-locally-maximal simplex; the seed varies tie-breaking and starts.
 
     A float search that comes back to a simplex raises
@@ -274,7 +290,6 @@ def mvs_local_search(x: PointSet, seed: int = 0, _trace: Optional[list] = None) 
     n, d = len(x), x.dim
     if n < d + 1:
         raise DegeneratePointSetError(f"need at least {d + 1} points, got {n}")
-    require_spanning(x)
     mode = infer_mode(v for p in x.points for v in p)
     order = list(range(n))
     random.Random(seed).shuffle(order)
@@ -294,8 +309,6 @@ def mvs_local_search(x: PointSet, seed: int = 0, _trace: Optional[list] = None) 
             )
         visited.add(key)
         simplex = Simplex(d, tuple(x.points[i] for i in chosen), key)
-        if _trace is not None:
-            _trace.append(simplex_volume(simplex))
         # Swapping vertex i for point j scales the volume by |u_ij - 1| / (d+1).
         k = slab_kernel(simplex, x)
         gain = np.abs(k.values - k.den)
@@ -319,13 +332,35 @@ def verify_local_maximality(
     """Check the slab criterion -d - tol <= a_i . (p - c) <= d + 2 + tol.
 
     Equivalent to: no single-vertex swap with a point of x increases volume
-    (up to tol).  Reports the worst offending (facet, point) pair.
+    (up to tol).  Reports the worst offending (facet, point) pair.  A float
+    check that fails is decided again in exact arithmetic on the binary
+    rationals the floats denote, so rounding alone never fails it; that
+    report carries the exact values rounded to float.
     """
-    d = t.dim
     k = slab_kernel(t, x)
+    report = _slab_check(k, tol)
+    if report.ok or k.mode is ScalarMode.EXACT:
+        return report
+    exact = _slab_check(
+        slab_kernel(
+            Simplex(t.dim, _as_fractions(t.vertices), t.vertex_indices),
+            PointSet(x.dim, _as_fractions(x.points)),
+        ),
+        tol,
+    )
+    slab = [(float(lo), float(hi)) for lo, hi in exact.slab]
+    return replace(exact, excess=float(exact.excess), slab=slab)
+
+
+def _as_fractions(points: Sequence[Sequence[Scalar]]) -> Tuple[Tuple[Fraction, ...], ...]:
+    return tuple(tuple(map(Fraction, p)) for p in points)
+
+
+def _slab_check(k: SlabKernel, tol: Scalar) -> LocalMaximalityReport:
+    d = k.values.shape[0] - 1
     excess = np.maximum(k.values - (d + 2) * k.den, -d * k.den - k.values)
     pos = int(np.argmax(excess))  # first maximum, facet-major
-    worst_facet, worst_point = divmod(pos, len(x))
+    worst_facet, worst_point = divmod(pos, k.values.shape[1])
     worst = k.scalar(excess.flat[pos])
     return LocalMaximalityReport(
         ok=worst <= tol,

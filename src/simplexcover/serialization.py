@@ -110,16 +110,6 @@ def parse_points_file(path: str, fmt: str, mode: ScalarMode) -> PointSet:
     return parse_points_csv(text, mode)
 
 
-def points_to_csv(x: PointSet) -> str:
-    return "\n".join(",".join(scalar_to_str(c) for c in p) for p in x.points) + "\n"
-
-
-def points_to_json(x: PointSet) -> str:
-    return dumps_report(
-        {"dim": x.dim, "points": [[scalar_to_str(c) for c in p] for p in x.points]}
-    )
-
-
 SWEEP_COLUMNS = (
     ["epsilon", "delta", "feasible"]
     + [f"lambda_{label}" for label in TRIANGLE_LABELS]

@@ -5,7 +5,10 @@ The oracles deliberately avoid the code paths they are checking:
 ``lp_vertex_minimum`` enumerates basic points of boxed LPs by solving
 square systems, and neither touches the simplex tableau or the batched
 minor expansion.  ``reference_local_search`` is the scalar swap local
-search that the array version in ``mvs`` must reproduce.
+search that the array version in ``mvs`` must reproduce.  ``contains``,
+``barycentric_coordinates`` and ``reflect_vertex`` compute membership,
+coordinates and reflections one point at a time, independently of the
+slab kernel.
 """
 from __future__ import annotations
 
@@ -14,18 +17,30 @@ import random
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from simplexcover.errors import SingularMatrixError
+from simplexcover import linalg
+from simplexcover.errors import (
+    DegenerateSimplexError,
+    DimensionMismatchError,
+    SingularMatrixError,
+)
 from simplexcover.geometry import (
+    HalfspaceForm,
+    Point,
     PointSet,
     Simplex,
+    centroid,
+    dot,
     halfspace_form,
     simplex_volume,
+    slab_kernel,
+    vec_add,
+    vec_scale,
     vec_sub,
 )
 from simplexcover.linalg import det
 from simplexcover.linalg import solve as linear_solve
 from simplexcover.linprog import LinearProgram
-from simplexcover.scalars import ScalarMode, infer_mode
+from simplexcover.scalars import Scalar, ScalarMode, infer_mode
 
 
 def rational_points(n: int, d: int, seed: int, denom: int = 64) -> PointSet:
@@ -63,6 +78,32 @@ def revisiting_float_inputs() -> dict:
         "huge": PointSet(1, [(-7.3e199,), (6.9e199,)]),
         "coplanar": PointSet(4, coplanar),
     }
+
+
+# Eight collinear points 0.7 k (1, 2, 3, 4) of R^4.  Rounding gives further
+# seed vertices positive volume scores until the Gram matrix of the seed's
+# basis is singular.
+FLOAT_LINE = PointSet(4, [tuple(0.7 * k * c for c in (1, 2, 3, 4)) for k in range(1, 9)])
+
+
+def traced_local_search(monkeypatch, x: PointSet, seed: int = 0):
+    """``mvs_local_search(x, seed)`` and the volume of every simplex it visits.
+
+    Each step of the search reads one ``slab_kernel`` of the current simplex;
+    the volumes are recorded by wrapping that call.
+    """
+    import simplexcover.mvs as mvs
+
+    volumes = []
+
+    def recording_kernel(t, points):
+        volumes.append(simplex_volume(t))
+        return slab_kernel(t, points)
+
+    with monkeypatch.context() as m:
+        m.setattr(mvs, "slab_kernel", recording_kernel)
+        res = mvs.mvs_local_search(x, seed=seed)
+    return res, volumes
 
 
 def brute_mvs(x: PointSet) -> Tuple[Fraction, Tuple[int, ...]]:
@@ -128,10 +169,46 @@ def random_boxed_lp(rng: random.Random, exact: bool = True) -> LinearProgram:
     )
 
 
+def reflect_vertex(s: Simplex, i: int) -> Point:
+    """Reflection of vertex i through the opposite facet along the centroid line.
+
+    In centered coordinates the image is -((d+2)/d) * (v_i - center).
+    """
+    d = s.dim
+    _require_nondegenerate(s)
+    c = centroid(s)
+    u = vec_sub(s.vertices[i], c)
+    return vec_add(c, vec_scale(u, -Fraction(d + 2, d)))
+
+
+def _require_nondegenerate(s: Simplex) -> None:
+    if simplex_volume(s) == 0:
+        raise DegenerateSimplexError("operation requires a non-degenerate simplex")
+
+
+def contains(h: HalfspaceForm, x: Sequence[Scalar], tol: Scalar = 0) -> bool:
+    """Membership test a_i . (x - center) <= b_i + tol for every facet.
+
+    Use tol = 0 in exact mode.
+    """
+    if len(x) != h.dim:
+        raise DimensionMismatchError(f"point has {len(x)} coordinates, expected {h.dim}")
+    diff = vec_sub(x, h.center)
+    return all(dot(a, diff) <= b + tol for a, b in zip(h.normals, h.offsets))
+
+
+def barycentric_coordinates(s: Simplex, x: Sequence[Scalar]) -> List[Scalar]:
+    """Barycentric coordinates of x with respect to s (they sum to 1)."""
+    _require_nondegenerate(s)
+    d = s.dim
+    cols = [vec_sub(v, s.vertices[0]) for v in s.vertices[1:]]
+    rows = [[cols[j][k] for j in range(d)] for k in range(d)]
+    mu = linalg.solve(rows, list(vec_sub(x, s.vertices[0])))
+    return [1 - sum(mu)] + list(mu)
+
+
 def point_in_simplex(s: Simplex, p) -> bool:
     """Exact membership via barycentric coordinates (no halfspace code)."""
-    from simplexcover.geometry import barycentric_coordinates
-
     return all(b >= 0 for b in barycentric_coordinates(s, p))
 
 

@@ -15,6 +15,7 @@ import pytest
 
 from helpers import (
     brute_mvs,
+    contains,
     float_points,
     lp_vertex_minimum,
     random_boxed_lp,
@@ -27,7 +28,6 @@ from simplexcover import (
     PointSet,
     ScalarMode,
     Simplex,
-    contains,
     dilate_about_center,
     halfspace_form,
     min_dilation,

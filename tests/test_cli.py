@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from helpers import revisiting_float_inputs
+from helpers import FLOAT_LINE, revisiting_float_inputs
 from simplexcover import ScalarMode, TheoremViolationError
 from simplexcover.cli import RunConfig, main, parse_argv, run
 from simplexcover.serialization import dumps_report
@@ -250,6 +250,23 @@ def test_float_search_that_revisits_a_simplex_is_an_input_error(tmp_path, name):
     assert "rerun in exact mode" in rep["error"]
 
 
+def test_float_points_that_do_not_span_are_an_input_error(tmp_path, capsys):
+    text = "".join(",".join(repr(v) for v in p) + "\n" for p in FLOAT_LINE.points)
+    code = main(["mvs", "--local", "--mode", "float", "--input",
+                 write(tmp_path, "line8.csv", text)])
+    assert code == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["error_kind"] == "input-error"
+    assert rep["error"] == "points do not affinely span the ambient space"
+
+
+def test_float_rounding_is_no_violation_at_tol_zero():
+    code, rep = run(parse_argv(["mvs", "--mode", "float", "--local", "--sample", "square",
+                                "--n", "8", "--dim", "2", "--tol", "0"]))
+    assert code == 0
+    assert rep["violations"] == []
+
+
 @pytest.mark.parametrize(
     "jobs,trials,cpus,expected",
     [(64, 3, 8, [3]), (64, 5, 2, [2]), (2, 5, None, []), (3, 1, 8, [])],
@@ -311,6 +328,19 @@ def test_main_writes_report_and_output_file(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert json.loads(stdout)["command"] == "john"
     assert out.read_text(encoding="utf-8") == stdout
+
+
+def test_main_unwritable_output_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    code = main(["john", "--sample", "square", "--n", "12", "--dim", "2", "--output", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    rep = json.loads(captured.out)
+    assert rep["error_kind"] == "input-error"
+    assert str(out) in rep["error"]
+    assert "result" not in rep and "violations" not in rep
+    assert "simplexcover:" in captured.err
+    assert not out.exists()
 
 
 def test_main_error_goes_to_stderr(capsys):

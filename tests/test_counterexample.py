@@ -176,7 +176,6 @@ def test_case6_identities_hold_generally(eps, dlt):
 def test_line_helpers():
     ln = Line(F(2), F(-1))
     assert ln.y_at(F(3)) == 5
-    assert ln.x_at(F(5)) == 3
     assert intersect(Line(F(1), F(0)), Line(F(-1), F(2))) == (F(1), F(1))
     with pytest.raises(ValueError):
         intersect(Line(F(1), F(0)), Line(F(1), F(5)))

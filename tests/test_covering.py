@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import point_in_simplex, rational_points
+from helpers import contains, point_in_simplex, rational_points, reflect_vertex
 from simplexcover import (
     CoverReport,
     DilationResult,
@@ -17,15 +17,12 @@ from simplexcover import (
     Simplex,
     TheoremViolationError,
     check_certificate,
-    contains,
     dilation_lp,
     halfspace_form,
-    john_negative_cover,
     john_positive_cover,
     make_simplex,
     min_dilation,
     mvs_exact,
-    reflect_vertex,
     sample_body,
     simplex_volume,
     verify_sandwich,
@@ -236,7 +233,7 @@ def test_john_cover_exact_instances():
 
 def test_john_negative_cover_shortcut():
     x = PointSet(2, rational_points(9, 2, seed=3))
-    res = john_negative_cover(x)
+    res = john_positive_cover(x).negative
     assert res.sign is DilationSign.NEGATIVE
     assert res.lam <= 2
 

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import barycentric_coordinates, contains, reflect_vertex
 from simplexcover.errors import (
-    DegeneratePointSetError,
     DegenerateSimplexError,
     DimensionMismatchError,
     InputFormatError,
@@ -13,18 +13,13 @@ from simplexcover.errors import (
 from simplexcover.geometry import (
     PointSet,
     Simplex,
-    affinely_spans,
-    barycentric_coordinates,
     centroid,
-    contains,
     dilate_about_center,
     halfspace_form,
     make_simplex,
     reflect_through_centroid,
-    reflect_vertex,
-    require_spanning,
     simplex_volume,
-    slab_bounds,
+    slab_kernel,
     vec_add,
     vec_scale,
     vec_sub,
@@ -157,7 +152,7 @@ def test_slab_bounds_on_vertices():
     for s in (RIGHT_TRIANGLE, TETRA, random_simplex(5, 9)):
         d = s.dim
         x = PointSet(d, s.vertices)
-        assert slab_bounds(s, x) == [(F(-d), F(1))] * (d + 1)
+        assert slab_kernel(s, x).slab() == [(F(-d), F(1))] * (d + 1)
 
 
 def test_slab_detects_points_beyond_reflected_vertex():
@@ -166,7 +161,7 @@ def test_slab_detects_points_beyond_reflected_vertex():
     c = centroid(s)
     beyond = vec_sub(c, vec_scale(vec_sub(s.vertices[0], c), F(5, 2)))  # past (d+2)/d = 2
     x = PointSet(2, s.vertices + (beyond,))
-    lo, hi = slab_bounds(s, x)[0]
+    lo, hi = slab_kernel(s, x).slab()[0]
     assert hi == F(5) and hi > s.dim + 2
     assert h.value(0, beyond) == F(5)
 
@@ -184,16 +179,6 @@ def test_barycentric_membership_agrees_with_halfspaces():
             assert sum(bc) == 1
             for k in range(d):
                 assert sum(b * v[k] for b, v in zip(bc, s.vertices)) == p[k]
-
-
-def test_affinely_spans():
-    assert affinely_spans(PointSet(2, ((F(0), F(0)), (F(1), F(0)), (F(0), F(1)))))
-    line = PointSet(2, tuple((F(i), F(2 * i)) for i in range(5)))
-    assert not affinely_spans(line)
-    with pytest.raises(DegeneratePointSetError):
-        require_spanning(line)
-    with pytest.raises(DegeneratePointSetError):
-        require_spanning(PointSet(3, ((F(0),) * 3, (F(1),) * 3)))
 
 
 coord = st.fractions(

@@ -32,12 +32,12 @@ from simplexcover import (
     make_simplex,
     min_dilation,
     simplex_volume,
-    slab_bounds,
     solve_lp,
     verify_local_maximality,
     verify_sandwich,
 )
 from simplexcover.errors import DegenerateSimplexError, SingularMatrixError
+from simplexcover.geometry import slab_kernel
 from simplexcover.geometry import slab_kernel
 from simplexcover.linalg import det, scaled_inverse
 
@@ -141,7 +141,7 @@ def test_local_maximality_matches_facet_scan(case):
         slab, excess, worst_facet, worst_point
     )
     assert rep.ok == (excess <= 0)
-    assert verify_sandwich(t, x).slab == slab == slab_bounds(t, x)
+    assert verify_sandwich(t, x).slab == slab == slab_kernel(t, x).slab()
 
 
 def test_ties_keep_the_first_point_and_facet():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from simplexcover.errors import SingularMatrixError
-from simplexcover.linalg import det, gram_det, int_det_bareiss, solve
+from simplexcover.linalg import det, int_det_bareiss, solve
 
 
 def test_det_known_values():
@@ -67,10 +67,3 @@ def test_bareiss_big_integers_stay_exact():
     m = [[big, 1, 0], [0, big, 1], [1, 0, big]]
     assert int_det_bareiss(m) == big**3 + 1
 
-
-def test_gram_det():
-    assert gram_det([(Fraction(3), Fraction(0)), (Fraction(0), Fraction(2))]) == 36
-    # dependent vectors have zero Gram determinant
-    assert gram_det([(1, 2), (2, 4)]) == 0
-    # fewer vectors than the ambient dimension still works
-    assert gram_det([(Fraction(1), Fraction(1), Fraction(0))]) == 2

@@ -15,9 +15,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import reference_local_search
-from simplexcover.geometry import PointSet, affinely_spans
-from simplexcover.mvs import _PAIR_BLOCK, mvs_local_search
+from helpers import reference_local_search, traced_local_search
+from simplexcover.geometry import PointSet
+from simplexcover.mvs import _PAIR_BLOCK
 
 F = Fraction
 SIZES = ("d+1", _PAIR_BLOCK - 1, _PAIR_BLOCK, _PAIR_BLOCK + 1, 70)
@@ -38,8 +38,21 @@ def spanning_points(d: int, size, kind: str, seed: int) -> PointSet:
     n = d + 1 if size == "d+1" else size
     while True:
         x = PointSet(d, [tuple(_coord(rng, kind) for _ in range(d)) for _ in range(n)])
-        if affinely_spans(x):
+        if _affine_rank(x) == d:
             return x
+
+
+def _affine_rank(x: PointSet) -> int:
+    """Rank of the differences p - p_0, by exact elimination."""
+    rows = [[F(a) - F(b) for a, b in zip(p, x.points[0])] for p in x.points[1:]]
+    rank = 0
+    for q in range(x.dim):
+        pivot = next((r for r in rows if r[q] != 0), None)
+        if pivot is not None:
+            rows = [[a - r[q] / pivot[q] * b for a, b in zip(r, pivot)]
+                    for r in rows if r is not pivot]
+            rank += 1
+    return rank
 
 
 EXACT = [(d, n, kind) for d in (1, 2, 3, 4, 5) for n in SIZES
@@ -48,11 +61,10 @@ FLOAT = [(d, n, "float") for d in (2, 3, 4) for n in SIZES]
 
 
 @pytest.mark.parametrize("d,n,kind", EXACT + FLOAT)
-def test_matches_scalar_reference(d, n, kind):
+def test_matches_scalar_reference(monkeypatch, d, n, kind):
     for seed in (0, 1):
         x = spanning_points(d, n, kind, seed)
-        trace = []
-        res = mvs_local_search(x, seed=seed, _trace=trace)
+        res, trace = traced_local_search(monkeypatch, x, seed=seed)
         indices, swaps, volumes = reference_local_search(x, seed=seed)
         assert res.simplex.vertex_indices == indices
         assert res.swap_count == swaps
@@ -61,7 +73,7 @@ def test_matches_scalar_reference(d, n, kind):
 
 
 @pytest.mark.parametrize("d,n", [(d, n) for d in (2, 3, 4) for n in SIZES])
-def test_float_search_on_a_lattice_follows_exact_mode(d, n):
+def test_float_search_on_a_lattice_follows_exact_mode(monkeypatch, d, n):
     # On small integers every float operation of the search is exact, so
     # ties between candidates and swaps are real ties and resolve as in
     # exact mode.  (The scalar float search breaks some of them by the
@@ -69,8 +81,7 @@ def test_float_search_on_a_lattice_follows_exact_mode(d, n):
     for seed in (0, 1):
         x = spanning_points(d, n, "lattice", seed)
         xf = PointSet(d, [tuple(float(v) for v in p) for p in x.points])
-        trace = []
-        res = mvs_local_search(xf, seed=seed, _trace=trace)
+        res, trace = traced_local_search(monkeypatch, xf, seed=seed)
         indices, swaps, volumes = reference_local_search(x, seed=seed)
         assert (res.simplex.vertex_indices, res.swap_count) == (indices, swaps)
         assert trace == pytest.approx([float(v) for v in volumes], rel=1e-12)

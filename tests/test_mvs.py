@@ -5,7 +5,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import brute_mvs, float_points, rational_points, revisiting_float_inputs
+from helpers import (
+    FLOAT_LINE,
+    brute_mvs,
+    float_points,
+    rational_points,
+    reflect_vertex,
+    revisiting_float_inputs,
+    traced_local_search,
+)
 from simplexcover.errors import (
     DegeneratePointSetError,
     EnumerationCapError,
@@ -16,9 +24,8 @@ from simplexcover.geometry import (
     Simplex,
     halfspace_form,
     make_simplex,
-    reflect_vertex,
     simplex_volume,
-    slab_bounds,
+    slab_kernel,
 )
 from simplexcover.linalg import det
 from simplexcover.mvs import (
@@ -28,6 +35,8 @@ from simplexcover.mvs import (
     mvs_local_search,
     verify_local_maximality,
 )
+from simplexcover.sampling import sample_body
+from simplexcover.scalars import ScalarMode
 
 F = Fraction
 
@@ -138,7 +147,7 @@ def test_reflected_vertex_tie():
     assert res.simplex.vertex_indices == (0, 1, 2, 3)
     alt = Simplex(3, tuple(x.points[i] for i in (1, 2, 3, 4)))
     assert simplex_volume(alt) == res.volume
-    hi = max(h for _, h in slab_bounds(res.simplex, x))
+    hi = max(h for _, h in slab_kernel(res.simplex, x).slab())
     assert hi == 5  # exactly d + 2
 
 
@@ -166,10 +175,9 @@ def test_local_search_volume_quality():
     assert sum(1 for r in ratios if r >= F(19, 20)) >= 35
 
 
-def test_local_search_trace_is_strictly_increasing():
+def test_local_search_trace_is_strictly_increasing(monkeypatch):
     x = rational_points(25, 3, seed=77)
-    trace = []
-    res = mvs_local_search(x, seed=1, _trace=trace)
+    res, trace = traced_local_search(monkeypatch, x, seed=1)
     assert all(b > a for a, b in zip(trace, trace[1:]))
     assert trace[-1] == res.volume
     assert res.swap_count == len(trace) - 1
@@ -180,6 +188,48 @@ def test_local_search_float_mode():
     res = mvs_local_search(x, seed=0)
     rep = verify_local_maximality(res.simplex, x, tol=1e-9)
     assert rep.ok
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        PointSet(2, tuple((F(i), F(2 * i)) for i in range(5))),  # collinear
+        PointSet(1, ((F(1),), (F(1),), (F(1),))),  # the farthest pair coincides
+        FLOAT_LINE,  # the seed's Gram matrix is singular
+    ],
+    ids=["line", "same", "float-line"],
+)
+def test_local_search_rejects_sets_that_do_not_span(x):
+    with pytest.raises(DegeneratePointSetError, match="do not affinely span"):
+        mvs_local_search(x, seed=0)
+
+
+def test_local_search_needs_d_plus_1_points():
+    with pytest.raises(DegeneratePointSetError, match="need at least 4 points"):
+        mvs_local_search(PointSet(3, ((F(0),) * 3, (F(1),) * 3)))
+    x = PointSet(2, ((F(0), F(0)), (F(1), F(0)), (F(0), F(1))))
+    assert mvs_local_search(x).simplex.vertex_indices is not None
+
+
+def test_float_rounding_alone_passes_the_check_at_tol_zero():
+    # One vertex's own slab value rounds to -2.0000000000000004; the exact
+    # value of the same binary rationals is -2.
+    x = sample_body("square", 8, 2, 0, ScalarMode.FLOAT)
+    t = mvs_local_search(x, seed=0).simplex
+    assert min(lo for lo, _ in slab_kernel(t, x).slab()) < -2
+    rep = verify_local_maximality(t, x, tol=0)
+    assert rep.ok and rep.excess == 0.0
+    assert isinstance(rep.excess, float)
+    assert all(isinstance(v, float) for pair in rep.slab for v in pair)
+
+
+def test_float_simplex_that_is_not_locally_maximal_fails_at_tol_zero():
+    x = PointSet(2, ((0.0, 0.0), (0.125, 0.0), (0.0, 0.125), (4.0, 0.0), (0.0, 4.0)))
+    t = Simplex(2, x.points[:3], (0, 1, 2))
+    rep = verify_local_maximality(t, x, tol=0)
+    assert not rep.ok
+    assert isinstance(rep.excess, float) and rep.excess > 0
+    assert rep.worst_point in (3, 4)
 
 
 @pytest.mark.parametrize("name", sorted(revisiting_float_inputs()))
