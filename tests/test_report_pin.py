@@ -6,8 +6,10 @@ the serialized report with a recorded value.  Together the cases reach every
 enumeration path of ``mvs_exact`` (int64, big-integer, float64 for d <= 6,
 and both d > 6 paths), local search in both modes, both dilation signs, a
 float dilation, the counterexample on both sides of feasibility, the sweep,
-random trials, an input-error report from exact enumeration and local
-search's spanning error in dimensions 2 and 1.  A refactor that is meant
+random trials, an input-error report from exact enumeration, local
+search's spanning error in dimensions 2 and 1, a dilation whose simplex
+has a denominator the points lack, and an exact local search over many
+distinct denominators.  A refactor that is meant
 to keep answers unchanged must keep every hash.  The float cases pin Python's uncompensated float ``sum``;
 Python 3.12 changed it, so their digests hold for Python 3.10 and 3.11.
 """
@@ -37,6 +39,14 @@ FILES = {
     "col.csv": "0,0\n1,2\n2,4\n1/2,1\n",
     "same1.csv": "1\n1\n1\n",
     "t.csv": "0,0\n1,0\n0,1\n",
+    # A vertex denominator (3) that none of p.csv's coordinates has.
+    "t3.csv": "0,0\n7/3,0\n0,5/3\n",
+    # Many distinct prime denominators; local search makes 2 swaps.
+    "mixed.csv": (
+        "2,18/61\n21/89,26/41\n18/97,-37/5\n-19/41,-24/29\n-33/17,-34/41\n"
+        "-11/53,-15/23\n-24/13,4/61\n0,11/5\n2/29,-3\n30/47,9/53\n"
+        "-9/83,-21/5\n17/79,21/23\n"
+    ),
 }
 
 CASES = [
@@ -75,6 +85,10 @@ CASES = [
      "0e99207cb5321c6da15b08954b69bb830cbeddaf2863d05adf159481ca588e33"),
     (["mvs", "--local", "--input", "same1.csv"], 1,
      "67aac2dae63e8594b902c4e6af728b13344a4ee76735620a73672c72ca758d14"),
+    (["dilation", "--input", "p.csv", "--simplex", "t3.csv"], 0,
+     "4b579966b960d501c8c718f8accf8d8f5402f6eecd43490d8f8b74b46cf735c1"),
+    (["mvs", "--local", "--input", "mixed.csv"], 0,
+     "e45fae25eb60a0146bab286e46bf603b362ae07d3f725960c9427240e9b34c36"),
 ]
 
 
