@@ -66,7 +66,7 @@ from .mvs import (
     mvs_local_search,
     verify_local_maximality,
 )
-from .scalars import Scalar, ScalarMode, default_tol, infer_mode
+from .scalars import Scalar, ScalarMode, default_tol
 
 
 class DilationSign(enum.Enum):
@@ -170,6 +170,11 @@ def min_dilation(t: Simplex, x: PointSet, sign: DilationSign) -> DilationResult:
     tol = default_tol(k.mode)
     for m, normal in zip(top, normals):
         if m > (lam + tol + dot(normal, z)) * k.den:
+            if k.mode is ScalarMode.FLOAT:
+                raise NumericalBreakdownError(
+                    "optimal dilation fails to contain its own input in float mode; "
+                    "rerun in exact mode"
+                )
             raise LPInternalError("optimal dilation fails to contain its own input")
 
     dual = [k.ratio(0, 1)] * ((d + 1) * n)
@@ -202,10 +207,13 @@ def john_positive_cover(
 
     Exact input is checked at zero tolerance, float input at the float
     tolerance.  A local-search simplex that fails a check is reported as it
-    is; a failing exactly maximal simplex raises ``TheoremViolationError``.
+    is.  An enumerated simplex that fails one raises
+    ``TheoremViolationError`` for exact input; for float input the
+    enumeration's rounding is to blame, and it raises
+    ``NumericalBreakdownError``.
     """
     d = x.dim
-    tol = default_tol(infer_mode(v for p in x.points for v in p))
+    tol = default_tol(x.mode)
     m = _auto_mvs(x, enum_cap, seed)
     t = m.simplex
     sandwich = verify_sandwich(t, x, tol=tol)
@@ -214,9 +222,13 @@ def john_positive_cover(
     positive = min_dilation(t, x, DilationSign.POSITIVE)
     bounds_ok = negative.lam <= d + tol and positive.lam <= d + 2 + tol
     if m.method == "exact" and not (sandwich.ok and centered_ok and bounds_ok):
+        checks = f"sandwich={sandwich.ok} centered={centered_ok} bounds={bounds_ok}"
+        if x.mode is ScalarMode.FLOAT:
+            raise NumericalBreakdownError(
+                f"covering check failed in float mode: {checks}; rerun in exact mode"
+            )
         raise TheoremViolationError(
-            "covering guarantee failed for an exactly maximal simplex: "
-            f"sandwich={sandwich.ok} centered={centered_ok} bounds={bounds_ok}"
+            f"covering guarantee failed for an exactly maximal simplex: {checks}"
         )
     return CoverReport(
         mvs=m,

@@ -57,7 +57,12 @@ def dot(a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
 
 @dataclass(frozen=True)
 class PointSet:
-    """A finite list of points in a fixed ambient dimension."""
+    """A finite list of points in a fixed ambient dimension.
+
+    Its numeric form is derived once, read-only and not a dataclass field:
+    ``mode`` (``infer_mode`` of the coordinates), ``array`` ((n, d) float64,
+    or object-dtype ints equal to the points times ``scale``) and ``scale``
+    (the common denominator; 1 in float mode)."""
 
     dim: int
     points: Tuple[Point, ...]
@@ -77,8 +82,15 @@ class PointSet:
             # overflow, so exact coordinates are not converted to test them.
             if any(isinstance(v, float) and not math.isfinite(v) for v in p):
                 raise InputFormatError(f"point {k} has a non-finite coordinate: {p}")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "points", pts)
+        mode = infer_mode(v for p in pts for v in p)
+        if mode is ScalarMode.EXACT:
+            ints, scale = linalg.clear_denominators(pts)
+            array = np.array(ints, dtype=object).reshape(len(pts), dim)
+        else:
+            array, scale = np.array([[float(v) for v in p] for p in pts]), 1
+        array.flags.writeable = False
+        # Frozen: the fields and the numeric form are set once, here.
+        self.__dict__.update(dim=dim, points=pts, mode=mode, array=array, scale=scale)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -258,20 +270,22 @@ def slab_kernel(t: Simplex, x: PointSet) -> SlabKernel:
     A^-1 (x, 1).  Exact input is scaled to integers by its common
     denominator first, so A^-1 = N / D with integer N and D and every slab
     value is an integer over |D|.  The arithmetic is exact when every
-    coordinate of t and x is an int or Fraction, float otherwise.
+    coordinate of t and x is an int or Fraction, float otherwise.  Only t's
+    vertices are converted here; x brings its own ``array``.
     """
     if x.dim != t.dim:
         raise DimensionMismatchError(f"point set is {x.dim}-dimensional, simplex is {t.dim}")
     d = t.dim
-    rows = t.vertices + x.points
-    mode = infer_mode(v for p in rows for v in p)
+    mode = infer_mode(v for p in t.vertices for v in p) if x.mode is ScalarMode.EXACT else x.mode
     if mode is ScalarMode.EXACT:
-        ints, scale = linalg.clear_denominators(rows)
-        one, dtype = 1, object
+        verts, vscale = linalg.clear_denominators(t.vertices)
+        scale, one = math.lcm(x.scale, vscale), 1
+        verts = [[v * (scale // vscale) for v in p] for p in verts]
+        pts = x.array if scale == x.scale else x.array * (scale // x.scale)
     else:
-        ints, scale = [[float(v) for v in p] for p in rows], 1.0
-        one, dtype = 1.0, np.float64
-    verts = ints[: d + 1]
+        verts, scale, one = [[float(v) for v in p] for p in t.vertices], 1.0, 1.0
+        # int / int rounds correctly, like float(Fraction); x.scale is 1 for floats.
+        pts = np.asarray(x.array / x.scale, dtype=np.float64)
     homog = [[v[q] for v in verts] for q in range(d)] + [[one] * (d + 1)]
     try:
         inv, det = linalg.scaled_inverse(homog)
@@ -283,8 +297,7 @@ def slab_kernel(t: Simplex, x: PointSet) -> SlabKernel:
     # det * (1 - (d+1) beta_i(x)).  The dot product is summed left to right,
     # r[0] x[0] + ... + r[d-1] x[d-1] + r[d], one coordinate at a time, so
     # a float value is bitwise the one the scalar formula gives.
-    pts = np.array(ints[d + 1:], dtype=dtype).reshape(len(x), d)
-    cols = np.array(inv, dtype=dtype).T[:, :, None]  # column q of inv, shaped (d+1, 1)
+    cols = np.array(inv, dtype=pts.dtype).T[:, :, None]  # column q of inv, shaped (d+1, 1)
     dots = linalg.combine(cols[:d], pts.T)
     return SlabKernel(
         mode=mode,

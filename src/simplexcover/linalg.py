@@ -133,10 +133,9 @@ def scaled_inverse(rows: Sequence[Sequence[Scalar]]) -> Tuple[List[List[Scalar]]
 
 
 def clear_denominators(points: Sequence[Sequence[Scalar]]) -> Tuple[List[List[int]], int]:
-    """Integer rows and the positive scale s with row * s = ints, exactly."""
-    fracs = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in p] for p in points]
-    scale = lcm(*(x.denominator for p in fracs for x in p))
-    return [[x.numerator * (scale // x.denominator) for x in p] for p in fracs], scale
+    """Integer rows and the positive scale s with row * s = ints, for ints and Fractions."""
+    scale = lcm(*(x.denominator for p in points for x in p))
+    return [[x.numerator * (scale // x.denominator) for x in p] for p in points], scale
 
 
 def int_det_bareiss(rows: Sequence[Sequence[int]]) -> int:

@@ -3,19 +3,19 @@
 Two entry points:
 
 * ``mvs_exact``: exhaustive enumeration of all C(n, d+1) vertex subsets.
-  Rational input is scaled to integers once, and whenever a conservative
-  a-priori bound proves that every intermediate of a d x d minor expansion
-  fits in int64, the subsets are evaluated in vectorized numpy batches with
-  *exact* integer arithmetic; float input with d <= 6 takes the same
-  batches in float64.  Otherwise one determinant at a time is taken in pure
-  Python: big-integer Bareiss, so arbitrary rational input stays exact, or
-  pivoted elimination for float input with d > 6.
+  Rational input arrives as integers over one denominator (the point
+  set's ``array``), and whenever a conservative a-priori bound proves
+  that every intermediate of a d x d minor expansion fits in int64, the
+  subsets are evaluated in vectorized numpy batches with *exact* integer
+  arithmetic; float input with d <= 6 takes the same batches in float64.
+  Otherwise one determinant at a time is taken in pure Python: big-integer
+  Bareiss, so arbitrary rational input stays exact, or pivoted elimination
+  for float input with d > 6.
   Ties are broken toward the lexicographically smallest sorted index tuple.
 
 * ``mvs_local_search``: a greedy seed, then single-vertex swaps until none
-  helps.  The points, in a seeded shuffled order, go into one numpy array:
-  float64 in float mode, Python ints (object dtype) scaled by a common
-  denominator in exact mode.  The seed is the farthest pair, found by
+  helps.  The rows of the point set's ``array``, in a seeded shuffled
+  order, feed the seed.  The seed is the farthest pair, found by
   scanning blocks of rows against all later rows, extended one vertex at a
   time by the point with the largest bordered Gram determinant; all
   candidates are scored at once.  Each swap step reads one ``slab_kernel``
@@ -56,7 +56,7 @@ from .geometry import (
     simplex_volume,
     slab_kernel,
 )
-from .scalars import Scalar, ScalarMode, infer_mode
+from .scalars import Scalar, ScalarMode
 
 DEFAULT_ENUM_CAP = 2_000_000
 _CHUNK = 65_536
@@ -186,23 +186,18 @@ def mvs_exact(x: PointSet, *, enum_cap: int = DEFAULT_ENUM_CAP) -> MvsResult:
         raise EnumerationCapError(
             f"C({n}, {d + 1}) = {total} subsets exceeds the cap of {enum_cap}"
         )
-    exact = infer_mode(v for p in x.points for v in p) is ScalarMode.EXACT
-    if exact:
-        P, scale = linalg.clear_denominators(x.points)
-        max_abs = max((abs(v) for row in P for v in row), default=0)
-        batched, dtype = _int64_safe(d, max_abs), np.int64
-    else:
-        P = [[float(v) for v in p] for p in x.points]
-        batched, dtype = d <= 6, np.float64
+    exact = x.mode is ScalarMode.EXACT
+    batched = _int64_safe(d, max(map(abs, x.array.flat))) if exact else d <= 6
     if batched:
-        combo, val = _best_subset_numpy(np.asarray(P, dtype=dtype), n, d)
+        P = x.array.astype(np.int64) if exact else x.array
+        combo, val = _best_subset_numpy(P, n, d)
         best_val = val.item()  # a Python int or float
     else:
-        combo, best_val = _best_subset_python(P, n, d)
+        combo, best_val = _best_subset_python(x.array.tolist(), n, d)
     if best_val == 0:
         raise DegeneratePointSetError(_NOT_SPANNING)
     if exact:
-        volume = Fraction(best_val, factorial(d) * scale ** d)
+        volume = Fraction(best_val, factorial(d) * x.scale ** d)
     else:
         volume = best_val / factorial(d)
     simplex = Simplex(d, tuple(x.points[i] for i in combo), tuple(combo))
@@ -212,13 +207,6 @@ def mvs_exact(x: PointSet, *, enum_cap: int = DEFAULT_ENUM_CAP) -> MvsResult:
 # ---------------------------------------------------------------------------
 # local search
 # ---------------------------------------------------------------------------
-
-def _points_array(x: PointSet, mode: ScalarMode) -> np.ndarray:
-    """(n, d) coordinates: float64, or Python ints scaled by one common factor."""
-    if mode is ScalarMode.EXACT:
-        return np.array(linalg.clear_denominators(x.points)[0], dtype=object)
-    return np.array(x.points, dtype=np.float64)
-
 
 def _farthest_pair(P: np.ndarray) -> Tuple[int, int]:
     """The first pair a < b of rows, in row order, at the largest distance.
@@ -253,8 +241,9 @@ def _greedy_seed(P: np.ndarray) -> List[int]:
 
     This is the search's only test that the points affinely span R^d: it
     raises ``DegeneratePointSetError`` when the farthest pair coincides, when
-    G is singular (a float score can be positive by rounding alone) or when
-    no candidate adds volume.
+    G is singular (a float score can be positive by rounding alone), when
+    no candidate adds volume or when the best candidate equals a chosen
+    vertex.
     """
     d = P.shape[1]
     chosen = list(_farthest_pair(P))
@@ -275,7 +264,8 @@ def _greedy_seed(P: np.ndarray) -> List[int]:
         score = det * norm2 - linalg.combine(b, adj_b)
         score[chosen] = 0
         best = int(np.argmax(score))
-        if not score[best] > 0:
+        # A float copy of a chosen vertex can score positive by rounding.
+        if not score[best] > 0 or (P[chosen] == P[best]).all(axis=1).any():
             raise DegeneratePointSetError(_NOT_SPANNING)
         chosen.append(best)
     return chosen
@@ -290,12 +280,11 @@ def mvs_local_search(x: PointSet, seed: int = 0) -> MvsResult:
     n, d = len(x), x.dim
     if n < d + 1:
         raise DegeneratePointSetError(f"need at least {d + 1} points, got {n}")
-    mode = infer_mode(v for p in x.points for v in p)
     order = list(range(n))
     random.Random(seed).shuffle(order)
-    chosen = [order[i] for i in _greedy_seed(_points_array(x, mode)[order])]
+    chosen = [order[i] for i in _greedy_seed(x.array[order])]
 
-    threshold: Scalar = d + 1 if mode is ScalarMode.EXACT else (d + 1) * (1.0 + 1e-12)
+    threshold: Scalar = d + 1 if x.mode is ScalarMode.EXACT else (d + 1) * (1.0 + 1e-12)
     swaps = 0
     # Exact swaps strictly increase the volume; only a float kernel that has
     # lost precision can lead back to a simplex already seen, and from there

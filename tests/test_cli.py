@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from helpers import FLOAT_LINE, revisiting_float_inputs
+from helpers import FLOAT_LINE, ROUNDING_CSV, revisiting_float_inputs
 from simplexcover import ScalarMode, TheoremViolationError
 from simplexcover.cli import RunConfig, main, parse_argv, run
 from simplexcover.serialization import dumps_report
@@ -258,6 +258,27 @@ def test_float_points_that_do_not_span_are_an_input_error(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["error_kind"] == "input-error"
     assert rep["error"] == "points do not affinely span the ambient space"
+
+
+def test_float_seed_that_repeats_a_vertex_does_not_span(tmp_path, capsys):
+    code = main(["mvs", "--local", "--mode", "float", "--seed", "0", "--input",
+                 write(tmp_path, "dup7.csv", ROUNDING_CSV["dup7"])])
+    assert code == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["error_kind"] == "input-error"
+    assert rep["error"] == "points do not affinely span the ambient space"
+
+
+@pytest.mark.parametrize("name, command", [("flat15", "john"), ("flat69", "john"),
+                                           ("line5", "mvs")])
+def test_float_rounding_never_exits_2(tmp_path, name, command):
+    path = write(tmp_path, f"{name}.csv", ROUNDING_CSV[name])
+    code, rep = run(RunConfig(command=command, input=path, mode=ScalarMode.FLOAT))
+    assert code == 1
+    assert rep["error_kind"] == "input-error"
+    assert rep["error"].endswith("rerun in exact mode")
+    code, rep = run(RunConfig(command=command, input=path))
+    assert code == 0 and rep["violations"] == []
 
 
 def test_float_rounding_is_no_violation_at_tol_zero():

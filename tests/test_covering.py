@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import contains, point_in_simplex, rational_points, reflect_vertex
+from helpers import ROUNDING_CSV, contains, point_in_simplex, rational_points, reflect_vertex
 from simplexcover import (
     CoverReport,
     DilationResult,
@@ -27,7 +27,9 @@ from simplexcover import (
     simplex_volume,
     verify_sandwich,
 )
+from simplexcover.errors import LPInternalError, NumericalBreakdownError
 from simplexcover.mvs import MvsResult
+from simplexcover.serialization import parse_points_csv
 
 F = Fraction
 
@@ -287,6 +289,42 @@ def test_exactly_maximal_failure_is_a_theorem_violation(monkeypatch):
     monkeypatch.setattr(covering, "_auto_mvs", lambda x, cap, seed: bad)
     with pytest.raises(TheoremViolationError):
         john_positive_cover(corners)
+
+
+def test_float_failure_of_an_enumerated_simplex_is_a_breakdown(monkeypatch):
+    # The same failure on float input is rounding, not a theorem violation.
+    import simplexcover.covering as covering
+
+    corners = PointSet(2, ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
+    small = make_simplex([(0.0, 0.0), (0.25, 0.0), (0.0, 0.25)])
+    bad = MvsResult(simplex=small, volume=simplex_volume(small), method="exact")
+    monkeypatch.setattr(covering, "_auto_mvs", lambda x, cap, seed: bad)
+    with pytest.raises(NumericalBreakdownError, match="rerun in exact mode$"):
+        john_positive_cover(corners)
+
+
+@pytest.mark.parametrize("mode, error", [(ScalarMode.EXACT, LPInternalError),
+                                         (ScalarMode.FLOAT, NumericalBreakdownError)],
+                         ids=["exact", "float"])
+def test_failed_containment_check(monkeypatch, mode, error):
+    # Shift the translate's term so that no point is contained any more.
+    import simplexcover.covering as covering
+
+    monkeypatch.setattr(covering, "dot", lambda a, b: -1000)
+    x = rational_points(8, 2, seed=1)
+    if mode is ScalarMode.FLOAT:
+        x = PointSet(2, [tuple(map(float, p)) for p in x.points])
+    with pytest.raises(error, match="fails to contain its own input"):
+        min_dilation(mvs_exact(x).simplex, x, DilationSign.POSITIVE)
+
+
+@pytest.mark.parametrize("name", ["flat15", "flat69"])
+def test_near_flat_float_rounding_is_a_breakdown(name):
+    # flat15 fails the containment check, flat69 the bounds check.
+    with pytest.raises(NumericalBreakdownError, match="rerun in exact mode$"):
+        john_positive_cover(parse_points_csv(ROUNDING_CSV[name], ScalarMode.FLOAT))
+    rep = john_positive_cover(parse_points_csv(ROUNDING_CSV[name], ScalarMode.EXACT))
+    assert rep.sandwich.ok and rep.centered_containment_ok and rep.bounds_ok
 
 
 def test_boundary_point_on_outer_shell():

@@ -1,6 +1,8 @@
+import dataclasses
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,6 +27,7 @@ from simplexcover.geometry import (
     vec_sub,
 )
 from simplexcover.mvs import mvs_exact
+from simplexcover.scalars import ScalarMode
 
 F = Fraction
 
@@ -58,6 +61,35 @@ def test_pointset_rejects_non_finite_floats():
     # exact coordinates are never converted to float, so size is no problem
     huge = F(10**400, 3)
     assert PointSet(1, ((huge,), (-huge,))).points[0] == (huge,)
+
+
+@pytest.mark.parametrize(
+    "points, mode, scale, array",
+    [
+        (((1, -2), (3, 4)), ScalarMode.EXACT, 1, [[1, -2], [3, 4]]),
+        (((F(1, 2), F(-2, 3)), (F(3), F(5, 4))), ScalarMode.EXACT, 12, [[6, -8], [36, 15]]),
+        (((0.5, -2.0), (3.0, 0.25)), ScalarMode.FLOAT, 1, [[0.5, -2.0], [3.0, 0.25]]),
+        (((F(1, 3), 2), (0.5, F(-7))), ScalarMode.FLOAT, 1, [[1 / 3, 2.0], [0.5, -7.0]]),
+    ],
+    ids=["int", "fraction", "float", "mixed"],
+)
+def test_pointset_numeric_form(points, mode, scale, array):
+    x = PointSet(2, points)
+    assert x.mode is mode
+    assert type(x.scale) is int and x.scale == scale
+    assert x.array.dtype == (object if mode is ScalarMode.EXACT else np.float64)
+    assert x.array.shape == (2, 2) and x.array.tolist() == array
+    plain = int if mode is ScalarMode.EXACT else float
+    assert all(type(v) is plain for row in x.array.tolist() for v in row)
+    # Derived, read-only and invisible to equality, hashing and reports.
+    assert not x.array.flags.writeable
+    with pytest.raises(ValueError):
+        x.array[0, 0] = 0
+    for name in ("mode", "array", "scale"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(x, name, None)
+    assert [f.name for f in dataclasses.fields(PointSet)] == ["dim", "points"]
+    assert x == PointSet(2, points) and hash(x) == hash(PointSet(2, points))
 
 
 def test_simplex_requires_d_plus_1_vertices():

@@ -208,6 +208,19 @@ def test_float_kernel_is_the_scalar_formula_bitwise(case):
     assert as_hex == [[v.hex() for v in row] for row in rows]
 
 
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_exact_points_against_a_float_simplex_are_rounded_once(case):
+    # The points' ints over their common denominator round like float(p).
+    t, x = random_instance(*case)
+    tf, xf = floats(t, x)
+    mixed, plain = slab_kernel(tf, x), slab_kernel(tf, xf)
+    assert mixed.mode is ScalarMode.FLOAT and mixed.values.dtype == np.float64
+    assert mixed.values.tobytes() == plain.values.tobytes()
+    assert type(mixed.den) is float and mixed.den == plain.den
+    assert (mixed.vertices, mixed.center, mixed.normals) == (
+        plain.vertices, plain.center, plain.normals)
+
+
 def _leaves(obj):
     if dataclasses.is_dataclass(obj):
         for f in dataclasses.fields(obj):

@@ -17,7 +17,7 @@ import pytest
 
 from helpers import reference_local_search, traced_local_search
 from simplexcover.geometry import PointSet
-from simplexcover.mvs import _PAIR_BLOCK
+from simplexcover.mvs import _PAIR_BLOCK, mvs_local_search
 
 F = Fraction
 SIZES = ("d+1", _PAIR_BLOCK - 1, _PAIR_BLOCK, _PAIR_BLOCK + 1, 70)
@@ -86,3 +86,24 @@ def test_float_search_on_a_lattice_follows_exact_mode(monkeypatch, d, n):
         assert (res.simplex.vertex_indices, res.swap_count) == (indices, swaps)
         assert trace == pytest.approx([float(v) for v in volumes], rel=1e-12)
 
+
+
+def test_exact_search_converts_only_the_simplex_vertices(monkeypatch):
+    # x's points become ints once, when the PointSet is built; each swap's
+    # kernel then converts only the d+1 vertices of the current simplex.
+    import simplexcover.linalg as linalg
+
+    text = ("2,18/61 21/89,26/41 18/97,-37/5 -19/41,-24/29 -33/17,-34/41 -11/53,-15/23 "
+            "-24/13,4/61 0,11/5 2/29,-3 30/47,9/53 -9/83,-21/5 17/79,21/23")
+    x = PointSet(2, [tuple(map(F, p.split(","))) for p in text.split()])
+    rows = []
+    clear = linalg.clear_denominators
+
+    def recording(points):
+        rows.append(len(points))
+        return clear(points)
+
+    monkeypatch.setattr(linalg, "clear_denominators", recording)
+    res = mvs_local_search(x, seed=0)
+    assert res.swap_count == 2
+    assert rows and max(rows) <= x.dim + 1

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     FLOAT_LINE,
+    ROUNDING_CSV,
     brute_mvs,
     float_points,
     rational_points,
@@ -37,6 +38,7 @@ from simplexcover.mvs import (
 )
 from simplexcover.sampling import sample_body
 from simplexcover.scalars import ScalarMode
+from simplexcover.serialization import parse_points_csv
 
 F = Fraction
 
@@ -196,8 +198,10 @@ def test_local_search_float_mode():
         PointSet(2, tuple((F(i), F(2 * i)) for i in range(5))),  # collinear
         PointSet(1, ((F(1),), (F(1),), (F(1),))),  # the farthest pair coincides
         FLOAT_LINE,  # the seed's Gram matrix is singular
+        # a float copy of a chosen vertex is the best candidate by rounding
+        parse_points_csv(ROUNDING_CSV["dup7"], ScalarMode.FLOAT),
     ],
-    ids=["line", "same", "float-line"],
+    ids=["line", "same", "float-line", "float-duplicate"],
 )
 def test_local_search_rejects_sets_that_do_not_span(x):
     with pytest.raises(DegeneratePointSetError, match="do not affinely span"):
