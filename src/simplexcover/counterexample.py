@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .covering import DilationResult, DilationSign, dilation_lp, min_dilation
-from .errors import DegenerateSimplexError, InputFormatError
+from .errors import DegenerateSimplexError, InputFormatError, LPInternalError
 from .geometry import PointSet, Simplex, simplex_volume
 from .linprog import LPSolution, LPStatus, check_certificate
 
@@ -381,11 +381,13 @@ class SweepRow:
 def sweep(
     epsilons: Sequence[RationalLike], deltas: Sequence[RationalLike]
 ) -> List[SweepRow]:
-    """Grid scan over (epsilon, delta); no assertions, rows carry the data."""
+    """Grid scan over (epsilon, delta); a failing dual certificate raises."""
     rows = []
     for e, d in itertools.product(epsilons, deltas):
         cfg = CounterexampleConfig(e, d)
         triangles, min_lambda = min_dilation_all(cfg)
+        if not all(t.certificate_ok for t in triangles):
+            raise LPInternalError(f"dilation certificate failed at ({cfg.epsilon}, {cfg.delta})")
         rows.append(
             SweepRow(
                 epsilon=cfg.epsilon,

@@ -5,9 +5,9 @@
     minimize lambda  over translates t and scale lambda
     subject to a_i . (x_j - t) <= lambda          (all facets i, points j)
 
-where (a_i) is the centered unit-offset halfspace form of the covering
-simplex; NEGATIVE sign first reflects the simplex through its centroid,
-which negates every a_i.  The LP has a closed form.  Only the largest value
+where (a_i) are the facet normals of the covering simplex from
+``slab_kernel``; the NEGATIVE body is its reflection through the centroid,
+whose normals are -a_i.  The LP has a closed form.  Only the largest value
 M_i = max_j a_i . (x_j - c) of each facet can bind, and the normals sum to
 zero, so summing the d+1 binding rows gives
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import comb
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -43,10 +43,9 @@ from .geometry import (
     Point,
     PointSet,
     Simplex,
+    SlabKernel,
     dilate_about_center,
     dot,
-    halfspace_form,
-    reflect_through_centroid,
     slab_kernel,
     vec_add,
     vec_scale,
@@ -111,19 +110,21 @@ class CoverReport:
     bounds_ok: bool  # lambda+ <= d+2 and lambda- <= d
 
 
+def _facet_rows(k: SlabKernel, s: int, cols: Sequence[Sequence[int]]) -> LinearProgram:
+    """The dilation LP for the body with normals s a_i: facet-major rows
+    (-s a_i, -1) . (z, lambda) <= -s u_ij for the points j in ``cols[i]``."""
+    d = len(k.center)
+    rows, rhs = [], []
+    for normal, vals, js in zip(k.normals, k.values, cols):
+        rows += [tuple(-s * a for a in normal) + (-1,)] * len(js)
+        rhs += [k.scalar(-s * vals[j]) for j in js]
+    return LinearProgram(d + 1, (0,) * d + (1,), tuple(rows), tuple(rhs))
+
+
 def dilation_lp(t: Simplex, x: PointSet, sign: DilationSign) -> LinearProgram:
     """The full (d+1)*n row LP over variables (t_1..t_d, lambda)."""
-    body = t if sign is DilationSign.POSITIVE else reflect_through_centroid(t)
-    h = halfspace_form(body)
-    d = t.dim
-    rows = []
-    rhs = []
-    for a in h.normals:
-        for p in x.points:
-            rows.append(tuple(-c for c in a) + (-1,))
-            rhs.append(-sum(c * (pv - cv) for c, pv, cv in zip(a, p, h.center)))
-    objective = (0,) * d + (1,)
-    return LinearProgram(d + 1, objective, tuple(rows), tuple(rhs))
+    s = 1 if sign is DilationSign.POSITIVE else -1
+    return _facet_rows(slab_kernel(t, x), s, [range(len(x))] * (t.dim + 1))
 
 
 def min_dilation(t: Simplex, x: PointSet, sign: DilationSign) -> DilationResult:
@@ -146,13 +147,7 @@ def min_dilation(t: Simplex, x: PointSet, sign: DilationSign) -> DilationResult:
         for q in range(d)
     )
 
-    normals = [tuple(s * a for a in normal) for normal in k.normals]
-    reduced = LinearProgram(
-        d + 1,
-        (0,) * d + (1,),
-        tuple(tuple(-a for a in normal) + (-1,) for normal in normals),
-        tuple(-k.scalar(m) for m in top),
-    )
+    reduced = _facet_rows(k, s, [[j] for j in argmax])
     share = k.ratio(1, d + 1)
     certificate = LPSolution(
         status=LPStatus.OPTIMAL, z=z + (lam,), value=lam, dual=(share,) * (d + 1)
@@ -168,8 +163,8 @@ def min_dilation(t: Simplex, x: PointSet, sign: DilationSign) -> DilationResult:
     # Containment of every point: s u_ij / den - s a_i . z <= lam + tol,
     # which holds for all j exactly when it holds for the row maximum.
     tol = default_tol(k.mode)
-    for m, normal in zip(top, normals):
-        if m > (lam + tol + dot(normal, z)) * k.den:
+    for m, normal in zip(top, k.normals):
+        if m > (lam + tol + s * dot(normal, z)) * k.den:
             if k.mode is ScalarMode.FLOAT:
                 raise NumericalBreakdownError(
                     "optimal dilation fails to contain its own input in float mode; "

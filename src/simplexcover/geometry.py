@@ -16,6 +16,7 @@ Conventions used throughout:
   is a_i . (x - center) = 1 - (d+1) beta_i(x).  ``slab_kernel`` evaluates it
   for a whole point set from one inversion of the homogenized vertex
   matrix; the slab, maximality and dilation computations all read it.
+  ``halfspace_form`` derives the same normals by solves; only tests call it.
 """
 from __future__ import annotations
 

@@ -194,7 +194,8 @@ def mvs_exact(x: PointSet, *, enum_cap: int = DEFAULT_ENUM_CAP) -> MvsResult:
         best_val = val.item()  # a Python int or float
     else:
         combo, best_val = _best_subset_python(x.array.tolist(), n, d)
-    if best_val == 0:
+    # A float subset that repeats a point scores rounding noise, not 0.
+    if best_val == 0 or len({x.points[i] for i in combo}) <= d:
         raise DegeneratePointSetError(_NOT_SPANNING)
     if exact:
         volume = Fraction(best_val, factorial(d) * x.scale ** d)

@@ -5,7 +5,9 @@ The oracles deliberately avoid the code paths they are checking:
 ``lp_vertex_minimum`` enumerates basic points of boxed LPs by solving
 square systems, and neither touches the simplex tableau or the batched
 minor expansion.  ``reference_local_search`` is the scalar swap local
-search that the array version in ``mvs`` must reproduce.  ``contains``,
+search that the array version in ``mvs`` must reproduce.
+``halfspace_dilation_lp`` builds the full dilation LP from
+``halfspace_form``'s normals, derived without the slab kernel.  ``contains``,
 ``barycentric_coordinates`` and ``reflect_vertex`` compute membership,
 coordinates and reflections one point at a time, independently of the
 slab kernel.
@@ -18,6 +20,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from simplexcover import linalg
+from simplexcover.covering import DilationSign
 from simplexcover.errors import (
     DegenerateSimplexError,
     DimensionMismatchError,
@@ -31,6 +34,7 @@ from simplexcover.geometry import (
     centroid,
     dot,
     halfspace_form,
+    reflect_through_centroid,
     simplex_volume,
     slab_kernel,
     vec_add,
@@ -158,6 +162,21 @@ def brute_mvs(x: PointSet) -> Tuple[Fraction, Tuple[int, ...]]:
         if best_vol is None or vol > best_vol:
             best_vol, best_idx = vol, idx
     return best_vol, best_idx
+
+
+def halfspace_dilation_lp(t: Simplex, x: PointSet, sign: DilationSign) -> LinearProgram:
+    """The full (d+1)*n row LP over variables (t_1..t_d, lambda)."""
+    body = t if sign is DilationSign.POSITIVE else reflect_through_centroid(t)
+    h = halfspace_form(body)
+    d = t.dim
+    rows = []
+    rhs = []
+    for a in h.normals:
+        for p in x.points:
+            rows.append(tuple(-c for c in a) + (-1,))
+            rhs.append(-sum(c * (pv - cv) for c, pv, cv in zip(a, p, h.center)))
+    objective = (0,) * d + (1,)
+    return LinearProgram(d + 1, objective, tuple(rows), tuple(rhs))
 
 
 def lp_vertex_minimum(lp: LinearProgram) -> Optional[Fraction]:

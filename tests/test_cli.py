@@ -269,6 +269,16 @@ def test_float_seed_that_repeats_a_vertex_does_not_span(tmp_path, capsys):
     assert rep["error"] == "points do not affinely span the ambient space"
 
 
+@pytest.mark.parametrize("command", ["mvs", "john"])
+def test_float_enumeration_that_repeats_a_point_does_not_span(tmp_path, capsys, command):
+    code = main([command, "--mode", "float", "--input",
+                 write(tmp_path, "dup7.csv", ROUNDING_CSV["dup7"])])
+    assert code == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["error_kind"] == "input-error"
+    assert rep["error"] == "points do not affinely span the ambient space"
+
+
 @pytest.mark.parametrize("name, command", [("flat15", "john"), ("flat69", "john"),
                                            ("line5", "mvs")])
 def test_float_rounding_never_exits_2(tmp_path, name, command):

@@ -22,6 +22,7 @@ from simplexcover.counterexample import (
     min_dilation_all,
     mirror_label,
 )
+from simplexcover.errors import LPInternalError
 
 F = Fraction
 FIFTH = CounterexampleConfig(F(1, 5), F(1, 5))
@@ -259,6 +260,14 @@ def test_sweep_grid_frozen():
         assert r.margin_over_2 == r.lambda_min - 2
         assert tuple(r.lambdas) == TRIANGLE_LABELS
         assert min(r.lambdas.values()) == r.lambda_min
+
+
+def test_sweep_raises_on_a_failing_certificate(monkeypatch):
+    import simplexcover.counterexample as counterexample
+
+    monkeypatch.setattr(counterexample, "check_certificate", lambda *args, **kwargs: False)
+    with pytest.raises(LPInternalError, match="dilation certificate failed"):
+        sweep([F(1, 5)], [F(1, 5)])
 
 
 def test_sweep_accepts_strings():

@@ -5,7 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import ROUNDING_CSV, contains, point_in_simplex, rational_points, reflect_vertex
+from helpers import (
+    ROUNDING_CSV,
+    contains,
+    halfspace_dilation_lp,
+    point_in_simplex,
+    rational_points,
+    reflect_vertex,
+)
 from simplexcover import (
     CoverReport,
     DilationResult,
@@ -131,7 +138,7 @@ def test_random_instances_cover_and_certify(sign):
         res = min_dilation(t, x, sign)
         assert_covers(res, t, x)
         # Dual from the reduced LP must certify the full one row for row.
-        full = dilation_lp(t, x, sign)
+        full = halfspace_dilation_lp(t, x, sign)
         sol = LPSolution(
             status=LPStatus.OPTIMAL,
             z=res.lp_translate + (res.lam,),

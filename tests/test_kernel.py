@@ -1,8 +1,9 @@
 """Oracle tests for the closed-form slab kernel and the routines built on it.
 
 ``slab_kernel`` replaces a simplex-method LP in ``min_dilation`` and the
-per-facet Fraction loops of the slab checks.  Every result here is compared
-with the machinery it replaced: ``solve_lp`` on the full ``dilation_lp``,
+per-facet Fraction loops of the slab checks, and ``dilation_lp`` is built
+from it.  Every result here is compared with an oracle derived without the
+kernel, from the halfspace form: ``solve_lp`` on ``halfspace_dilation_lp``,
 and facet-by-facet scans over ``halfspace_form(...).value``.  The inputs are
 deliberately not the friendly ones the MVS pipeline produces: arbitrary
 (non-maximal) simplices, points far outside T, and coordinates far beyond
@@ -16,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import float_points, rational_points
+from helpers import float_points, halfspace_dilation_lp, rational_points
 from simplexcover import (
     DilationSign,
     LPSolution,
@@ -37,7 +38,6 @@ from simplexcover import (
     verify_sandwich,
 )
 from simplexcover.errors import DegenerateSimplexError, SingularMatrixError
-from simplexcover.geometry import slab_kernel
 from simplexcover.geometry import slab_kernel
 from simplexcover.linalg import det, scaled_inverse
 
@@ -119,7 +119,7 @@ def test_min_dilation_matches_full_lp(case, sign):
     t, x = random_instance(*case)
     d = t.dim
     res = min_dilation(t, x, sign)
-    full = dilation_lp(t, x, sign)
+    full = halfspace_dilation_lp(t, x, sign)
     oracle = solve_lp(full, ScalarMode.EXACT)
     assert oracle.status is LPStatus.OPTIMAL
     assert res.lam == oracle.value
@@ -130,6 +130,27 @@ def test_min_dilation_matches_full_lp(case, sign):
     )
     assert check_certificate(full, cert, tol=0)
     assert all(isinstance(v, Fraction) for v in (res.lam,) + res.translate + res.dual)
+
+
+@pytest.mark.parametrize("den", [64, 10**6, 3**40], ids=["den64", "den1e6", "den3^40"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_dilation_lp_equals_the_halfspace_lp_row_for_row(d, den):
+    # Every fifth simplex has vertices over 7, a denominator the points lack.
+    rng = random.Random(f"lp/{d}/{den}")
+    for seed in range(10):
+        vden = 7 if seed % 5 == 0 else den
+        while True:
+            t = Simplex(d, tuple(tuple(F(rng.randint(-vden, vden), vden) for _ in range(d))
+                                 for _ in range(d + 1)))
+            if simplex_volume(t) != 0:
+                break
+        x = PointSet(d, [tuple(F(rng.randint(-3 * den, 3 * den), den) for _ in range(d))
+                         for _ in range(rng.randint(1, 6))])
+        for sign in DilationSign:
+            lp, oracle = dilation_lp(t, x, sign), halfspace_dilation_lp(t, x, sign)
+            assert (lp.num_vars, lp.objective) == (oracle.num_vars, oracle.objective)
+            assert lp.rows == oracle.rows and lp.rhs == oracle.rhs
+            assert all(isinstance(v, Fraction) for v in lp.rhs)
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)

@@ -134,6 +134,9 @@ def test_degenerate_point_set():
         mvs_exact(line)
     with pytest.raises(DegeneratePointSetError):
         mvs_exact(PointSet(2, ((F(0), F(0)), (F(1), F(1)))))
+    # Four equal float points: a subset that repeats one scores rounding noise.
+    with pytest.raises(DegeneratePointSetError, match="do not affinely span"):
+        mvs_exact(parse_points_csv(ROUNDING_CSV["dup7"], ScalarMode.FLOAT))
 
 
 def test_reflected_vertex_tie():
