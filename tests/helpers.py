@@ -32,9 +32,9 @@ from simplexcover.geometry import (
     PointSet,
     Simplex,
     centroid,
+    dilate_about_center,
     dot,
     halfspace_form,
-    reflect_through_centroid,
     simplex_volume,
     slab_kernel,
     vec_add,
@@ -166,7 +166,7 @@ def brute_mvs(x: PointSet) -> Tuple[Fraction, Tuple[int, ...]]:
 
 def halfspace_dilation_lp(t: Simplex, x: PointSet, sign: DilationSign) -> LinearProgram:
     """The full (d+1)*n row LP over variables (t_1..t_d, lambda)."""
-    body = t if sign is DilationSign.POSITIVE else reflect_through_centroid(t)
+    body = t if sign is DilationSign.POSITIVE else dilate_about_center(t, -1)
     h = halfspace_form(body)
     d = t.dim
     rows = []

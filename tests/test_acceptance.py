@@ -17,6 +17,7 @@ from helpers import (
     brute_mvs,
     contains,
     float_points,
+    halfspace_dilation_lp,
     lp_vertex_minimum,
     random_boxed_lp,
     rational_points,
@@ -24,11 +25,15 @@ from helpers import (
 from simplexcover import (
     CounterexampleConfig,
     DilationSign,
+    LPSolution,
     LPStatus,
     PointSet,
     ScalarMode,
     Simplex,
+    build_points,
+    check_certificate,
     dilate_about_center,
+    enumerate_triangles,
     halfspace_form,
     min_dilation,
     mvs_exact,
@@ -89,13 +94,24 @@ def test_criterion_3_slab_bounds_exact(suite):
 
 def test_criterion_4_counterexample_grid_exceeds_two():
     grid = [F(1, 20), F(1, 10), F(3, 20), F(1, 5)]
-    for eps, dlt in itertools.product(grid, grid):
-        rep = verify_counterexample(CounterexampleConfig(eps, dlt))
-        assert rep.feasible
-        assert rep.min_lambda > 2
-        for tri in rep.triangles:
-            assert tri.lambda_star > 2
-            assert tri.certificate_ok
+    configs = list(itertools.product(grid, grid)) + [(F(1, 3), F(1, 4))]
+    for eps, dlt in configs:
+        cfg = CounterexampleConfig(eps, dlt)
+        rep = verify_counterexample(cfg)
+        assert rep.feasible == (eps + dlt < F(1, 2))
+        if rep.feasible:
+            assert rep.min_lambda > 2
+            assert all(tri.lambda_star > 2 for tri in rep.triangles)
+        # Each dual re-expanded over all 5 points certifies the full LP,
+        # built independently from the halfspace form.
+        x = build_points(cfg)
+        for tri, t in zip(rep.triangles, enumerate_triangles(x)):
+            res = tri.dilation
+            sol = LPSolution(
+                LPStatus.OPTIMAL, z=res.lp_translate + (res.lam,), value=res.lam, dual=res.dual
+            )
+            lp = halfspace_dilation_lp(t, x, DilationSign.POSITIVE)
+            assert check_certificate(lp, sol, tol=0)
 
 
 def test_criterion_5_case6_closed_forms():
@@ -180,12 +196,10 @@ def grid_min_dilation(body: Simplex, x: PointSet) -> float:
 
 
 def test_criterion_8_dilation_matches_grid_search():
-    from simplexcover.geometry import reflect_through_centroid
-
     for k in range(20):
         x = float_points(8, 2, seed=500 + k)
         t = mvs_exact(x).simplex
         sign = DilationSign.POSITIVE if k % 2 == 0 else DilationSign.NEGATIVE
         res = min_dilation(t, x, sign)
-        body = t if sign is DilationSign.POSITIVE else reflect_through_centroid(t)
+        body = t if sign is DilationSign.POSITIVE else dilate_about_center(t, -1)
         assert abs(res.lam - grid_min_dilation(body, x)) <= 1e-6

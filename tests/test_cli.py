@@ -61,6 +61,13 @@ def test_check_tol_defaults():
         ["mvs", "--input", "x", "--mode", "float", "--tol", "-1"],
         ["mvs", "--input", "x", "--mode", "float", "--tol", "nan"],
         ["mvs", "--input", "x", "--mode", "float", "--tol", "inf"],
+        # --enum-cap must be >= 0
+        ["john", "--sample", "square", "--n", "12", "--dim", "2", "--enum-cap", "-1"],
+        ["random-trials", "--sample", "square", "--n", "12", "--dim", "2",
+         "--enum-cap", "-1"],
+        ["render", "--sample", "square", "--n", "12", "--dim", "2",
+         "--output", "x.svg", "--enum-cap", "-1"],
+        ["mvs", "--sample", "square", "--n", "12", "--dim", "2", "--enum-cap", "-1"],
     ],
 )
 def test_bad_argv_exits_1(argv):

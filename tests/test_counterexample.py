@@ -22,7 +22,9 @@ from simplexcover.counterexample import (
     min_dilation_all,
     mirror_label,
 )
+from simplexcover import cli
 from simplexcover.errors import LPInternalError
+from simplexcover.geometry import slab_kernel
 
 F = Fraction
 FIFTH = CounterexampleConfig(F(1, 5), F(1, 5))
@@ -263,11 +265,30 @@ def test_sweep_grid_frozen():
 
 
 def test_sweep_raises_on_a_failing_certificate(monkeypatch):
-    import simplexcover.counterexample as counterexample
+    import simplexcover.covering as covering
 
-    monkeypatch.setattr(counterexample, "check_certificate", lambda *args, **kwargs: False)
-    with pytest.raises(LPInternalError, match="dilation certificate failed"):
+    monkeypatch.setattr(covering, "check_certificate", lambda *args, **kwargs: False)
+    with pytest.raises(LPInternalError, match="closed-form dilation failed its dual certificate"):
         sweep([F(1, 5)], [F(1, 5)])
+    # The command fails the same way on both sides of feasibility.
+    for eps, dlt in (("1/5", "1/5"), ("1/3", "1/4")):
+        code, rep = cli.run(cli.parse_argv(["counterexample", "--epsilon", eps, "--delta", dlt]))
+        assert code == 2
+        assert rep["error_kind"] == "theorem-violation"
+
+
+def test_each_triangle_builds_one_kernel(monkeypatch):
+    import simplexcover.covering as covering
+
+    calls = []
+
+    def counted(t, x):
+        calls.append(t)
+        return slab_kernel(t, x)
+
+    monkeypatch.setattr(covering, "slab_kernel", counted)
+    min_dilation_all(FIFTH)
+    assert len(calls) == 10
 
 
 def test_sweep_accepts_strings():

@@ -19,7 +19,6 @@ from simplexcover.geometry import (
     dilate_about_center,
     halfspace_form,
     make_simplex,
-    reflect_through_centroid,
     simplex_volume,
     slab_kernel,
     vec_add,
@@ -155,9 +154,11 @@ def test_negative_dilation_reflects():
 
 
 def test_reflect_through_centroid_is_dilation_by_minus_one():
-    s = reflect_through_centroid(RIGHT_TRIANGLE)
-    assert s.vertices == dilate_about_center(RIGHT_TRIANGLE, -1).vertices
-    assert simplex_volume(s) == simplex_volume(RIGHT_TRIANGLE)
+    for t in (RIGHT_TRIANGLE, TETRA):
+        c = centroid(t)
+        s = dilate_about_center(t, -1)
+        assert s.vertices == tuple(vec_sub(vec_scale(c, 2), v) for v in t.vertices)
+        assert simplex_volume(s) == simplex_volume(t)
 
 
 def test_contains():
