@@ -4,13 +4,16 @@ Two entry points:
 
 * ``mvs_exact``: exhaustive enumeration of all C(n, d+1) vertex subsets.
   Rational input arrives as integers over one denominator (the point
-  set's ``array``), and whenever a conservative a-priori bound proves
-  that every intermediate of a d x d minor expansion fits in int64, the
-  subsets are evaluated in vectorized numpy batches with *exact* integer
-  arithmetic; float input with d <= 6 takes the same batches in float64.
-  Otherwise one determinant at a time is taken in pure Python: big-integer
-  Bareiss, so arbitrary rational input stays exact, or pivoted elimination
-  for float input with d > 6.
+  set's ``array``).  For d <= 7 the enumeration walks the d-subsets
+  (facets) in lexicographic order, in numpy chunks: each facet's cofactor
+  vector, the signed (d-1)-minors of its difference rows, scores every
+  later point with one dot product.  The walk runs on int64 when an
+  a-priori bound (``_int64_safe``) proves that no intermediate overflows,
+  and on object-dtype Python ints otherwise, so both stay exact.  Float
+  input with d <= 6 reads its subsets from the same chunked generator and
+  takes one float64 d x d determinant per subset.  Only d > 7 (exact) and
+  d > 6 (float) take one determinant at a time in pure Python:
+  big-integer Bareiss, or pivoted elimination for float input.
   Ties are broken toward the lexicographically smallest sorted index tuple.
 
 * ``mvs_local_search``: a greedy seed, then single-vertex swaps until none
@@ -86,25 +89,28 @@ class LocalMaximalityReport:
 # batched determinants
 # ---------------------------------------------------------------------------
 
-def _minor(D: np.ndarray, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
-    """k x k determinant (k <= 3) of given rows/cols for each matrix in D."""
+def _minor(D, rows: Sequence[int], cols: Sequence[int]):
+    """k x k determinant (k <= 3) of given rows/cols; D[r][c] is a batch."""
     k = len(rows)
     if k == 1:
-        return D[:, rows[0], cols[0]]
+        return D[rows[0]][cols[0]]
     if k == 2:
         (r0, r1), (c0, c1) = rows, cols
-        return D[:, r0, c0] * D[:, r1, c1] - D[:, r0, c1] * D[:, r1, c0]
+        return D[r0][c0] * D[r1][c1] - D[r0][c1] * D[r1][c0]
     (r0, r1, r2), (c0, c1, c2) = rows, cols
     return (
-        D[:, r0, c0] * (D[:, r1, c1] * D[:, r2, c2] - D[:, r1, c2] * D[:, r2, c1])
-        - D[:, r0, c1] * (D[:, r1, c0] * D[:, r2, c2] - D[:, r1, c2] * D[:, r2, c0])
-        + D[:, r0, c2] * (D[:, r1, c0] * D[:, r2, c1] - D[:, r1, c1] * D[:, r2, c0])
+        D[r0][c0] * (D[r1][c1] * D[r2][c2] - D[r1][c2] * D[r2][c1])
+        - D[r0][c1] * (D[r1][c0] * D[r2][c2] - D[r1][c2] * D[r2][c0])
+        + D[r0][c2] * (D[r1][c0] * D[r2][c1] - D[r1][c1] * D[r2][c0])
     )
 
 
-def _batch_dets(D: np.ndarray) -> np.ndarray:
-    """Determinants of a (N, d, d) batch for d <= 6, via Laplace row splits."""
-    d = D.shape[1]
+def _batch_dets(D):
+    """Determinants of a batch of d x d matrices, 1 <= d <= 6, via Laplace
+    row splits.  D[r][c] holds entry (r, c) of every matrix: a (d, d, N)
+    array or nested lists of N-vectors, so each product runs over
+    contiguous memory."""
+    d = len(D)
     if d <= 3:
         return _minor(D, tuple(range(d)), tuple(range(d)))
     r = d // 2
@@ -120,44 +126,113 @@ def _batch_dets(D: np.ndarray) -> np.ndarray:
 
 
 def _minor_bound(k: int, a: int) -> int:
-    return {1: a, 2: 2 * a * a, 3: 6 * a ** 3}[k]
+    """Bound on every intermediate of ``_batch_dets`` on k x k entries <= a."""
+    if k <= 3:
+        return (1, a, 2 * a * a, 6 * a ** 3)[k]
+    r = k // 2
+    return comb(k, r) * _minor_bound(r, a) * _minor_bound(k - r, a)
 
 
 def _int64_safe(d: int, max_abs_coord: int) -> bool:
-    """True when the Laplace split of any d x d difference matrix fits int64."""
-    if d > 6:
+    """True when every intermediate of ``_cofactor_scores`` fits int64.
+
+    Proof.  Let A = ``max_abs_coord``.  Every entry of a difference row
+    p_fi - p_f0 is at most 2A in absolute value.  ``_minor`` on k <= 3 rows
+    of entries at most a keeps every intermediate within 1, a, 2a^2, 6a^3
+    (for k = 3: each 2 x 2 bracket is at most 2a^2, each of its three
+    products at most 2a^3).  ``_batch_dets`` on k = 4..6 rows adds
+    C(k, r) products of an r- and a (k - r)-minor, r = k // 2, so every
+    partial sum stays within B_k = C(k, r) B_r B_{k-r}.  A cofactor is a
+    (d-1)-minor of the difference rows, so |c_F| <= M = B_{d-1}(2A)
+    entrywise.  The dot products c_F . p_j and c_F . p_f0 add d products
+    of at most M A each, so each of their partial sums, in any order, is
+    at most d M A, and their difference at most 2 d M A.  For A >= 1 that
+    last bound is the largest of all, so requiring it below 2^62 proves
+    the int64 path exact.  d > 7 has no batched cofactors.
+    """
+    if d > 7:
         return False
-    a = 2 * max_abs_coord  # difference of two coordinates
-    if d <= 3:
-        bound = _minor_bound(d, a)
+    return 2 * d * _minor_bound(d - 1, 2 * max_abs_coord) * max_abs_coord < _INT64_SAFE
+
+
+def _subsets(n: int, k: int, size: int):
+    """The k-subsets of range(n) in lexicographic order, in chunks of at most
+    ``size``: (k, m) intp arrays whose columns are the subsets.
+
+    Each subset is unranked on its own.  With q = C(n, k) - rank, counted
+    from the end, the next element is n - y for the least y with
+    C(y, t) >= q, where t elements remain to be chosen, and q then drops by
+    C(y - 1, t).
+    """
+    total = comb(n, k)
+    binom = [np.array([comb(y, t) for y in range(n + 1)], dtype=np.int64) for t in range(k + 1)]
+    for start in range(0, total, size):
+        q = total - np.arange(start, min(start + size, total), dtype=np.int64)
+        out = np.empty((k, len(q)), dtype=np.intp)
+        for p, t in enumerate(range(k, 0, -1)):
+            y = np.searchsorted(binom[t], q)
+            out[p] = n - y
+            q -= binom[t][y - 1]
+        yield out
+
+
+def _cofactor_scores(Pt: np.ndarray, F: np.ndarray):
+    """Score each facet F[:, i] with every later point j, F[-1, i] < j < n.
+
+    Pt holds the n points coordinate-major.  The cofactor vector c_F of a
+    facet F = (f0, ..., f_{d-1}) holds the signed (d-1)-minors of its
+    difference rows p_fi - p_f0, so the simplex F + (j,) costs one dot
+    product: |c_F . p_j - c_F . p_f0| = |det| of its difference rows.
+    Returns the scores and, for each, its facet column f and point j, in
+    (facet, point) row-major order.
+    """
+    d, n = Pt.shape
+    count = n - 1 - F[-1]
+    # Pair p belongs to facet f[p]; counted from that facet's first pair,
+    # it is the point F[-1, f[p]] + 1 + (p - first).
+    f = np.repeat(np.arange(F.shape[1]), count)
+    j = np.arange(len(f)) + np.repeat(F[-1] + 1 + count - np.cumsum(count), count)
+    E = [[Pc[F[i]] - Pc[F[0]] for Pc in Pt] for i in range(1, d)]
+    if d == 1:
+        C = [np.ones(F.shape[1], dtype=Pt.dtype)]
     else:
-        r = d // 2
-        bound = comb(d, r) * _minor_bound(r, a) * _minor_bound(d - r, a)
-    return bound < _INT64_SAFE
-
-
-def _combo_chunks(n: int, k: int):
-    it = itertools.combinations(range(n), k)
-    while True:
-        chunk = list(itertools.islice(it, _CHUNK))
-        if not chunk:
-            return
-        yield chunk
+        C = [(-1) ** c * _batch_dets([row[:c] + row[c + 1:] for row in E]) for c in range(d)]
+    base = linalg.combine(C, [Pc[F[0]] for Pc in Pt])
+    vals = np.abs(linalg.combine([Cc[f] for Cc in C], [Pc[j] for Pc in Pt]) - base[f])
+    return vals, f, j
 
 
 def _best_subset_numpy(P: np.ndarray, n: int, d: int) -> Tuple[Tuple[int, ...], object]:
-    best_val = None
-    best_combo = None
-    for chunk in _combo_chunks(n, d + 1):
-        idx = np.asarray(chunk, dtype=np.intp)
-        D = P[idx[:, 1:]] - P[idx[:, :1]]
-        vals = np.abs(_batch_dets(D))
-        pos = int(np.argmax(vals))
-        val = vals[pos]
-        if best_val is None or val > best_val:
-            best_val = val
-            best_combo = chunk[pos]
-    return tuple(best_combo), best_val
+    """The first maximum |det| over the (d+1)-subsets in lexicographic order.
+
+    Integer rows (int64 or object-dtype Python ints, d <= 7) are walked
+    facet by facet with ``_cofactor_scores``, max(1, ``_CHUNK`` // n)
+    facets at a time, so a chunk scores fewer than max(``_CHUNK``, n)
+    (facet, point) pairs; their row-major order is the lexicographic order
+    of the subsets.  Float rows (d <= 6) take one full
+    d x d determinant per subset.  Returns the index tuple and the value as
+    a Python int or float.
+    """
+    exact = P.dtype != np.float64
+    Pt = np.ascontiguousarray(P.T)
+    best_val = best_combo = None
+    if exact:  # a facet needs a later point, so it lies in range(n - 1)
+        chunks = _subsets(n - 1, d, max(1, _CHUNK // n))
+    else:
+        chunks = _subsets(n, d + 1, _CHUNK)
+    for S in chunks:
+        if exact:
+            vals, f, j = _cofactor_scores(Pt, S)
+        else:
+            vals = np.abs(_batch_dets([[Pc[S[r]] - Pc[S[0]] for Pc in Pt] for r in range(1, d + 1)]))
+        pos = int(np.argmax(vals))  # first maximum in chunk order
+        if best_val is None or vals.item(pos) > best_val:
+            best_val = vals.item(pos)
+            if exact:
+                best_combo = (*S[:, f[pos]].tolist(), int(j[pos]))
+            else:
+                best_combo = tuple(S[:, pos].tolist())
+    return best_combo, best_val
 
 
 def _best_subset_python(P: Sequence[Sequence[Scalar]], n: int, d: int):
@@ -187,11 +262,11 @@ def mvs_exact(x: PointSet, *, enum_cap: int = DEFAULT_ENUM_CAP) -> MvsResult:
             f"C({n}, {d + 1}) = {total} subsets exceeds the cap of {enum_cap}"
         )
     exact = x.mode is ScalarMode.EXACT
-    batched = _int64_safe(d, max(map(abs, x.array.flat))) if exact else d <= 6
-    if batched:
-        P = x.array.astype(np.int64) if exact else x.array
-        combo, val = _best_subset_numpy(P, n, d)
-        best_val = val.item()  # a Python int or float
+    if d <= (7 if exact else 6):
+        P = x.array
+        if exact and _int64_safe(d, max(map(abs, P.flat))):
+            P = P.astype(np.int64)
+        combo, best_val = _best_subset_numpy(P, n, d)
     else:
         combo, best_val = _best_subset_python(x.array.tolist(), n, d)
     # A float subset that repeats a point scores rounding noise, not 0.

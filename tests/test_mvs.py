@@ -28,10 +28,14 @@ from simplexcover.geometry import (
     simplex_volume,
     slab_kernel,
 )
-from simplexcover.linalg import det
+from simplexcover import mvs
+from simplexcover.linalg import det, int_det_bareiss
 from simplexcover.mvs import (
     _batch_dets,
+    _best_subset_numpy,
+    _best_subset_python,
     _int64_safe,
+    _subsets,
     mvs_exact,
     mvs_local_search,
     verify_local_maximality,
@@ -57,7 +61,7 @@ def test_batched_dets_match_plain_determinants(d):
     """The split-Laplace minor expansion must reproduce det exactly."""
     rng = np.random.default_rng(d)
     D = rng.integers(-9, 10, size=(40, d, d)).astype(np.int64)
-    got = _batch_dets(D)
+    got = _batch_dets(D.transpose(1, 2, 0))
     for k in range(D.shape[0]):
         expect = det([[int(v) for v in row] for row in D[k]])
         assert int(got[k]) == expect
@@ -67,6 +71,103 @@ def test_int64_guard_thresholds():
     assert _int64_safe(2, 64)
     assert _int64_safe(5, 128)
     assert not _int64_safe(6, 10**9)
+
+
+@pytest.fixture(params=[None, 3, 40], ids=["chunk-default", "chunk-3", "chunk-40"])
+def chunk(request, monkeypatch):
+    """Rerun a test with chunks of a few rows, so that the walk over facets
+    (and over float subsets) crosses many chunk boundaries."""
+    if request.param is not None:
+        monkeypatch.setattr(mvs, "_CHUNK", request.param)
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (5, 1), (6, 3), (9, 4), (8, 8), (12, 5)])
+@pytest.mark.parametrize("size", [1, 4, 1000])
+def test_subsets_are_lexicographic(n, k, size):
+    got = np.concatenate(list(_subsets(n, k, size)), axis=1)
+    assert [tuple(c) for c in got.T.tolist()] == list(itertools.combinations(range(n), k))
+    assert all(S.shape[1] <= size for S in _subsets(n, k, size))
+
+
+def _largest_safe_coord(d):
+    lo, hi = 1, 1 << 62  # _int64_safe(d, lo) holds, _int64_safe(d, hi) fails
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _int64_safe(d, mid) else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_int64_guard_boundary(d, monkeypatch):
+    a = _largest_safe_coord(d)
+    assert _int64_safe(d, a) and not _int64_safe(d, a + 1)
+    # Hypercube vertices +/-A: every difference entry is 0 or +/-2A.
+    rng = random.Random(d)
+    ints = [[rng.choice((-a, a)) for _ in range(d)] for _ in range(d + 3)]
+    n = len(ints)
+    big = np.array(ints, dtype=object)
+    combo, val = _best_subset_numpy(big.astype(np.int64), n, d)
+    assert val > 0
+    assert (combo, val) == _best_subset_numpy(big, n, d)
+    assert (combo, val) == _best_subset_python(ints, n, d)
+    # mvs_exact takes the int64 path at A and the object path at A + 1.
+    dtypes = []
+
+    def spy(P, n, d):
+        dtypes.append(P.dtype)
+        return _best_subset_numpy(P, n, d)
+
+    monkeypatch.setattr(mvs, "_best_subset_numpy", spy)
+    for coord in (a, a + 1):
+        mvs_exact(PointSet(d, tuple(tuple(F(coord if v > 0 else -coord) for v in p) for p in ints)))
+    assert dtypes == [np.dtype(np.int64), np.dtype(object)]
+
+
+def _tied_grid(d, seed=2):
+    """d + 5 points of the 1/2 grid in [-1, 1]^d, two of them repeats."""
+    rng = random.Random(seed)
+    pts = [tuple(F(rng.randint(-2, 2), 2) for _ in range(d)) for _ in range(d + 3)]
+    for _ in range(2):
+        pts.insert(rng.randrange(len(pts) + 1), rng.choice(pts))
+    return PointSet(d, tuple(pts))
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_tied_grid_matches_brute(d, chunk):
+    x = _tied_grid(d)
+    P = x.array.tolist()
+    dets = [
+        abs(int_det_bareiss([[P[i][k] - P[c[0]][k] for k in range(d)] for i in c[1:]]))
+        for c in itertools.combinations(range(len(x)), d + 1)
+    ]
+    assert dets.count(max(dets)) >= 3  # the lexicographic tie-break decides
+    res = mvs_exact(x)
+    assert (res.volume, res.simplex.vertex_indices) == brute_mvs(x)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_decimal_set_matches_bareiss(seed, chunk):
+    # The exact-cover benchmark's decimal shape: 20 points of R^3 written
+    # with 6 decimals, whose common denominator 10^6 fails the int64 guard.
+    rng = random.Random(seed)
+    ks = [[rng.randint(-10**6, 10**6) for _ in range(3)] for _ in range(20)]
+    ks[0][0] = 10**6 - 1
+    x = PointSet(3, tuple(tuple(F(k, 10**6) for k in row) for row in ks))
+    assert x.scale == 10**6 and not _int64_safe(3, max(map(abs, x.array.flat)))
+    combo, val = _best_subset_python(x.array.tolist(), 20, 3)
+    res = mvs_exact(x)
+    assert res.simplex.vertex_indices == combo
+    assert res.volume == F(val, 6 * x.scale ** 3)
+
+
+def test_float_enumeration_in_chunks_matches_brute(chunk):
+    x = float_points(12, 3, seed=5)
+    res = mvs_exact(x)
+    expect = max(
+        itertools.combinations(range(12), 4),
+        key=lambda c: abs(det([[x.points[i][k] - x.points[c[0]][k] for k in range(3)] for i in c[1:]])),
+    )
+    assert res.simplex.vertex_indices == expect
 
 
 def test_exact_matches_brute_oracle():
