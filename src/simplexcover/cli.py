@@ -9,6 +9,7 @@ timings block.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -411,8 +412,18 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.lru_cache(maxsize=None)
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on first use rather than at import.
+
+    argparse keeps no state between ``parse_args`` calls, so one parser
+    serves every call; building it costs about 2 ms.
+    """
+    return build_parser()
+
+
 def parse_argv(argv: Sequence[str]) -> RunConfig:
-    parser = build_parser()
+    parser = _shared_parser()
     ns = parser.parse_args(list(argv))
     mode = ScalarMode.from_str(ns.mode)
     tol = getattr(ns, "tol", None)

@@ -25,6 +25,10 @@ Scalar = Union[int, float, Fraction]
 
 DEFAULT_FLOAT_TOL = 1e-9
 
+# Every nonzero limit that ``sys.set_int_max_str_digits`` accepts is at least
+# 640 digits, so ``Fraction`` never rejects a text this short for its length.
+_FLOAT_FAST_MAX_LEN = 640
+
 
 class ScalarMode(enum.Enum):
     """Arithmetic regime for a computation."""
@@ -57,8 +61,38 @@ def infer_mode(values: Iterable[Scalar]) -> ScalarMode:
 
 
 def parse_scalar(text: str, mode: ScalarMode) -> Scalar:
-    """Parse 'p/q', integer, or decimal notation in the requested mode."""
+    """Parse 'p/q', integer, or decimal notation in the requested mode.
+
+    Exact mode returns ``Fraction(text)``.  In float mode a decimal or
+    integer text goes straight to ``float``, which rounds correctly and so
+    gives the double nearest to the exact value, as ``float(Fraction(text))``
+    does.  These float-mode texts take the ``Fraction`` path instead, so
+    that each keeps the value or error of parsing exactly and rounding once:
+
+    * 'p/q' and any other text ``float`` rejects;
+    * text ``float`` reads as zero, which ``Fraction`` makes 0.0 even for
+      '-0.0' or '-1e-400';
+    * text ``float`` reads as non-finite: 'nan' and 'inf' are input errors,
+      and a decimal past the float range rounds to +/-inf;
+    * text with an underscore (``Fraction`` rejects it on Python 3.10) or a
+      non-ASCII character;
+    * text longer than ``_FLOAT_FAST_MAX_LEN``, whose digits may exceed the
+      interpreter's limit on integer string conversion.
+    """
     text = text.strip()
+    if (
+        mode is ScalarMode.FLOAT
+        and len(text) <= _FLOAT_FAST_MAX_LEN
+        and text.isascii()
+        and "_" not in text
+    ):
+        try:
+            x = float(text)
+        except ValueError:
+            pass
+        else:
+            if x and math.isfinite(x):
+                return x
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -77,6 +111,8 @@ def scalar_to_str(x: Scalar) -> str:
     """Lossless text form: 'p/q' for rationals, 17 significant digits for floats."""
     if isinstance(x, bool):
         raise TypeError("bool is not a scalar")
-    if isinstance(x, (int, Fraction)):
+    # The float test goes first because isinstance against Fraction's
+    # abstract base class is slow, and reports hold thousands of floats.
+    if not isinstance(x, float) and isinstance(x, (int, Fraction)):
         return str(x)
     return format(float(x), ".17g")

@@ -4,6 +4,14 @@ Scalar policy: exact rationals appear in JSON as "p/q" strings (plain "p"
 when the denominator is 1), floats as decimal strings with 17 significant
 digits, so both round-trip losslessly.  Python ints pass through as JSON
 integers.
+
+Report writer contract: ``dumps_report(r)`` returns the same bytes as
+``json.dumps(to_jsonable(r), sort_keys=True, indent=2) + "\n"`` for every
+tree ``to_jsonable`` makes of the package's results: keys sorted, two
+spaces of indent per level, strings escaped to ASCII by
+``encode_basestring_ascii``, and ``[]``/``{}`` for empty containers.  It
+writes the text itself because ``indent`` makes ``json.dumps`` fall back to
+its pure-Python encoder.
 """
 from __future__ import annotations
 
@@ -13,7 +21,8 @@ import enum
 import io
 import json
 from fractions import Fraction
-from typing import Any, Dict, List, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Any, Dict, List, Sequence, Tuple
 
 from .counterexample import TRIANGLE_LABELS, SweepRow
 from .errors import InputFormatError
@@ -21,9 +30,26 @@ from .geometry import PointSet
 from .scalars import ScalarMode, parse_scalar, scalar_to_str
 
 
+# Field names of each dataclass type that ``to_jsonable`` has converted.
+_DATACLASS_FIELDS: Dict[type, Tuple[str, ...]] = {}
+
+
 def to_jsonable(obj: Any) -> Any:
     """Recursively convert results (dataclasses, scalars, enums) to JSON types."""
-    if obj is None or isinstance(obj, (bool, str)):
+    # The exact types that fill the package's reports first, because
+    # isinstance against Fraction's abstract base class is slow; everything
+    # else (dicts, numpy scalars, enums, subclasses) takes the chain below.
+    cls = type(obj)
+    if cls is str or cls is int or cls is bool or obj is None:
+        return obj
+    if cls is float or cls is Fraction:
+        return scalar_to_str(obj)
+    if cls is list or cls is tuple:
+        return [to_jsonable(v) for v in obj]
+    names = _DATACLASS_FIELDS.get(cls)
+    if names is not None:
+        return {name: to_jsonable(getattr(obj, name)) for name in names}
+    if isinstance(obj, (bool, str)):
         return obj
     if isinstance(obj, int):
         return obj
@@ -32,10 +58,9 @@ def to_jsonable(obj: Any) -> Any:
     if isinstance(obj, enum.Enum):
         return obj.value
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: to_jsonable(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
+        names = tuple(f.name for f in dataclasses.fields(obj))
+        _DATACLASS_FIELDS[cls] = names
+        return {name: to_jsonable(getattr(obj, name)) for name in names}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -44,7 +69,55 @@ def to_jsonable(obj: Any) -> Any:
 
 
 def dumps_report(report: Dict[str, Any]) -> str:
-    return json.dumps(to_jsonable(report), sort_keys=True, indent=2) + "\n"
+    """The report as indented JSON with sorted keys and a final newline."""
+    out: List[str] = []
+    _write_json(to_jsonable(report), "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(obj: Any, newline: str, out: List[str]) -> None:
+    """Append the JSON text of ``obj`` to ``out``.
+
+    ``newline`` is a line break followed by the indent of the line on which
+    ``obj`` starts.
+    """
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write_json(obj[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, list):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _write_json(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def parse_points_csv(text: str, mode: ScalarMode) -> PointSet:

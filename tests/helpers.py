@@ -10,11 +10,16 @@ search that the array version in ``mvs`` must reproduce.
 ``halfspace_form``'s normals, derived without the slab kernel.  ``contains``,
 ``barycentric_coordinates`` and ``reflect_vertex`` compute membership,
 coordinates and reflections one point at a time, independently of the
-slab kernel.
+slab kernel.  ``fraction_parse_scalar`` reads every text exactly through
+``Fraction`` and rounds once; float-mode ``parse_scalar`` must give the
+same value or error.  ``json_oracle`` is the ``json`` module's text of a
+report, which ``dumps_report`` must reproduce byte for byte.
 """
 from __future__ import annotations
 
 import itertools
+import json
+import math
 import random
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -24,6 +29,7 @@ from simplexcover.covering import DilationSign
 from simplexcover.errors import (
     DegenerateSimplexError,
     DimensionMismatchError,
+    InputFormatError,
     SingularMatrixError,
 )
 from simplexcover.geometry import (
@@ -45,6 +51,7 @@ from simplexcover.linalg import det
 from simplexcover.linalg import solve as linear_solve
 from simplexcover.linprog import LinearProgram
 from simplexcover.scalars import Scalar, ScalarMode, infer_mode
+from simplexcover.serialization import to_jsonable
 
 
 def rational_points(n: int, d: int, seed: int, denom: int = 64) -> PointSet:
@@ -338,3 +345,23 @@ def reference_local_search(x: PointSet, seed: int = 0):
             return tuple(chosen), swaps, volumes
         chosen[best_swap[0]] = best_swap[1]
         swaps += 1
+
+
+def fraction_parse_scalar(text: str, mode: ScalarMode) -> Scalar:
+    """``parse_scalar`` with every text read exactly by ``Fraction`` first."""
+    text = text.strip()
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputFormatError(f"cannot parse scalar {text!r}: {exc}") from None
+    if mode is ScalarMode.EXACT:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def json_oracle(report) -> str:
+    """The ``json`` module's text of ``report``, as ``dumps_report`` must write it."""
+    return json.dumps(to_jsonable(report), sort_keys=True, indent=2) + "\n"

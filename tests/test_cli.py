@@ -6,7 +6,7 @@ import pytest
 
 from helpers import FLOAT_LINE, ROUNDING_CSV, revisiting_float_inputs
 from simplexcover import ScalarMode, TheoremViolationError
-from simplexcover.cli import RunConfig, main, parse_argv, run
+from simplexcover.cli import RunConfig, build_parser, main, parse_argv, run
 from simplexcover.serialization import dumps_report
 import simplexcover.cli as cli
 
@@ -74,6 +74,41 @@ def test_bad_argv_exits_1(argv):
     with pytest.raises(SystemExit) as exc:
         parse_argv(argv)
     assert exc.value.code == 1
+
+
+def test_one_parser_serves_every_parse(monkeypatch):
+    built = []
+
+    def counting_build_parser():
+        built.append(build_parser())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._shared_parser.cache_clear()
+    try:
+        first = parse_argv(["mvs", "--mode", "float", "--local", "--tol", "0.1",
+                            "--input", "x"])
+        second = parse_argv(["mvs", "--mode", "float", "--input", "x"])
+    finally:
+        cli._shared_parser.cache_clear()
+    assert len(built) == 1
+    assert first.local is True and first.tol == 0.1
+    # Nothing set by the first parse leaks into the second.
+    assert second.local is False and second.tol is None
+
+
+def test_usage_error_after_a_parse_exits_1(capsys):
+    parse_argv(["mvs", "--input", "x"])
+    with pytest.raises(SystemExit) as exc:
+        parse_argv(["mvs", "--input", "x", "--bogus"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: simplexcover")
+    assert "error: unrecognized arguments: --bogus" in err
+
+
+def test_build_parser_returns_a_new_parser():
+    assert build_parser() is not build_parser()
 
 
 # ---------------------------------------------------------------------------

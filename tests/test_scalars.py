@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import fraction_parse_scalar
 from simplexcover.scalars import (
     DEFAULT_FLOAT_TOL,
     ScalarMode,
@@ -63,6 +65,52 @@ def test_parse_scalar_rejects_garbage():
         parse_scalar("12..5", ScalarMode.EXACT)
     with pytest.raises((ValueError, ZeroDivisionError)):
         parse_scalar("1/0", ScalarMode.EXACT)
+
+
+def _float_parse_outcome(parse, text):
+    """The value with the sign of zero, or the exception type and message."""
+    try:
+        x = parse(text, ScalarMode.FLOAT)
+    except Exception as exc:  # the exception itself is the outcome compared
+        return type(exc), str(exc)
+    return type(x), x, math.copysign(1.0, x)
+
+
+_DECIMAL_TEXTS = st.builds(
+    lambda pad, sign, whole, dot, frac, exp: pad + sign + whole + dot + frac + exp + pad,
+    st.sampled_from(["", " "]),
+    st.sampled_from(["", "+", "-"]),
+    st.text("0123456789", max_size=40),
+    st.sampled_from(["", "."]),
+    st.text("0123456789", max_size=40),
+    st.one_of(
+        st.just(""),
+        st.builds(
+            lambda e, sign, k: f"{e}{sign}{k}",
+            st.sampled_from("eE"),
+            st.sampled_from(["", "+", "-"]),
+            st.integers(0, 450),
+        ),
+    ),
+)
+
+
+@given(_DECIMAL_TEXTS)
+def test_float_parse_matches_fraction_oracle(text):
+    assert _float_parse_outcome(parse_scalar, text) == _float_parse_outcome(
+        fraction_parse_scalar, text
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["-0.0", "-0", "-1e-400", "1e400", "-1e400", "nan", "inf", "-Infinity",
+     "1_000.5", "\u0661\u0662", "0." + "1" * 5000, "1/3", "0x10", "12..5", ""],
+)
+def test_float_parse_edge_cases_match_fraction_oracle(text):
+    assert _float_parse_outcome(parse_scalar, text) == _float_parse_outcome(
+        fraction_parse_scalar, text
+    )
 
 
 def test_scalar_to_str_forms():

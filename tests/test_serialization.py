@@ -3,9 +3,13 @@ import enum
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Any
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from helpers import json_oracle
 from simplexcover import (
     InputFormatError,
     PointSet,
@@ -61,6 +65,51 @@ def test_dumps_report_is_deterministic():
     assert a == b
     assert a.endswith("\n")
     assert json.loads(a) == {"a": ["1.25", 3], "b": "1/2"}
+
+
+class Rank(enum.IntEnum):
+    FIRST = 1
+
+
+@dataclass
+class Pair:
+    left: Any
+    right: Any
+
+
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64),
+    st.fractions(),
+    st.floats(),
+    st.just(-0.0),
+    st.just(5e-324),
+    st.floats(allow_nan=False).map(np.float64),
+    st.sampled_from([Color.RED, Rank.FIRST]),
+    st.text(),
+    st.text(st.characters(max_codepoint=0x1F)),
+    st.just([]),
+    st.just({}),
+    st.just([[], {}, [[]]]),
+)
+
+_TREES = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(), children, max_size=4),
+        st.builds(Pair, children, children),
+    ),
+    max_leaves=25,
+)
+
+
+@given(_TREES)
+def test_dumps_report_matches_json_oracle(tree):
+    assert dumps_report(tree) == json_oracle(tree)
 
 
 # ---------------------------------------------------------------------------
