@@ -1,10 +1,12 @@
 """Command line front end.
 
-Every command prints one JSON report to stdout ({"schema_version": 1, ...})
+Every command prints one JSON report to stdout ({"schema_version": 2, ...})
 and exits 0 on success, 1 on an input or numeric problem, and 2 when a
 proved bound fails to hold, so automation can tell "bad input" from "bug".
 Reports are deterministic for a fixed (config, seed) apart from the
-timings block.
+timings block.  Every field carries information: a dilation's dual
+certificate is its d+1 ``binding`` point indices, each of weight 1/(d+1),
+not a dense vector over all (d+1) * n LP rows.
 """
 from __future__ import annotations
 
@@ -53,7 +55,7 @@ from .serialization import (
     to_jsonable,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass

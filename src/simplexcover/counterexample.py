@@ -115,7 +115,6 @@ class TriangleCaseReport:
     exceeds_two: bool
     matched_case: Optional[int]
     dilation: DilationResult
-    certificate_ok: bool
 
 
 def min_dilation_all(
@@ -140,8 +139,6 @@ def min_dilation_all(
                 exceeds_two=res.lam > 2,
                 matched_case=CASE_OF_LABEL.get(label),
                 dilation=res,
-                # min_dilation raises on a failing certificate, so it held.
-                certificate_ok=True,
             )
         )
         best = res.lam if best is None else min(best, res.lam)
@@ -310,7 +307,6 @@ class CounterexampleReport:
     min_lambda: Fraction
     all_exceed_two: bool
     mirror_symmetric: bool
-    certificates_ok: bool
     bounds: CaseBounds
     geometry: Case6Geometry
     implications: List[CaseImplication]
@@ -344,7 +340,6 @@ def verify_counterexample(cfg: CounterexampleConfig) -> CounterexampleReport:
         )
     implications_ok = all((not im.certifies) or im.lp_confirms for im in implications)
     all_exceed = all(t.exceeds_two for t in triangles)
-    certs = all(t.certificate_ok for t in triangles)
     return CounterexampleReport(
         config=cfg,
         feasible=cfg.feasible,
@@ -352,14 +347,11 @@ def verify_counterexample(cfg: CounterexampleConfig) -> CounterexampleReport:
         min_lambda=min_lambda,
         all_exceed_two=all_exceed,
         mirror_symmetric=mirror_ok,
-        certificates_ok=certs,
         bounds=bounds,
         geometry=geometry,
         implications=implications,
         implications_ok=implications_ok,
-        verified=(
-            (all_exceed and certs and mirror_ok and implications_ok) if cfg.feasible else None
-        ),
+        verified=(all_exceed and mirror_ok and implications_ok) if cfg.feasible else None,
     )
 
 

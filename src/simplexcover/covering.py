@@ -19,8 +19,11 @@ row.  In barycentric coordinates beta this reads lambda+ = 1 - sum_i
 min_j beta_i and lambda- = sum_i max_j beta_i - 1.  The slab values come
 from ``slab_kernel``; the answer is not trusted on that algebra alone but
 re-checked by substitution, as a dual certificate (``check_certificate``)
-on the d+1 binding rows and by testing that every point is covered.  The
-dual re-expanded over all (d+1) * n rows certifies ``dilation_lp`` too.
+on the d+1 binding rows and by testing that every point is covered.  With
+the weight fixed at 1/(d+1), the indices of the binding points
+(``DilationResult.binding``) are the whole dual: that weight on row
+i * n + binding[i] of ``dilation_lp``, and 0 on every other row, certifies
+the full LP too.
 
 The two covering guarantees for a swap-locally-maximal simplex T follow
 from the slab property of its facet functionals:
@@ -79,15 +82,16 @@ class DilationResult:
 
     ``lam`` is the dilation magnitude; the covering body is
     translate + lam * T (POSITIVE) or translate + lam * (-T) (NEGATIVE).
-    ``dual`` holds multipliers for the full LP from ``dilation_lp`` in row
-    order facet-major (row i * n + j for facet i, point j).
+    ``binding[i]`` is the first point with the largest slab value on facet
+    i; the dual of ``dilation_lp`` puts weight 1/(d+1) on row
+    i * n + binding[i] and 0 on every other row.  ``lp_translate`` is the
+    LP's optimal point, the primal half of that certificate.
     """
 
     lam: Scalar
     sign: DilationSign
     translate: Point  # covering body = translate + lam * (+/-T), T untranslated
-    status: LPStatus
-    dual: Tuple[Scalar, ...]
+    binding: Tuple[int, ...]
     lp_translate: Point  # raw LP point: covering-body centroid minus centroid(t)
 
 
@@ -96,7 +100,6 @@ class SandwichReport:
     ok: bool
     local_maximality: LocalMaximalityReport
     facet_slacks: List[Tuple[Scalar, Scalar]]  # (inner slack at -d, outer slack at d+2)
-    slab: List[Tuple[Scalar, Scalar]]  # raw per-facet (min, max) functional values
 
 
 @dataclass
@@ -131,7 +134,6 @@ def min_dilation(t: Simplex, x: PointSet, sign: DilationSign) -> DilationResult:
     """Minimal lambda and translate covering x by a dilate of +/-t."""
     k = slab_kernel(t, x)
     d = t.dim
-    n = len(x)
     s = 1 if sign is DilationSign.POSITIVE else -1
     # The body's facet i has normal s * a_i, so its slab values are s * u_i.
     u = k.values if s == 1 else -k.values
@@ -148,9 +150,8 @@ def min_dilation(t: Simplex, x: PointSet, sign: DilationSign) -> DilationResult:
     )
 
     reduced = _facet_rows(k, s, [[j] for j in argmax])
-    share = k.ratio(1, d + 1)
     certificate = LPSolution(
-        status=LPStatus.OPTIMAL, z=z + (lam,), value=lam, dual=(share,) * (d + 1)
+        status=LPStatus.OPTIMAL, z=z + (lam,), value=lam, dual=(k.ratio(1, d + 1),) * (d + 1)
     )
     if k.mode is ScalarMode.EXACT:
         if not check_certificate(reduced, certificate, tol=0):
@@ -172,10 +173,6 @@ def min_dilation(t: Simplex, x: PointSet, sign: DilationSign) -> DilationResult:
                 )
             raise LPInternalError("optimal dilation fails to contain its own input")
 
-    dual = [k.ratio(0, 1)] * ((d + 1) * n)
-    for i in range(d + 1):
-        dual[i * n + argmax[i]] = share
-
     # (c + z) + lam (T - c) = (z + (1 - lam) c) + lam T, and with the
     # reflected body (c + z) - lam (T - c) = (z + (1 + lam) c) + lam (-T).
     offset = vec_scale(c, 1 - lam if sign is DilationSign.POSITIVE else 1 + lam)
@@ -183,8 +180,7 @@ def min_dilation(t: Simplex, x: PointSet, sign: DilationSign) -> DilationResult:
         lam=lam,
         sign=sign,
         translate=vec_add(z, offset),
-        status=LPStatus.OPTIMAL,
-        dual=tuple(dual),
+        binding=tuple(argmax),
         lp_translate=z,
     )
 
@@ -212,7 +208,7 @@ def john_positive_cover(
     m = _auto_mvs(x, enum_cap, seed)
     t = m.simplex
     sandwich = verify_sandwich(t, x, tol=tol)
-    centered_ok = all(hi <= d + 2 + tol for _, hi in sandwich.slab)
+    centered_ok = all(hi <= d + 2 + tol for _, hi in sandwich.local_maximality.slab)
     negative = min_dilation(t, x, DilationSign.NEGATIVE)
     positive = min_dilation(t, x, DilationSign.POSITIVE)
     bounds_ok = negative.lam <= d + tol and positive.lam <= d + 2 + tol
@@ -245,6 +241,4 @@ def verify_sandwich(t: Simplex, x: PointSet, tol: Scalar = 0) -> SandwichReport:
     d = t.dim
     lm = verify_local_maximality(t, x, tol=tol)
     slacks = [(lo - (-d), (d + 2) - hi) for lo, hi in lm.slab]
-    return SandwichReport(
-        ok=lm.ok, local_maximality=lm, facet_slacks=slacks, slab=lm.slab
-    )
+    return SandwichReport(ok=lm.ok, local_maximality=lm, facet_slacks=slacks)

@@ -63,17 +63,23 @@ def infer_mode(values: Iterable[Scalar]) -> ScalarMode:
 def parse_scalar(text: str, mode: ScalarMode) -> Scalar:
     """Parse 'p/q', integer, or decimal notation in the requested mode.
 
-    Exact mode returns ``Fraction(text)``.  In float mode a decimal or
+    Exact mode returns ``Fraction(text)``, which builds 10**|exponent|, so
+    '1e-3000000' is slow to read exactly.  In float mode a decimal or
     integer text goes straight to ``float``, which rounds correctly and so
     gives the double nearest to the exact value, as ``float(Fraction(text))``
-    does.  These float-mode texts take the ``Fraction`` path instead, so
-    that each keeps the value or error of parsing exactly and rounding once:
+    does.  Where ``float`` reads zero or infinity, the result is decided
+    from that reading and the text, with the value of parsing exactly and
+    rounding once:
+
+    * a zero mantissa ('-0.0', '-0e99') gives 0.0, as ``Fraction`` does;
+    * a nonzero value that underflows keeps ``float``'s signed zero;
+    * a decimal past the float range keeps ``float``'s +/-inf.
+
+    These float-mode texts take the ``Fraction`` path instead, so that each
+    keeps the value or error of parsing exactly:
 
     * 'p/q' and any other text ``float`` rejects;
-    * text ``float`` reads as zero, which ``Fraction`` makes 0.0 even for
-      '-0.0' or '-1e-400';
-    * text ``float`` reads as non-finite: 'nan' and 'inf' are input errors,
-      and a decimal past the float range rounds to +/-inf;
+    * the words 'nan', 'inf' and 'infinity', which are input errors;
     * text with an underscore (``Fraction`` rejects it on Python 3.10) or a
       non-ASCII character;
     * text longer than ``_FLOAT_FAST_MAX_LEN``, whose digits may exceed the
@@ -91,7 +97,11 @@ def parse_scalar(text: str, mode: ScalarMode) -> Scalar:
         except ValueError:
             pass
         else:
-            if x and math.isfinite(x):
+            if not x:
+                mantissa = text.lower().partition("e")[0]
+                return x if mantissa.strip("+-.0") else 0.0
+            # Every non-finite word that float reads contains an "n".
+            if math.isfinite(x) or "n" not in text.lower():
                 return x
     try:
         value = Fraction(text)

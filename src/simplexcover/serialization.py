@@ -147,7 +147,9 @@ def parse_points_json(text: str, mode: ScalarMode) -> PointSet:
     """{"dim": d, "points": [[...], ...]}; entries may be numbers or strings."""
     try:
         data = json.loads(text, parse_float=str)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed text and an integer literal past the
+        # interpreter's digit limit; RecursionError, arrays nested too deep.
         raise InputFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict) or "dim" not in data or "points" not in data:
         raise InputFormatError('expected an object with "dim" and "points"')

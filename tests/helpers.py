@@ -14,6 +14,8 @@ slab kernel.  ``fraction_parse_scalar`` reads every text exactly through
 ``Fraction`` and rounds once; float-mode ``parse_scalar`` must give the
 same value or error.  ``json_oracle`` is the ``json`` module's text of a
 report, which ``dumps_report`` must reproduce byte for byte.
+``dense_dual`` expands a dilation's ``binding`` indices into the dual of
+the full LP, and ``report_v1`` maps a schema-2 report back to schema 1.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from simplexcover import linalg
-from simplexcover.covering import DilationSign
+from simplexcover.covering import DilationResult, DilationSign
 from simplexcover.errors import (
     DegenerateSimplexError,
     DimensionMismatchError,
@@ -50,7 +52,7 @@ from simplexcover.geometry import (
 from simplexcover.linalg import det
 from simplexcover.linalg import solve as linear_solve
 from simplexcover.linprog import LinearProgram
-from simplexcover.scalars import Scalar, ScalarMode, infer_mode
+from simplexcover.scalars import Scalar, ScalarMode, infer_mode, is_exact_value, scalar_to_str
 from simplexcover.serialization import to_jsonable
 
 
@@ -184,6 +186,53 @@ def halfspace_dilation_lp(t: Simplex, x: PointSet, sign: DilationSign) -> Linear
             rhs.append(-sum(c * (pv - cv) for c, pv, cv in zip(a, p, h.center)))
     objective = (0,) * d + (1,)
     return LinearProgram(d + 1, objective, tuple(rows), tuple(rhs))
+
+
+def dense_dual(res: DilationResult, n: int) -> Tuple[Scalar, ...]:
+    """The dual of the full (d+1)*n row LP that ``res.binding`` stands for:
+    1/(d+1) on row i*n + binding[i], 0 elsewhere, in the mode of ``res``."""
+    k = len(res.binding)
+    zero, share = (Fraction(0), Fraction(1, k)) if is_exact_value(res.lam) else (0.0, 1 / k)
+    dual = [zero] * (k * n)
+    for i, j in enumerate(res.binding):
+        dual[i * n + j] = share
+    return tuple(dual)
+
+
+def report_v1(report: dict, n: int) -> dict:
+    """The schema-1 form of a schema-2 JSON report whose dilations cover n points.
+
+    Each ``binding`` becomes the dense ``dual`` with ``status: "optimal"``,
+    ``sandwich.slab`` copies ``sandwich.local_maximality.slab``, and the
+    certificate flags, which schema 1 always set, come back as true.
+    ``report`` is left as it is.
+    """
+    exact = report["config"]["mode"] == "exact"
+
+    def walk(obj):
+        if isinstance(obj, list):
+            return [walk(v) for v in obj]
+        if not isinstance(obj, dict):
+            return obj
+        out = {key: walk(v) for key, v in obj.items()}
+        if "binding" in out:  # a dilation
+            binding = out.pop("binding")
+            share = scalar_to_str(Fraction(1, len(binding)) if exact else 1 / len(binding))
+            dual = ["0"] * (len(binding) * n)
+            for i, j in enumerate(binding):
+                dual[i * n + j] = share
+            out.update(dual=dual, status="optimal")
+        if "facet_slacks" in out:  # a sandwich report
+            out["slab"] = out["local_maximality"]["slab"]
+        if "lambda_star" in out:  # one triangle of the counterexample
+            out["certificate_ok"] = True
+        if "triangles" in out:  # the counterexample
+            out["certificates_ok"] = True
+        return out
+
+    v1 = walk(report)
+    v1["schema_version"] = 1
+    return v1
 
 
 def lp_vertex_minimum(lp: LinearProgram) -> Optional[Fraction]:

@@ -16,6 +16,7 @@ import pytest
 from helpers import (
     brute_mvs,
     contains,
+    dense_dual,
     float_points,
     halfspace_dilation_lp,
     lp_vertex_minimum,
@@ -102,13 +103,14 @@ def test_criterion_4_counterexample_grid_exceeds_two():
         if rep.feasible:
             assert rep.min_lambda > 2
             assert all(tri.lambda_star > 2 for tri in rep.triangles)
-        # Each dual re-expanded over all 5 points certifies the full LP,
-        # built independently from the halfspace form.
+        # Each binding dual, expanded over all 5 points, certifies the full
+        # LP, built independently from the halfspace form.
         x = build_points(cfg)
         for tri, t in zip(rep.triangles, enumerate_triangles(x)):
             res = tri.dilation
             sol = LPSolution(
-                LPStatus.OPTIMAL, z=res.lp_translate + (res.lam,), value=res.lam, dual=res.dual
+                LPStatus.OPTIMAL, z=res.lp_translate + (res.lam,), value=res.lam,
+                dual=dense_dual(res, len(x)),
             )
             lp = halfspace_dilation_lp(t, x, DilationSign.POSITIVE)
             assert check_certificate(lp, sol, tol=0)

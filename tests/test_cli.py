@@ -121,7 +121,7 @@ def test_john_success_envelope():
     assert set(rep) == {
         "schema_version", "command", "config", "result", "violations", "timings",
     }
-    assert rep["schema_version"] == 1
+    assert rep["schema_version"] == 2
     assert rep["command"] == "john"
     assert rep["config"]["mode"] == "exact"
     assert rep["violations"] == []
@@ -279,6 +279,21 @@ def test_non_finite_input_is_an_input_error(tmp_path):
         assert "non-finite" in rep["error"]
 
 
+@pytest.mark.parametrize(
+    "text",
+    ['{"dim": 1, "points": [[' + "7" * 5000 + "]]}", "[" * 200_000 + "]" * 200_000],
+    ids=["5000-digit-integer", "nested-200000-deep"],
+)
+def test_json_past_the_parser_limits_is_an_input_error(tmp_path, capsys, text):
+    # json.loads raises a plain ValueError past the integer digit limit and
+    # RecursionError past its nesting depth; neither may end in a traceback.
+    code = main(["john", "--input", write(tmp_path, "big.json", text)])
+    assert code == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["error_kind"] == "input-error"
+    assert rep["error"].startswith("invalid JSON")
+
+
 @pytest.mark.parametrize("name", sorted(revisiting_float_inputs()))
 def test_float_search_that_revisits_a_simplex_is_an_input_error(tmp_path, name):
     x = revisiting_float_inputs()[name]
@@ -287,7 +302,7 @@ def test_float_search_that_revisits_a_simplex_is_an_input_error(tmp_path, name):
                               mode=ScalarMode.FLOAT, local=True))
     assert code == 1
     rep = json.loads(dumps_report(rep))
-    assert rep["schema_version"] == 1
+    assert rep["schema_version"] == 2
     assert rep["error_kind"] == "input-error"
     assert "rerun in exact mode" in rep["error"]
 

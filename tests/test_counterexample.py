@@ -3,11 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import dense_dual, halfspace_dilation_lp
 from simplexcover import (
     CounterexampleConfig,
     DegenerateSimplexError,
+    DilationSign,
+    LPSolution,
+    LPStatus,
     PointSet,
     build_points,
+    check_certificate,
     enumerate_triangles,
     sweep,
     verify_counterexample,
@@ -121,11 +126,25 @@ def test_mirror_label():
 # frozen exact values at epsilon = delta = 1/5
 # ---------------------------------------------------------------------------
 
+def certificates_hold(cfg, triangles) -> bool:
+    """Each triangle's ``binding`` dual certifies its full dilation LP."""
+    x = build_points(cfg)
+    for tri, t in zip(triangles, enumerate_triangles(x)):
+        res = tri.dilation
+        sol = LPSolution(
+            LPStatus.OPTIMAL, z=res.lp_translate + (res.lam,), value=res.lam,
+            dual=dense_dual(res, len(x)),
+        )
+        if not check_certificate(halfspace_dilation_lp(t, x, DilationSign.POSITIVE), sol, tol=0):
+            return False
+    return True
+
+
 def test_all_ten_lambdas_frozen():
     reports, min_lambda = min_dilation_all(FIFTH)
     assert {r.label: r.lambda_star for r in reports} == FROZEN_LAMBDAS
     assert min_lambda == F(110, 53)
-    assert all(r.exceeds_two and r.certificate_ok for r in reports)
+    assert all(r.exceeds_two for r in reports) and certificates_hold(FIFTH, reports)
     assert all(r.matched_case == CASE_OF_LABEL[r.label] for r in reports)
 
 
@@ -192,7 +211,8 @@ def test_verify_at_one_fifth():
     rep = verify_counterexample(FIFTH)
     assert rep.feasible and rep.verified is True
     assert rep.min_lambda == F(110, 53)
-    assert rep.all_exceed_two and rep.mirror_symmetric and rep.certificates_ok
+    assert rep.all_exceed_two and rep.mirror_symmetric
+    assert certificates_hold(FIFTH, rep.triangles)
     assert rep.implications_ok
     # at this configuration every chord bound certifies and the LP agrees
     for im in rep.implications:
@@ -212,10 +232,12 @@ def test_minimum_attained_by_sixth_class():
     [(F(1, 20), F(1, 20)), (F(3, 20), F(1, 10)), (F(1, 10), F(7, 20)), (F(1, 100), F(2, 5))],
 )
 def test_verify_other_feasible_configs(eps, dlt):
-    rep = verify_counterexample(CounterexampleConfig(eps, dlt))
+    cfg = CounterexampleConfig(eps, dlt)
+    rep = verify_counterexample(cfg)
     assert rep.verified is True
     assert rep.min_lambda > 2
-    assert rep.mirror_symmetric and rep.certificates_ok and rep.implications_ok
+    assert rep.mirror_symmetric and rep.implications_ok
+    assert certificates_hold(cfg, rep.triangles)
 
 
 def test_failing_implication_is_not_verified(monkeypatch):
@@ -230,7 +252,8 @@ def test_failing_implication_is_not_verified(monkeypatch):
 
     monkeypatch.setattr(counterexample, "CaseImplication", case6_unconfirmed)
     rep = verify_counterexample(FIFTH)
-    assert rep.all_exceed_two and rep.certificates_ok and rep.mirror_symmetric
+    assert rep.all_exceed_two and rep.mirror_symmetric
+    assert certificates_hold(FIFTH, rep.triangles)
     assert not rep.implications_ok
     assert rep.verified is False
 

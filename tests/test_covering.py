@@ -8,6 +8,7 @@ import pytest
 from helpers import (
     ROUNDING_CSV,
     contains,
+    dense_dual,
     halfspace_dilation_lp,
     point_in_simplex,
     rational_points,
@@ -82,7 +83,10 @@ def test_square_corners_both_signs():
     neg = min_dilation(t, corners, DilationSign.NEGATIVE)
     assert pos.lam == 2 and pos.translate == (F(-1), F(0))
     assert neg.lam == 2 and neg.translate == (F(2), F(1))
-    assert pos.status is LPStatus.OPTIMAL and neg.status is LPStatus.OPTIMAL
+    # Each facet's first point of largest slab value: for +T the lines x = 1,
+    # y = x and y = 0 are pushed out to (1, 0), (0, 1) and (0, 0); for -T
+    # the opposite sides reach (0, 0), (1, 0) and (1, 1).
+    assert pos.binding == (1, 3, 0) and neg.binding == (0, 1, 2)
     assert_covers(pos, t, corners)
     assert_covers(neg, t, corners)
 
@@ -143,7 +147,7 @@ def test_random_instances_cover_and_certify(sign):
             status=LPStatus.OPTIMAL,
             z=res.lp_translate + (res.lam,),
             value=res.lam,
-            dual=res.dual,
+            dual=dense_dual(res, len(x)),
         )
         assert check_certificate(full, sol, tol=0)
 
@@ -159,8 +163,7 @@ def test_optimum_is_a_true_minimum():
                 lam=res.lam * F(99, 100),
                 sign=sign,
                 translate=res.translate,
-                status=res.status,
-                dual=res.dual,
+                binding=res.binding,
                 lp_translate=res.lp_translate,
             )
             body = covering_body(shrunk, t)
@@ -201,7 +204,7 @@ def test_sandwich_slacks_on_own_vertices():
         d = t.dim
         rep = verify_sandwich(t, PointSet(d, t.vertices))
         assert rep.ok
-        assert rep.slab == [(-d, 1)] * (d + 1)
+        assert rep.local_maximality.slab == [(-d, 1)] * (d + 1)
         assert rep.facet_slacks == [(0, d + 1)] * (d + 1)
 
 
@@ -341,7 +344,7 @@ def test_boundary_point_on_outer_shell():
     x = PointSet(2, RIGHT.vertices + (vhat,))
     rep = verify_sandwich(RIGHT, x)
     assert rep.ok
-    assert max(hi for _, hi in rep.slab) == 4
+    assert max(hi for _, hi in rep.local_maximality.slab) == 4
     assert min(outer for _, outer in rep.facet_slacks) == 0
     res = min_dilation(RIGHT, x, DilationSign.POSITIVE)
     assert res.lam <= 4

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import float_points, halfspace_dilation_lp, rational_points
+from helpers import dense_dual, float_points, halfspace_dilation_lp, rational_points
 from simplexcover import (
     DilationSign,
     LPSolution,
@@ -126,10 +126,12 @@ def test_min_dilation_matches_full_lp(case, sign):
     # The optimum is unique: every binding row is tight at one translate.
     assert res.lp_translate == oracle.z[:d]
     cert = LPSolution(
-        status=LPStatus.OPTIMAL, z=res.lp_translate + (res.lam,), value=res.lam, dual=res.dual
+        status=LPStatus.OPTIMAL, z=res.lp_translate + (res.lam,), value=res.lam,
+        dual=dense_dual(res, len(x)),
     )
     assert check_certificate(full, cert, tol=0)
-    assert all(isinstance(v, Fraction) for v in (res.lam,) + res.translate + res.dual)
+    assert all(isinstance(v, Fraction) for v in (res.lam,) + res.translate + res.lp_translate)
+    assert len(res.binding) == d + 1 and all(type(j) is int for j in res.binding)
 
 
 @pytest.mark.parametrize("den", [64, 10**6, 3**40], ids=["den64", "den1e6", "den3^40"])
@@ -162,7 +164,7 @@ def test_local_maximality_matches_facet_scan(case):
         slab, excess, worst_facet, worst_point
     )
     assert rep.ok == (excess <= 0)
-    assert verify_sandwich(t, x).slab == slab == slab_kernel(t, x).slab()
+    assert verify_sandwich(t, x).local_maximality.slab == slab == slab_kernel(t, x).slab()
 
 
 def test_ties_keep_the_first_point_and_facet():
@@ -177,10 +179,10 @@ def test_ties_keep_the_first_point_and_facet():
     assert (rep.worst_facet, rep.worst_point) == (worst_facet, worst_point)
     h = halfspace_form(t)
     for sign, s in ((DilationSign.POSITIVE, 1), (DilationSign.NEGATIVE, -1)):
-        res = min_dilation(t, x, sign)
+        dual = dense_dual(min_dilation(t, x, sign), n)
         for i in range(3):
             vals = [s * h.value(i, p) for p in x.points]
-            assert [j for j in range(n) if res.dual[i * n + j]] == [vals.index(max(vals))]
+            assert [j for j in range(n) if dual[i * n + j]] == [vals.index(max(vals))]
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)

@@ -9,15 +9,21 @@ float dilation, the counterexample on both sides of feasibility, the sweep,
 random trials, an input-error report from exact enumeration, local
 search's spanning error in dimensions 2 and 1, a dilation whose simplex
 has a denominator the points lack, and an exact local search over many
-distinct denominators.  A refactor that is meant
-to keep answers unchanged must keep every hash.  The float cases pin Python's uncompensated float ``sum``;
-Python 3.12 changed it, so their digests hold for Python 3.10 and 3.11.
+distinct denominators.  A refactor that is meant to keep answers unchanged
+must keep every hash.  The float cases pin Python's uncompensated float
+``sum``; Python 3.12 changed it, so their digests hold for Python 3.10 and
+3.11.
+
+The reports are in schema 2.  ``helpers.report_v1`` maps each one back to
+schema 1, and the result must hash to the case's digest in ``V1_DIGESTS``,
+recorded before schema 2 existed: the schema changed, the answers did not.
 """
 import hashlib
 
 import pytest
 
-from simplexcover.cli import parse_argv, run
+from helpers import report_v1
+from simplexcover.cli import _load_points, parse_argv, run
 from simplexcover.serialization import dumps_report
 
 FILES = {
@@ -51,53 +57,150 @@ FILES = {
 
 CASES = [
     (["john", "--sample", "square", "--n", "12", "--dim", "2"], 0,
-     "42d7e57bc71cf3dac54c24ca0a0c252293d7b689b3193309743f294a0f4329ef"),
+     "aaeab44df24a454e231d7892665aa64f78a9cd3f42bb94697d95674e6a72332a"),
     (["john", "--sample", "square", "--n", "10", "--dim", "5"], 0,
-     "a777b9978c226d70befc82b9a11affec50ce17f4f02e3861be06f3a0135fb331"),
+     "4655cf779d0ce934949255fe786d6071c573d15d4f8bce0f10eadefa7010f9a9"),
     (["john", "--input", "dec.csv"], 0,
-     "11266f87ad66ad6b6a53136444ceeb38e4c7ffa24b648d99ca1c9b49c6d96290"),
+     "a4a9395deefc86da38b4203bb0b817e87e9aa5148ede1bd76d20e2cea456c141"),
     (["mvs", "--sample", "square", "--n", "10", "--dim", "7"], 0,
-     "ee5aab26c70151dcf92b7bc5a15a56e2c993bd853b45468086052072fdb48b65"),
+     "1538ca630b5c7e6c49d708fb6ca65a3e3d9026e998b8c3d243fc07690be41444"),
     (["mvs", "--mode", "float", "--sample", "square", "--n", "10", "--dim", "7"], 0,
-     "2abff67a6519e09cca19a178e843eea19a81dc47eeddc1caf7ca2b4321e6dfb9"),
+     "83da1da80de40d0229b480583a5dbcb971b2b80558d136f0afcf170c25043c3c"),
     (["john", "--mode", "float", "--sample", "disk", "--n", "300", "--dim", "3"], 0,
-     "4a3681da0b8ce584a5a2b678886fdbf1e7ce58b401a42edb6ef13f1652509847"),
+     "d01685b6a999d6141d8f4c9d180949e06f3cd2483fc63aa36d7e9aef2e4210ab"),
     (["mvs", "--local", "--sample", "square", "--n", "40", "--dim", "3"], 0,
-     "50133a873c0c298147c426cccd0893899d9963bdee1d2312cf90735b355de8d8"),
+     "00ad59b72c3448648b3c24c2312094eaa64ed184da8afce08d52daea8a3d8291"),
     (["dilation", "--input", "p.csv", "--simplex", "t.csv", "--sign", "negative"], 0,
-     "0ef11e3c1e118b20d768b34819893b7e061f2ca819db3f3415c26b5b4f2ebbb8"),
+     "a7c024035610f430678df8567c964f41370c8522cd7b29c292d3c30758faa22c"),
     (["dilation", "--mode", "float", "--input", "p.csv", "--simplex", "t.csv"], 0,
-     "fe6a32ffb1066e3e225d82a9d91d5d34075795a258cb3e65d19a19755c22c8c4"),
+     "6df1c1b4bd3a229bfdbfacc73e11e022e8c294e418753c163c484888c9c5b6e8"),
     (["counterexample", "--epsilon", "1/5", "--delta", "1/5"], 0,
-     "2bb17eaa6647c5873198a99050cab85c65884b9aa8d41b39a3ad0a0f7f3bf63c"),
+     "e01e71221ca251ea1f88a01dd549453ce7fd072d868ec2c592af14c1af9a0e6e"),
     (["counterexample", "--epsilon", "1/3", "--delta", "1/4"], 0,
-     "dc388f4922361687ed798273c487c615bea1e6ad011d22db5fe28c298b2a480a"),
+     "843f1263399240de506442ed5fb1320e4271e22b86f460f6aed05bee515faee1"),
     (["sweep", "--epsilons", "1/20,1/10", "--deltas", "1/20,1/5"], 0,
-     "40dd3529c5c4ee3070a7405ea02cded264079b929d783922ddffb07eda4ace7b"),
+     "bfd2deaeb14da60851e0cf913fb257c1fc67418f14c131d7a463ec0de5fa24a5"),
     (["random-trials", "--sample", "square", "--n", "8", "--dim", "2",
       "--trials", "3"], 0,
-     "c653d022bd0e377500221f1311e34a574f66e632a9edf3e2d2bc0d5abf2d880c"),
+     "a2d1b116dd4d55943df675d7384b7c47351e71633a5809d90c2b6e0c5e9e8a1d"),
     (["john", "--sample", "regular-simplex", "--n", "5", "--dim", "2"], 1,
-     "03bbeb95652a0e6318272b262d5bcabb2ef9d45dd93526a535057232aa2c607b"),
+     "7fcd91c7bb786bd69a032865684b1822f303db6b83068ba7cb4e82ec1b06a85f"),
     (["john", "--mode", "float", "--sample", "square", "--n", "12", "--dim", "3"], 0,
-     "a63ccc3652b9cf1a6dcd7ac4f16634c58768038a5f49785202cc81dd5b6ed2fc"),
+     "8defc93958bd4ef6a32676f5f8f0906dfd65c0d43ca695652d5b7a0dacca4577"),
     (["mvs", "--local", "--input", "col.csv"], 1,
-     "0e99207cb5321c6da15b08954b69bb830cbeddaf2863d05adf159481ca588e33"),
+     "60adc2e1b05f1dfa990dc239f535286c624af037d2c1167ed133a72a381e3cfb"),
     (["mvs", "--local", "--input", "same1.csv"], 1,
-     "67aac2dae63e8594b902c4e6af728b13344a4ee76735620a73672c72ca758d14"),
+     "0ce378552d9b86fa64652892f6f27edee623fa415b6f00e8b0f7f8654b175278"),
     (["dilation", "--input", "p.csv", "--simplex", "t3.csv"], 0,
-     "4b579966b960d501c8c718f8accf8d8f5402f6eecd43490d8f8b74b46cf735c1"),
+     "8a2f1d675278ff46a09e9db6509229fdb7f81e28113e0a1a7fefb6485c1e18e3"),
     (["mvs", "--local", "--input", "mixed.csv"], 0,
-     "e45fae25eb60a0146bab286e46bf603b362ae07d3f725960c9427240e9b34c36"),
+     "db64b9d1c799954dc7b31ddce30c12bf1594565c74775374940fa63860f0b603"),
 ]
+
+# The schema-1 digest of each case: ``report_v1`` of its schema-2 report
+# must hash to it, so every answer is the one pinned before schema 2.
+V1_DIGESTS = {
+    "john --sample square --n 12 --dim 2":
+        "42d7e57bc71cf3dac54c24ca0a0c252293d7b689b3193309743f294a0f4329ef",
+    "john --sample square --n 10 --dim 5":
+        "a777b9978c226d70befc82b9a11affec50ce17f4f02e3861be06f3a0135fb331",
+    "john --input dec.csv":
+        "11266f87ad66ad6b6a53136444ceeb38e4c7ffa24b648d99ca1c9b49c6d96290",
+    "mvs --sample square --n 10 --dim 7":
+        "ee5aab26c70151dcf92b7bc5a15a56e2c993bd853b45468086052072fdb48b65",
+    "mvs --mode float --sample square --n 10 --dim 7":
+        "2abff67a6519e09cca19a178e843eea19a81dc47eeddc1caf7ca2b4321e6dfb9",
+    "john --mode float --sample disk --n 300 --dim 3":
+        "4a3681da0b8ce584a5a2b678886fdbf1e7ce58b401a42edb6ef13f1652509847",
+    "mvs --local --sample square --n 40 --dim 3":
+        "50133a873c0c298147c426cccd0893899d9963bdee1d2312cf90735b355de8d8",
+    "dilation --input p.csv --simplex t.csv --sign negative":
+        "0ef11e3c1e118b20d768b34819893b7e061f2ca819db3f3415c26b5b4f2ebbb8",
+    "dilation --mode float --input p.csv --simplex t.csv":
+        "fe6a32ffb1066e3e225d82a9d91d5d34075795a258cb3e65d19a19755c22c8c4",
+    "counterexample --epsilon 1/5 --delta 1/5":
+        "2bb17eaa6647c5873198a99050cab85c65884b9aa8d41b39a3ad0a0f7f3bf63c",
+    "counterexample --epsilon 1/3 --delta 1/4":
+        "dc388f4922361687ed798273c487c615bea1e6ad011d22db5fe28c298b2a480a",
+    "sweep --epsilons 1/20,1/10 --deltas 1/20,1/5":
+        "40dd3529c5c4ee3070a7405ea02cded264079b929d783922ddffb07eda4ace7b",
+    "random-trials --sample square --n 8 --dim 2 --trials 3":
+        "c653d022bd0e377500221f1311e34a574f66e632a9edf3e2d2bc0d5abf2d880c",
+    "john --sample regular-simplex --n 5 --dim 2":
+        "03bbeb95652a0e6318272b262d5bcabb2ef9d45dd93526a535057232aa2c607b",
+    "john --mode float --sample square --n 12 --dim 3":
+        "a63ccc3652b9cf1a6dcd7ac4f16634c58768038a5f49785202cc81dd5b6ed2fc",
+    "mvs --local --input col.csv":
+        "0e99207cb5321c6da15b08954b69bb830cbeddaf2863d05adf159481ca588e33",
+    "mvs --local --input same1.csv":
+        "67aac2dae63e8594b902c4e6af728b13344a4ee76735620a73672c72ca758d14",
+    "dilation --input p.csv --simplex t3.csv":
+        "4b579966b960d501c8c718f8accf8d8f5402f6eecd43490d8f8b74b46cf735c1",
+    "mvs --local --input mixed.csv":
+        "e45fae25eb60a0146bab286e46bf603b362ae07d3f725960c9427240e9b34c36",
+}
+
+
+# Keys that schema 2 removed; "slab" is removed only beside "facet_slacks",
+# in the sandwich report, and stays in the local-maximality report.
+REMOVED_KEYS = {"dual", "status", "certificate_ok", "certificates_ok"}
+
+
+def _report(tmp_path, monkeypatch, argv):
+    """(exit code, report without timings, points each dilation covers)."""
+    monkeypatch.chdir(tmp_path)
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    cfg = parse_argv(argv)
+    code, report = run(cfg)
+    del report["timings"]
+    n = 0  # the report holds no dilation
+    if cfg.command == "counterexample":
+        n = 5
+    elif cfg.command in ("john", "dilation") and "result" in report:
+        n = len(_load_points(cfg))
+    return code, report, n
+
+
+def _digest(report) -> str:
+    return hashlib.sha256(dumps_report(report).encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize("argv, code, digest", CASES, ids=[" ".join(c[0]) for c in CASES])
 def test_report_is_pinned(tmp_path, monkeypatch, argv, code, digest):
-    monkeypatch.chdir(tmp_path)
-    for name, text in FILES.items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
-    got_code, report = run(parse_argv(argv))
-    del report["timings"]
-    got = hashlib.sha256(dumps_report(report).encode("utf-8")).hexdigest()
-    assert (got_code, got) == (code, digest)
+    got_code, report, n = _report(tmp_path, monkeypatch, argv)
+    assert (got_code, _digest(report)) == (code, digest)
+    assert report["schema_version"] == 2
+    assert _digest(report_v1(report, n)) == V1_DIGESTS[" ".join(argv)]
+
+
+def _keys(obj):
+    """Every (key, sibling keys) pair in a JSON tree."""
+    if isinstance(obj, list):
+        for v in obj:
+            yield from _keys(v)
+    elif isinstance(obj, dict):
+        for key, v in obj.items():
+            yield key, set(obj)
+            yield from _keys(v)
+
+
+def test_reports_hold_no_removed_field(tmp_path, monkeypatch):
+    one_per_command = {}
+    for argv, code, _ in CASES:
+        if code == 0:
+            one_per_command.setdefault(argv[0], argv)
+    one_per_command["render"] = [
+        "render", "--sample", "square", "--n", "8", "--dim", "2", "--output", "scene.svg"
+    ]
+    assert len(one_per_command) == 7
+    bindings = 0
+    for argv in one_per_command.values():
+        code, report, _ = _report(tmp_path, monkeypatch, argv)
+        assert code == 0
+        for key, siblings in _keys(report):
+            assert key not in REMOVED_KEYS, argv
+            assert not (key == "slab" and "facet_slacks" in siblings), argv
+            bindings += key == "binding"
+    # john's two dilations, dilation's one and the counterexample's ten
+    assert bindings == 13

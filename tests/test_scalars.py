@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import fraction_parse_scalar
+from simplexcover import scalars
 from simplexcover.scalars import (
     DEFAULT_FLOAT_TOL,
     ScalarMode,
@@ -105,12 +106,28 @@ def test_float_parse_matches_fraction_oracle(text):
 @pytest.mark.parametrize(
     "text",
     ["-0.0", "-0", "-1e-400", "1e400", "-1e400", "nan", "inf", "-Infinity",
-     "1_000.5", "\u0661\u0662", "0." + "1" * 5000, "1/3", "0x10", "12..5", ""],
+     "1_000.5", "\u0661\u0662", "0." + "1" * 5000, "1/3", "0x10", "12..5", "",
+     "1e-5000", "-0e99", "-0.0001e-400", "+0E5"],
 )
 def test_float_parse_edge_cases_match_fraction_oracle(text):
     assert _float_parse_outcome(parse_scalar, text) == _float_parse_outcome(
         fraction_parse_scalar, text
     )
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("1e-3000000", 0.0), ("-1e-3000000", -0.0), ("1e3000000", math.inf),
+     ("-1e3000000", -math.inf), ("-0e-3000000", 0.0)],
+)
+def test_float_parse_of_a_huge_exponent_builds_no_power_of_ten(monkeypatch, text, value):
+    # Fraction(text) would build 10**3000000; float mode must not need it.
+    def no_fraction(*args):
+        raise AssertionError("Fraction called")
+
+    monkeypatch.setattr(scalars, "Fraction", no_fraction)
+    x = parse_scalar(text, ScalarMode.FLOAT)
+    assert (x, math.copysign(1.0, x)) == (value, math.copysign(1.0, value))
 
 
 def test_scalar_to_str_forms():
