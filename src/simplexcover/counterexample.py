@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .covering import DilationResult, DilationSign, min_dilation
 from .errors import DegenerateSimplexError, InputFormatError
-from .geometry import PointSet, Simplex, simplex_volume
+from .geometry import PointSet, Simplex
 
 RationalLike = Union[int, str, Fraction]
 
@@ -97,13 +97,14 @@ def enumerate_triangles(x: PointSet) -> List[Simplex]:
     """
     if len(x) != 5 or x.dim != 2:
         raise ValueError("expected the five-point planar family")
+    p = x.array.tolist()  # the points times x.scale
     out = []
     for label in TRIANGLE_LABELS:
         idx = tuple(POINT_LABELS.index(ch) for ch in label)
-        tri = Simplex(2, tuple(x.points[i] for i in idx), idx)
-        if simplex_volume(tri) == 0:
+        (ax, ay), (bx, by), (cx, cy) = (p[i] for i in idx)
+        if (bx - ax) * (cy - ay) == (by - ay) * (cx - ax):  # zero cross product
             raise DegenerateSimplexError(f"triangle {label} is degenerate")
-        out.append(tri)
+        out.append(Simplex(2, tuple(x.points[i] for i in idx), idx))
     return out
 
 

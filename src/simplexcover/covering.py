@@ -1,6 +1,6 @@
 """Minimal dilation covers of a point set by translates of a simplex.
 
-``min_dilation`` answers, exactly in Fractions for rational input, the LP
+``min_dilation`` answers, exactly for rational input, the LP
 
     minimize lambda  over translates t and scale lambda
     subject to a_i . (x_j - t) <= lambda          (all facets i, points j)
@@ -16,14 +16,25 @@ zero, so summing the d+1 binding rows gives
 with every row tight at the unique translate z = -(1/(d+1)) sum_i
 (M_i - lambda)(v_i - c), and the dual y = 1/(d+1) on each facet's extreme
 row.  In barycentric coordinates beta this reads lambda+ = 1 - sum_i
-min_j beta_i and lambda- = sum_i max_j beta_i - 1.  The slab values come
-from ``slab_kernel``; the answer is not trusted on that algebra alone but
-re-checked by substitution, as a dual certificate (``check_certificate``)
-on the d+1 binding rows and by testing that every point is covered.  With
-the weight fixed at 1/(d+1), the indices of the binding points
-(``DilationResult.binding``) are the whole dual: that weight on row
-i * n + binding[i] of ``dilation_lp``, and 0 on every other row, certifies
-the full LP too.
+min_j beta_i and lambda- = sum_i max_j beta_i - 1.  The answer is not
+trusted on that algebra alone but re-checked by substitution, as a dual
+certificate (``check_certificate``) on the d+1 binding rows and by testing
+that every point is covered.  With the weight fixed at 1/(d+1), the
+indices of the binding points (``DilationResult.binding``) are the whole
+dual: that weight on row i * n + binding[i] of ``dilation_lp``, and 0 on
+every other row, certifies the full LP too.
+
+An exact kernel holds every slab value as an integer over one positive
+denominator, together with the integer vertices and inverse it came from.
+Exact ``min_dilation`` computes the closed form over the one denominator
+Q = (d+1)^3 D S, with D the kernel's denominator and S the scale of its
+integer vertices, and checks its certificate on an integer LP: the binding
+rows times D, the variables times Q and the objective (0, ..., 0,
+(d+1) D), all scalings positive, so that its point is the closed form's
+numerators and its dual is (1, ..., 1) (proof at ``_exact_dilation``).
+``check_certificate`` then runs at tolerance 0 on Python ints alone, and
+Fractions are built only for the reported values.  Float kernels take the
+same steps in floats, checked at the float tolerance.
 
 The two covering guarantees for a swap-locally-maximal simplex T follow
 from the slab property of its facet functionals:
@@ -36,6 +47,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
 from typing import List, Sequence, Tuple
 
@@ -64,6 +76,7 @@ from .mvs import (
     DEFAULT_ENUM_CAP,
     LocalMaximalityReport,
     MvsResult,
+    _local_maximality,
     mvs_exact,
     mvs_local_search,
     verify_local_maximality,
@@ -132,13 +145,19 @@ def dilation_lp(t: Simplex, x: PointSet, sign: DilationSign) -> LinearProgram:
 
 def min_dilation(t: Simplex, x: PointSet, sign: DilationSign) -> DilationResult:
     """Minimal lambda and translate covering x by a dilate of +/-t."""
-    k = slab_kernel(t, x)
-    d = t.dim
+    return _kernel_dilation(slab_kernel(t, x), sign)
+
+
+def _kernel_dilation(k: SlabKernel, sign: DilationSign) -> DilationResult:
+    """``min_dilation`` on a kernel that is already built."""
+    d = len(k.center)
     s = 1 if sign is DilationSign.POSITIVE else -1
     # The body's facet i has normal s * a_i, so its slab values are s * u_i.
     u = k.values if s == 1 else -k.values
     argmax = np.argmax(u, axis=1).tolist()  # first j on ties
     top = u[np.arange(d + 1), argmax].tolist()
+    if k.mode is ScalarMode.EXACT:
+        return _exact_dilation(k, sign, argmax, top)
     lam = k.scalar(sum(top), d + 1)
     w = [k.scalar(m) - lam for m in top]
     c = k.center
@@ -153,10 +172,7 @@ def min_dilation(t: Simplex, x: PointSet, sign: DilationSign) -> DilationResult:
     certificate = LPSolution(
         status=LPStatus.OPTIMAL, z=z + (lam,), value=lam, dual=(k.ratio(1, d + 1),) * (d + 1)
     )
-    if k.mode is ScalarMode.EXACT:
-        if not check_certificate(reduced, certificate, tol=0):
-            raise LPInternalError("closed-form dilation failed its dual certificate")
-    elif not check_certificate(reduced, certificate, tol=_FLOAT_CHECK_TOL):
+    if not check_certificate(reduced, certificate, tol=_FLOAT_CHECK_TOL):
         raise NumericalBreakdownError(
             "dilation certificate failed in float mode; rerun in exact mode"
         )
@@ -166,12 +182,10 @@ def min_dilation(t: Simplex, x: PointSet, sign: DilationSign) -> DilationResult:
     tol = default_tol(k.mode)
     for m, normal in zip(top, k.normals):
         if m > (lam + tol + s * dot(normal, z)) * k.den:
-            if k.mode is ScalarMode.FLOAT:
-                raise NumericalBreakdownError(
-                    "optimal dilation fails to contain its own input in float mode; "
-                    "rerun in exact mode"
-                )
-            raise LPInternalError("optimal dilation fails to contain its own input")
+            raise NumericalBreakdownError(
+                "optimal dilation fails to contain its own input in float mode; "
+                "rerun in exact mode"
+            )
 
     # (c + z) + lam (T - c) = (z + (1 - lam) c) + lam T, and with the
     # reflected body (c + z) - lam (T - c) = (z + (1 + lam) c) + lam (-T).
@@ -182,6 +196,78 @@ def min_dilation(t: Simplex, x: PointSet, sign: DilationSign) -> DilationResult:
         translate=vec_add(z, offset),
         binding=tuple(argmax),
         lp_translate=z,
+    )
+
+
+def _exact_dilation(
+    k: SlabKernel, sign: DilationSign, argmax: List[int], top: List[int]
+) -> DilationResult:
+    """The closed form and its checks on an exact kernel's integers.
+
+    Write n1 = d+1, S = ``k.scale``, V_i = ``k.int_vertices[i]`` = S v_i,
+    R_i = ``k.inverse[i]`` and D = ``k.den`` > 0, so that a_i = -n1 S
+    R_i[:d] / D, and let top_i = D M_i be the integer row maxima, with sum
+    T.  Over the one denominator Q = n1^3 D S the closed form reads
+
+        lambda = T / (n1 D) = Ln / Q,      Ln = T n1^2 S,
+        z_q = Zn_q / Q,      Zn_q = -s sum_i (n1 top_i - T) (n1 V_i[q] - sum_k V_k[q]).
+
+    The reduced LP P has rows (-s a_i, -1) . (z, lambda) <= -top_i / D,
+    objective lambda, point (z, lambda) and dual 1/n1 on every row.  Scale
+    each row by D > 0 and substitute (z, lambda) = (z', lambda') / Q with
+    Q > 0: the rows become (s n1 S R_i[:d], -D) . (z', lambda') <= -top_i Q,
+    with the same feasible points times Q.  Scale the objective lambda' / Q
+    by n1 D Q > 0 to (0, ..., 0, n1 D); the optimal points stay the same.
+    In this integer LP the point is (Zn, Ln), the value n1 D Ln and the dual
+    (1, ..., 1).  Each condition ``check_certificate`` tests on it is the
+    same condition on P at the closed form's Fractions, multiplied by a
+    positive integer: each row's slack by D Q, the dual by n1, y . G + c by
+    n1 D, and both c . z - value and y . h + value by n1 D Q.  So it holds
+    at tolerance 0 exactly when P's certificate holds.
+
+    Containment of facet i's row maximum, top_i / D <= lambda + s a_i . z,
+    is top_i Q <= D Ln + s (D a_i) . Zn after multiplying by D Q > 0.
+    Fractions are built only for the reported lam, translate and
+    lp_translate.
+    """
+    n1, S, D = len(top), k.scale, k.den
+    d = n1 - 1
+    s = 1 if sign is DilationSign.POSITIVE else -1
+    T = sum(top)
+    Q, Ln = n1**3 * D * S, T * n1 * n1 * S
+    sums = [sum(v[q] for v in k.int_vertices) for q in range(d)]
+    w = [n1 * m - T for m in top]
+    Zn = tuple(
+        -s * sum(wi * (n1 * v[q] - sums[q]) for wi, v in zip(w, k.int_vertices))
+        for q in range(d)
+    )
+
+    reduced = LinearProgram(
+        d + 1,
+        (0,) * d + (n1 * D,),
+        tuple(tuple(s * n1 * S * r for r in row[:d]) + (-D,) for row in k.inverse),
+        tuple(-m * Q for m in top),
+    )
+    certificate = LPSolution(
+        status=LPStatus.OPTIMAL, z=Zn + (Ln,), value=n1 * D * Ln, dual=(1,) * n1
+    )
+    if not check_certificate(reduced, certificate, tol=0):
+        raise LPInternalError("closed-form dilation failed its dual certificate")
+
+    for m, row in zip(top, k.inverse):
+        normal = tuple(-n1 * S * r for r in row[:d])  # D a_i
+        if m * Q > D * Ln + s * dot(normal, Zn):
+            raise LPInternalError("optimal dilation fails to contain its own input")
+
+    # translate = z + (1 - s lam) c, with c = sums / (n1 S).
+    return DilationResult(
+        lam=Fraction(T, n1 * D),
+        sign=sign,
+        translate=tuple(
+            Fraction(n1 * S * zq + (Q - s * Ln) * cq, n1 * S * Q) for zq, cq in zip(Zn, sums)
+        ),
+        binding=tuple(argmax),
+        lp_translate=tuple(Fraction(zq, Q) for zq in Zn),
     )
 
 
@@ -207,10 +293,11 @@ def john_positive_cover(
     tol = default_tol(x.mode)
     m = _auto_mvs(x, enum_cap, seed)
     t = m.simplex
-    sandwich = verify_sandwich(t, x, tol=tol)
+    k = slab_kernel(t, x)
+    sandwich = _sandwich(_local_maximality(k, t, x, tol), d)
     centered_ok = all(hi <= d + 2 + tol for _, hi in sandwich.local_maximality.slab)
-    negative = min_dilation(t, x, DilationSign.NEGATIVE)
-    positive = min_dilation(t, x, DilationSign.POSITIVE)
+    negative = _kernel_dilation(k, DilationSign.NEGATIVE)
+    positive = _kernel_dilation(k, DilationSign.POSITIVE)
     bounds_ok = negative.lam <= d + tol and positive.lam <= d + 2 + tol
     if m.method == "exact" and not (sandwich.ok and centered_ok and bounds_ok):
         checks = f"sandwich={sandwich.ok} centered={centered_ok} bounds={bounds_ok}"
@@ -238,7 +325,9 @@ def verify_sandwich(t: Simplex, x: PointSet, tol: Scalar = 0) -> SandwichReport:
     When t is not swap-locally maximal the report carries the offending
     swap instead of asserting anything about the covering chain.
     """
-    d = t.dim
-    lm = verify_local_maximality(t, x, tol=tol)
+    return _sandwich(verify_local_maximality(t, x, tol=tol), t.dim)
+
+
+def _sandwich(lm: LocalMaximalityReport, d: int) -> SandwichReport:
     slacks = [(lo - (-d), (d + 2) - hi) for lo, hi in lm.slab]
     return SandwichReport(ok=lm.ok, local_maximality=lm, facet_slacks=slacks)

@@ -236,6 +236,13 @@ class SlabKernel:
     else is plain Python: ``den``, ``vertices``, ``center`` and ``normals``
     (Fractions in exact mode, floats otherwise), and every value ``scalar``
     and ``slab`` return, so no numpy scalar reaches a report.
+
+    An exact kernel also keeps the integers it was computed from, so that
+    exact callers need no Fractions: ``int_vertices`` is ``vertices`` times
+    the positive int ``scale``, and ``inverse`` / ``den`` is the inverse of
+    the homogenized vertex matrix (column i is (int_vertices[i], 1)), so
+    ``values[i, j] = den - (d+1) (inverse[i] . (scale x_j, 1))``.  The three
+    are None in a float kernel.
     """
 
     mode: ScalarMode
@@ -244,6 +251,9 @@ class SlabKernel:
     vertices: Tuple[Point, ...]
     center: Point
     normals: Tuple[Point, ...]
+    scale: Optional[int] = None
+    int_vertices: Optional[Tuple[Tuple[int, ...], ...]] = None
+    inverse: Optional[Tuple[Tuple[int, ...], ...]] = None
 
     def ratio(self, num: Scalar, den: Scalar) -> Scalar:
         """num / den in this kernel's scalar family."""
@@ -295,6 +305,7 @@ def slab_kernel(t: Simplex, x: PointSet) -> SlabKernel:
     # a float value is bitwise the one the scalar formula gives.
     cols = np.array(inv, dtype=pts.dtype).T[:, :, None]  # column q of inv, shaped (d+1, 1)
     dots = linalg.combine(cols[:d], pts.T)
+    exact = mode is ScalarMode.EXACT
     return SlabKernel(
         mode=mode,
         den=det,
@@ -308,4 +319,7 @@ def slab_kernel(t: Simplex, x: PointSet) -> SlabKernel:
         normals=tuple(
             tuple(_ratio(mode, -(d + 1) * scale * r[q], det) for q in range(d)) for r in inv
         ),
+        scale=scale if exact else None,
+        int_vertices=tuple(map(tuple, verts)) if exact else None,
+        inverse=tuple(map(tuple, inv)) if exact else None,
     )

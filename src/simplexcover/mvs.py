@@ -402,7 +402,13 @@ def verify_local_maximality(
     rationals the floats denote, so rounding alone never fails it; that
     report carries the exact values rounded to float.
     """
-    k = slab_kernel(t, x)
+    return _local_maximality(slab_kernel(t, x), t, x, tol)
+
+
+def _local_maximality(
+    k: SlabKernel, t: Simplex, x: PointSet, tol: Scalar
+) -> LocalMaximalityReport:
+    """``verify_local_maximality`` on the kernel ``slab_kernel(t, x)``."""
     report = _slab_check(k, tol)
     if report.ok or k.mode is ScalarMode.EXACT:
         return report

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import enum
 import math
+import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -28,6 +30,18 @@ DEFAULT_FLOAT_TOL = 1e-9
 # Every nonzero limit that ``sys.set_int_max_str_digits`` accepts is at least
 # 640 digits, so ``Fraction`` never rejects a text this short for its length.
 _FLOAT_FAST_MAX_LEN = 640
+
+_DIGIT_RUN = re.compile(r"[0-9]+")
+
+
+def _within_int_str_limit(text: str) -> bool:
+    """True when no run of digits in ``text`` exceeds the interpreter's limit
+    on integer string conversion.  ``Fraction`` converts each of its digit
+    groups (integer part, fraction part, exponent, denominator) with ``int``,
+    and each group lies inside one run, so it cannot reject such a text for
+    its length."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return not limit or all(len(run) <= limit for run in _DIGIT_RUN.findall(text))
 
 
 class ScalarMode(enum.Enum):
@@ -82,15 +96,16 @@ def parse_scalar(text: str, mode: ScalarMode) -> Scalar:
     * the words 'nan', 'inf' and 'infinity', which are input errors;
     * text with an underscore (``Fraction`` rejects it on Python 3.10) or a
       non-ASCII character;
-    * text longer than ``_FLOAT_FAST_MAX_LEN``, whose digits may exceed the
-      interpreter's limit on integer string conversion.
+    * text with a run of digits past the interpreter's limit on integer
+      string conversion, which ``Fraction`` rejects.  Only texts longer than
+      ``_FLOAT_FAST_MAX_LEN`` are scanned for one; the scan builds no number.
     """
     text = text.strip()
     if (
         mode is ScalarMode.FLOAT
-        and len(text) <= _FLOAT_FAST_MAX_LEN
         and text.isascii()
         and "_" not in text
+        and (len(text) <= _FLOAT_FAST_MAX_LEN or _within_int_str_limit(text))
     ):
         try:
             x = float(text)

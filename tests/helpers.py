@@ -16,6 +16,8 @@ same value or error.  ``json_oracle`` is the ``json`` module's text of a
 report, which ``dumps_report`` must reproduce byte for byte.
 ``dense_dual`` expands a dilation's ``binding`` indices into the dual of
 the full LP, and ``report_v1`` maps a schema-2 report back to schema 1.
+``fraction_min_dilation`` is the dilation closed form in Fraction
+arithmetic, the oracle for exact ``min_dilation`` on the kernel's integers.
 """
 from __future__ import annotations
 
@@ -26,12 +28,16 @@ import random
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from simplexcover import linalg
-from simplexcover.covering import DilationResult, DilationSign
+from simplexcover.covering import DilationResult, DilationSign, _facet_rows
 from simplexcover.errors import (
     DegenerateSimplexError,
     DimensionMismatchError,
     InputFormatError,
+    LPInternalError,
+    NumericalBreakdownError,
     SingularMatrixError,
 )
 from simplexcover.geometry import (
@@ -51,8 +57,21 @@ from simplexcover.geometry import (
 )
 from simplexcover.linalg import det
 from simplexcover.linalg import solve as linear_solve
-from simplexcover.linprog import LinearProgram
-from simplexcover.scalars import Scalar, ScalarMode, infer_mode, is_exact_value, scalar_to_str
+from simplexcover.linprog import (
+    _FLOAT_CHECK_TOL,
+    LinearProgram,
+    LPSolution,
+    LPStatus,
+    check_certificate,
+)
+from simplexcover.scalars import (
+    Scalar,
+    ScalarMode,
+    default_tol,
+    infer_mode,
+    is_exact_value,
+    scalar_to_str,
+)
 from simplexcover.serialization import to_jsonable
 
 
@@ -186,6 +205,63 @@ def halfspace_dilation_lp(t: Simplex, x: PointSet, sign: DilationSign) -> Linear
             rhs.append(-sum(c * (pv - cv) for c, pv, cv in zip(a, p, h.center)))
     objective = (0,) * d + (1,)
     return LinearProgram(d + 1, objective, tuple(rows), tuple(rhs))
+
+
+def fraction_min_dilation(t: Simplex, x: PointSet, sign: DilationSign) -> DilationResult:
+    """``min_dilation``'s closed form in the kernel's scalars: Fractions in
+    exact mode.  Exact ``min_dilation`` runs on the kernel's integers and
+    must give the same result."""
+    k = slab_kernel(t, x)
+    d = t.dim
+    s = 1 if sign is DilationSign.POSITIVE else -1
+    # The body's facet i has normal s * a_i, so its slab values are s * u_i.
+    u = k.values if s == 1 else -k.values
+    argmax = np.argmax(u, axis=1).tolist()  # first j on ties
+    top = u[np.arange(d + 1), argmax].tolist()
+    lam = k.scalar(sum(top), d + 1)
+    w = [k.scalar(m) - lam for m in top]
+    c = k.center
+    # Offset of the covering body's centroid from c, so the covering body is
+    # (c + z) + lam * (body - c); every facet row is tight: s a_i . z = w_i.
+    z = tuple(
+        -s * sum(wi * (v[q] - c[q]) for wi, v in zip(w, k.vertices)) / (d + 1)
+        for q in range(d)
+    )
+
+    reduced = _facet_rows(k, s, [[j] for j in argmax])
+    certificate = LPSolution(
+        status=LPStatus.OPTIMAL, z=z + (lam,), value=lam, dual=(k.ratio(1, d + 1),) * (d + 1)
+    )
+    if k.mode is ScalarMode.EXACT:
+        if not check_certificate(reduced, certificate, tol=0):
+            raise LPInternalError("closed-form dilation failed its dual certificate")
+    elif not check_certificate(reduced, certificate, tol=_FLOAT_CHECK_TOL):
+        raise NumericalBreakdownError(
+            "dilation certificate failed in float mode; rerun in exact mode"
+        )
+
+    # Containment of every point: s u_ij / den - s a_i . z <= lam + tol,
+    # which holds for all j exactly when it holds for the row maximum.
+    tol = default_tol(k.mode)
+    for m, normal in zip(top, k.normals):
+        if m > (lam + tol + s * dot(normal, z)) * k.den:
+            if k.mode is ScalarMode.FLOAT:
+                raise NumericalBreakdownError(
+                    "optimal dilation fails to contain its own input in float mode; "
+                    "rerun in exact mode"
+                )
+            raise LPInternalError("optimal dilation fails to contain its own input")
+
+    # (c + z) + lam (T - c) = (z + (1 - lam) c) + lam T, and with the
+    # reflected body (c + z) - lam (T - c) = (z + (1 + lam) c) + lam (-T).
+    offset = vec_scale(c, 1 - lam if sign is DilationSign.POSITIVE else 1 + lam)
+    return DilationResult(
+        lam=lam,
+        sign=sign,
+        translate=vec_add(z, offset),
+        binding=tuple(argmax),
+        lp_translate=z,
+    )
 
 
 def dense_dual(res: DilationResult, n: int) -> Tuple[Scalar, ...]:

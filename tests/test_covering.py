@@ -36,6 +36,7 @@ from simplexcover import (
     verify_sandwich,
 )
 from simplexcover.errors import LPInternalError, NumericalBreakdownError
+from simplexcover.geometry import slab_kernel
 from simplexcover.mvs import MvsResult
 from simplexcover.serialization import parse_points_csv
 
@@ -326,6 +327,29 @@ def test_failed_containment_check(monkeypatch, mode, error):
         x = PointSet(2, [tuple(map(float, p)) for p in x.points])
     with pytest.raises(error, match="fails to contain its own input"):
         min_dilation(mvs_exact(x).simplex, x, DilationSign.POSITIVE)
+
+
+@pytest.mark.parametrize("mode", list(ScalarMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("d", [2, 3])
+def test_john_builds_one_kernel(monkeypatch, mode, d):
+    # The slab check and both dilations read one kernel of the final simplex.
+    import simplexcover.covering as covering
+    import simplexcover.mvs as mvs
+
+    calls = []
+
+    def counted(t, x):
+        calls.append(t)
+        return slab_kernel(t, x)
+
+    monkeypatch.setattr(covering, "slab_kernel", counted)
+    monkeypatch.setattr(mvs, "slab_kernel", counted)
+    x = rational_points(9, d, seed=4)
+    if mode is ScalarMode.FLOAT:
+        x = PointSet(d, [tuple(map(float, p)) for p in x.points])
+    rep = john_positive_cover(x)
+    assert rep.mvs.method == "exact" and rep.sandwich.ok
+    assert calls == [rep.mvs.simplex]
 
 
 @pytest.mark.parametrize("name", ["flat15", "flat69"])

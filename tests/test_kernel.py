@@ -16,8 +16,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from helpers import dense_dual, float_points, halfspace_dilation_lp, rational_points
+from helpers import (
+    dense_dual,
+    float_points,
+    fraction_min_dilation,
+    halfspace_dilation_lp,
+    rational_points,
+)
 from simplexcover import (
     DilationSign,
     LPSolution,
@@ -37,7 +44,8 @@ from simplexcover import (
     verify_local_maximality,
     verify_sandwich,
 )
-from simplexcover.errors import DegenerateSimplexError, SingularMatrixError
+from simplexcover.counterexample import CounterexampleConfig, build_points, enumerate_triangles
+from simplexcover.errors import DegenerateSimplexError, LPInternalError, SingularMatrixError
 from simplexcover.geometry import slab_kernel
 from simplexcover.linalg import det, scaled_inverse
 
@@ -111,6 +119,113 @@ def test_kernel_matches_halfspace_form(case):
         for j, p in enumerate(x.points):
             assert isinstance(k.values[i][j], int)
             assert k.scalar(k.values[i][j]) == h.value(i, p)
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_exact_kernel_keeps_its_integers(case):
+    t, x = random_instance(*case)
+    k = slab_kernel(t, x)
+    d, S, D = t.dim, k.scale, k.den
+    assert type(S) is int and S > 0
+    assert k.vertices == tuple(tuple(F(v, S) for v in p) for p in k.int_vertices)
+    # inverse / den inverts the homogenized vertex matrix ...
+    homog = [[v[q] for v in k.int_vertices] for q in range(d)] + [[1] * (d + 1)]
+    for i, r in enumerate(k.inverse):
+        assert all(type(v) is int for v in r)
+        assert [sum(r[q] * homog[q][j] for q in range(d + 1)) for j in range(d + 1)] == [
+            D * (i == j) for j in range(d + 1)
+        ]
+        # ... and gives every slab value.
+        for j, p in enumerate(x.points):
+            scaled = [v * S for v in p] + [1]
+            assert k.values[i][j] == D - (d + 1) * sum(a * b for a, b in zip(r, scaled))
+    kf = slab_kernel(*floats(t, x))
+    assert (kf.scale, kf.int_vertices, kf.inverse) == (None, None, None)
+
+
+def assert_matches_fraction_closed_form(t: Simplex, x: PointSet):
+    for sign in DilationSign:
+        got, want = min_dilation(t, x, sign), fraction_min_dilation(t, x, sign)
+        assert (got.lam, got.translate, got.binding, got.lp_translate) == (
+            want.lam, want.translate, want.binding, want.lp_translate)
+        assert all(type(v) is Fraction for v in (got.lam,) + got.translate + got.lp_translate)
+
+
+def _nondegenerate(d, verts):
+    t = Simplex(d, tuple(verts))
+    assume(simplex_volume(t) != 0)
+    return t
+
+
+@st.composite
+def tied_instances(draw):
+    """d = 1..5 on a 5-value grid, with repeated points, so that row maxima tie."""
+    d = draw(st.integers(1, 5))
+    coord = st.builds(F, st.integers(-2, 2))
+    point = st.tuples(*[coord] * d)
+    t = _nondegenerate(d, draw(st.lists(point, min_size=d + 1, max_size=d + 1)))
+    pts = draw(st.lists(point, min_size=1, max_size=d + 4))
+    return t, PointSet(d, pts + pts[: draw(st.integers(0, len(pts)))])
+
+
+# Distinct primes near 10^6, 10^9 and 10^18: the common denominator of a
+# point set drawn over them is their product.
+PRIMES = (999983, 1000003, 1000000007, 1000000009, 10**18 + 3, 10**18 + 9)
+
+
+@st.composite
+def coprime_instances(draw):
+    d = draw(st.integers(1, 5))
+    coord = st.sampled_from(PRIMES).flatmap(
+        lambda q: st.builds(F, st.integers(-3 * q, 3 * q), st.just(q))
+    )
+    point = st.tuples(*[coord] * d)
+    t = _nondegenerate(d, draw(st.lists(point, min_size=d + 1, max_size=d + 1)))
+    return t, PointSet(d, draw(st.lists(point, min_size=1, max_size=d + 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tied_instances())
+def test_exact_dilation_matches_fraction_closed_form_on_ties(instance):
+    assert_matches_fraction_closed_form(*instance)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coprime_instances())
+def test_exact_dilation_matches_fraction_closed_form_on_coprime_denominators(instance):
+    assert_matches_fraction_closed_form(*instance)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(3, 10**6).flatmap(
+    lambda q: st.tuples(st.integers(1, q - 1), st.integers(1, q - 1), st.just(q))))
+def test_exact_dilation_matches_fraction_closed_form_on_the_counterexample(pqr):
+    p, r, q = pqr
+    x = build_points(CounterexampleConfig(F(p, q), F(r, q)))
+    try:
+        triangles = enumerate_triangles(x)
+    except DegenerateSimplexError:
+        assume(False)
+    for t in triangles:
+        assert_matches_fraction_closed_form(t, x)
+
+
+@pytest.mark.parametrize("row", [0, -1], ids=["first-row", "last-row"])
+@pytest.mark.parametrize("sign", list(DilationSign), ids=lambda s: s.value)
+def test_tampered_kernel_integers_fail_the_integer_certificate(monkeypatch, row, sign):
+    # One entry of the integer inverse off by one breaks y . G = -c.
+    import simplexcover.covering as covering
+
+    def tampered(t, x):
+        k = slab_kernel(t, x)
+        inverse = [list(r) for r in k.inverse]
+        inverse[row][0] += 1
+        return dataclasses.replace(k, inverse=tuple(map(tuple, inverse)))
+
+    monkeypatch.setattr(covering, "slab_kernel", tampered)
+    t, x = random_instance(2, 0, "grid")
+    with pytest.raises(LPInternalError, match="closed-form dilation failed its dual certificate"):
+        min_dilation(t, x, sign)
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)

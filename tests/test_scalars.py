@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -128,6 +129,37 @@ def test_float_parse_of_a_huge_exponent_builds_no_power_of_ten(monkeypatch, text
     monkeypatch.setattr(scalars, "Fraction", no_fraction)
     x = parse_scalar(text, ScalarMode.FLOAT)
     assert (x, math.copysign(1.0, x)) == (value, math.copysign(1.0, value))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0." + "2" * 1000, "1" * 4300 + ".5", "0." + "0" * 4301 + "1e5", "1e" + "1" * 5000],
+    ids=["1000-digit-fraction", "4300-digit-integer-part", "4302-digit-fraction",
+         "5000-digit-exponent"],
+)
+def test_long_float_texts_match_fraction_oracle(text):
+    # Past _FLOAT_FAST_MAX_LEN: a text whose digit runs are within the
+    # interpreter's limit reads as float does, the others keep Fraction's error.
+    assert _float_parse_outcome(parse_scalar, text) == _float_parse_outcome(
+        fraction_parse_scalar, text
+    )
+
+
+# Longer than _FLOAT_FAST_MAX_LEN, with every digit run within the
+# interpreter's limit on integer string conversion.
+LONG_HUGE_EXPONENTS = [("0." + "0" * 700 + "1e-3000000", 0.0), ("1" * 700 + "e3000000", math.inf)]
+
+
+@pytest.mark.parametrize("text, value", LONG_HUGE_EXPONENTS, ids=["underflow", "overflow"])
+def test_long_float_text_with_a_huge_exponent_is_fast(monkeypatch, text, value):
+    def no_fraction(*args):
+        raise AssertionError("Fraction called")
+
+    monkeypatch.setattr(scalars, "Fraction", no_fraction)
+    start = time.perf_counter()
+    x = parse_scalar(text, ScalarMode.FLOAT)
+    assert time.perf_counter() - start < 0.05
+    assert (x, math.copysign(1.0, x)) == (value, 1.0)
 
 
 def test_scalar_to_str_forms():
