@@ -5,11 +5,11 @@
     minimize lambda  over translates t and scale lambda
     subject to a_i . (x_j - t) <= lambda          (all facets i, points j)
 
-where (a_i) are the facet normals of the covering simplex from
-``slab_kernel``; the NEGATIVE body is its reflection through the centroid,
-whose normals are -a_i.  The LP has a closed form.  Only the largest value
-M_i = max_j a_i . (x_j - c) of each facet can bind, and the normals sum to
-zero, so summing the d+1 binding rows gives
+where (a_i) are the facet normals of the covering simplex; the NEGATIVE
+body is its reflection through the centroid, whose normals are -a_i.  The
+LP has a closed form.  Only the largest value M_i = max_j a_i . (x_j - c)
+of each facet can bind, and the normals sum to zero, so summing the d+1
+binding rows gives
 
     lambda = (M_0 + ... + M_d) / (d+1),
 
@@ -24,14 +24,16 @@ indices of the binding points (``DilationResult.binding``) are the whole
 dual: that weight on row i * n + binding[i] of ``dilation_lp``, and 0 on
 every other row, certifies the full LP too.
 
-An exact kernel holds every slab value as an integer over one positive
-denominator, together with the integer vertices and inverse it came from.
-Exact ``min_dilation`` computes the closed form over the one denominator
-Q = (d+1)^3 D S, with D the kernel's denominator and S the scale of its
-integer vertices, and checks its certificate on an integer LP: the binding
-rows times D, the variables times Q and the objective (0, ..., 0,
-(d+1) D), all scalings positive, so that its point is the closed form's
-numerators and its dual is (1, ..., 1) (proof at ``_exact_dilation``).
+Every dilation is read from ``slab_kernel``: the slab values over one
+positive denominator D, and the vertices times S and the inverse times D
+that they came from, Python ints in exact mode.  ``_frame`` derives the
+centroid and the normals from those for the float path and for
+``dilation_lp``; the exact path needs neither.  Exact ``min_dilation``
+computes the closed form over the one denominator Q = (d+1)^3 D S and
+checks its certificate on an integer LP: the binding rows times D, the
+variables times Q and the objective (0, ..., 0, (d+1) D), all scalings
+positive, so that its point is the closed form's numerators and its dual
+is (1, ..., 1) (proof at ``_exact_dilation``).
 ``check_certificate`` then runs at tolerance 0 on Python ints alone, and
 Fractions are built only for the reported values.  Float kernels take the
 same steps in floats, checked at the float tolerance.
@@ -126,12 +128,26 @@ class CoverReport:
     bounds_ok: bool  # lambda+ <= d+2 and lambda- <= d
 
 
-def _facet_rows(k: SlabKernel, s: int, cols: Sequence[Sequence[int]]) -> LinearProgram:
+def _frame(k: SlabKernel) -> Tuple[Point, Tuple[Point, ...]]:
+    """The centroid c = sum_i V_i / ((d+1) S) and the normals a_i of the
+    kernel's simplex: u_i(x) = 1 - (d+1) R_i . (S x, 1) / D has the
+    gradient a_i = -(d+1) S R_i[:d] / D."""
+    d, S = len(k.inverse) - 1, k.scale
+    center = tuple(k.ratio(sum(v[q] for v in k.scaled_vertices), (d + 1) * S) for q in range(d))
+    normals = tuple(
+        tuple(k.ratio(-(d + 1) * S * r[q], k.den) for q in range(d)) for r in k.inverse
+    )
+    return center, normals
+
+
+def _facet_rows(
+    k: SlabKernel, normals: Sequence[Point], s: int, cols: Sequence[Sequence[int]]
+) -> LinearProgram:
     """The dilation LP for the body with normals s a_i: facet-major rows
     (-s a_i, -1) . (z, lambda) <= -s u_ij for the points j in ``cols[i]``."""
-    d = len(k.center)
+    d = len(normals) - 1
     rows, rhs = [], []
-    for normal, vals, js in zip(k.normals, k.values, cols):
+    for normal, vals, js in zip(normals, k.values, cols):
         rows += [tuple(-s * a for a in normal) + (-1,)] * len(js)
         rhs += [k.scalar(-s * vals[j]) for j in js]
     return LinearProgram(d + 1, (0,) * d + (1,), tuple(rows), tuple(rhs))
@@ -140,7 +156,8 @@ def _facet_rows(k: SlabKernel, s: int, cols: Sequence[Sequence[int]]) -> LinearP
 def dilation_lp(t: Simplex, x: PointSet, sign: DilationSign) -> LinearProgram:
     """The full (d+1)*n row LP over variables (t_1..t_d, lambda)."""
     s = 1 if sign is DilationSign.POSITIVE else -1
-    return _facet_rows(slab_kernel(t, x), s, [range(len(x))] * (t.dim + 1))
+    k = slab_kernel(t, x)
+    return _facet_rows(k, _frame(k)[1], s, [range(len(x))] * (t.dim + 1))
 
 
 def min_dilation(t: Simplex, x: PointSet, sign: DilationSign) -> DilationResult:
@@ -150,7 +167,7 @@ def min_dilation(t: Simplex, x: PointSet, sign: DilationSign) -> DilationResult:
 
 def _kernel_dilation(k: SlabKernel, sign: DilationSign) -> DilationResult:
     """``min_dilation`` on a kernel that is already built."""
-    d = len(k.center)
+    d = k.values.shape[0] - 1
     s = 1 if sign is DilationSign.POSITIVE else -1
     # The body's facet i has normal s * a_i, so its slab values are s * u_i.
     u = k.values if s == 1 else -k.values
@@ -160,15 +177,16 @@ def _kernel_dilation(k: SlabKernel, sign: DilationSign) -> DilationResult:
         return _exact_dilation(k, sign, argmax, top)
     lam = k.scalar(sum(top), d + 1)
     w = [k.scalar(m) - lam for m in top]
-    c = k.center
+    c, normals = _frame(k)
     # Offset of the covering body's centroid from c, so the covering body is
     # (c + z) + lam * (body - c); every facet row is tight: s a_i . z = w_i.
+    # A float kernel's scale is 1, so its scaled vertices are the vertices.
     z = tuple(
-        -s * sum(wi * (v[q] - c[q]) for wi, v in zip(w, k.vertices)) / (d + 1)
+        -s * sum(wi * (v[q] - c[q]) for wi, v in zip(w, k.scaled_vertices)) / (d + 1)
         for q in range(d)
     )
 
-    reduced = _facet_rows(k, s, [[j] for j in argmax])
+    reduced = _facet_rows(k, normals, s, [[j] for j in argmax])
     certificate = LPSolution(
         status=LPStatus.OPTIMAL, z=z + (lam,), value=lam, dual=(k.ratio(1, d + 1),) * (d + 1)
     )
@@ -180,7 +198,7 @@ def _kernel_dilation(k: SlabKernel, sign: DilationSign) -> DilationResult:
     # Containment of every point: s u_ij / den - s a_i . z <= lam + tol,
     # which holds for all j exactly when it holds for the row maximum.
     tol = default_tol(k.mode)
-    for m, normal in zip(top, k.normals):
+    for m, normal in zip(top, normals):
         if m > (lam + tol + s * dot(normal, z)) * k.den:
             raise NumericalBreakdownError(
                 "optimal dilation fails to contain its own input in float mode; "
@@ -204,7 +222,7 @@ def _exact_dilation(
 ) -> DilationResult:
     """The closed form and its checks on an exact kernel's integers.
 
-    Write n1 = d+1, S = ``k.scale``, V_i = ``k.int_vertices[i]`` = S v_i,
+    Write n1 = d+1, S = ``k.scale``, V_i = ``k.scaled_vertices[i]`` = S v_i,
     R_i = ``k.inverse[i]`` and D = ``k.den`` > 0, so that a_i = -n1 S
     R_i[:d] / D, and let top_i = D M_i be the integer row maxima, with sum
     T.  Over the one denominator Q = n1^3 D S the closed form reads
@@ -235,10 +253,10 @@ def _exact_dilation(
     s = 1 if sign is DilationSign.POSITIVE else -1
     T = sum(top)
     Q, Ln = n1**3 * D * S, T * n1 * n1 * S
-    sums = [sum(v[q] for v in k.int_vertices) for q in range(d)]
+    sums = [sum(v[q] for v in k.scaled_vertices) for q in range(d)]
     w = [n1 * m - T for m in top]
     Zn = tuple(
-        -s * sum(wi * (n1 * v[q] - sums[q]) for wi, v in zip(w, k.int_vertices))
+        -s * sum(wi * (n1 * v[q] - sums[q]) for wi, v in zip(w, k.scaled_vertices))
         for q in range(d)
     )
 

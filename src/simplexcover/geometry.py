@@ -15,7 +15,8 @@ Conventions used throughout:
 * In barycentric coordinates beta (with respect to S) the same functional
   is a_i . (x - center) = 1 - (d+1) beta_i(x).  ``slab_kernel`` evaluates it
   for a whole point set from one inversion of the homogenized vertex
-  matrix; the slab, maximality and dilation computations all read it.
+  matrix, and keeps that inverse rather than the center and normals; the
+  slab, maximality and dilation computations all read it.
   ``halfspace_form`` derives the same normals by solves; only tests call it.
 """
 from __future__ import annotations
@@ -218,50 +219,39 @@ def dilate_about_center(s: Simplex, lam: Scalar) -> Simplex:
     return Simplex(s.dim, tuple(verts), None)
 
 
-def _ratio(mode: ScalarMode, num: Scalar, den: Scalar) -> Scalar:
-    if mode is ScalarMode.EXACT:
-        return Fraction(int(num), int(den))
-    return float(num) / float(den)
-
-
 @dataclass(frozen=True)
 class SlabKernel:
     """Slab values of a point set against a simplex, over one denominator.
 
     ``values`` is a (d+1, n) numpy array, one row per facet and one column
     per point: ``values[i, j] / den`` is u_ij = a_i . (x_j - center) = 1 -
-    (d+1) beta_i(x_j), with a_i as in ``HalfspaceForm``.  The input's scalars
-    set ``mode``: exact input gives object dtype Python ints over a positive
-    int ``den``; float input gives float64 over a float ``den``.  Everything
-    else is plain Python: ``den``, ``vertices``, ``center`` and ``normals``
-    (Fractions in exact mode, floats otherwise), and every value ``scalar``
-    and ``slab`` return, so no numpy scalar reaches a report.
-
-    An exact kernel also keeps the integers it was computed from, so that
-    exact callers need no Fractions: ``int_vertices`` is ``vertices`` times
-    the positive int ``scale``, and ``inverse`` / ``den`` is the inverse of
-    the homogenized vertex matrix (column i is (int_vertices[i], 1)), so
-    ``values[i, j] = den - (d+1) (inverse[i] . (scale x_j, 1))``.  The three
-    are None in a float kernel.
+    (d+1) beta_i(x_j), with a_i as in ``HalfspaceForm``.  ``scaled_vertices``
+    is the vertices times ``scale``, and ``inverse`` / ``den`` inverts the
+    homogenized vertex matrix (column i is (scaled_vertices[i], 1)), so
+    ``values[i, j] = den - (d+1) (inverse[i] . (scale x_j, 1))``.  Exact
+    input (``mode``) makes all of them Python ints, ``values`` of object
+    dtype, with ``scale`` and ``den`` positive.  Float input makes them
+    floats, ``values`` float64, with ``scale`` 1.0, so the scaled vertices
+    are the vertices.  ``scalar`` and ``slab`` return plain Python scalars,
+    so no numpy scalar reaches a report.
     """
 
     mode: ScalarMode
     den: Scalar
     values: np.ndarray
-    vertices: Tuple[Point, ...]
-    center: Point
-    normals: Tuple[Point, ...]
-    scale: Optional[int] = None
-    int_vertices: Optional[Tuple[Tuple[int, ...], ...]] = None
-    inverse: Optional[Tuple[Tuple[int, ...], ...]] = None
+    scale: Scalar
+    scaled_vertices: Tuple[Tuple[Scalar, ...], ...]
+    inverse: Tuple[Tuple[Scalar, ...], ...]
 
     def ratio(self, num: Scalar, den: Scalar) -> Scalar:
         """num / den in this kernel's scalar family."""
-        return _ratio(self.mode, num, den)
+        if self.mode is ScalarMode.EXACT:
+            return Fraction(int(num), int(den))
+        return float(num) / float(den)
 
     def scalar(self, num: Scalar, scale: Scalar = 1) -> Scalar:
         """The value of a numerator over ``scale * den``."""
-        return _ratio(self.mode, num, scale * self.den)
+        return self.ratio(num, scale * self.den)
 
     def slab(self) -> List[Tuple[Scalar, Scalar]]:
         """Per-facet (min, max) of u over the points."""
@@ -305,21 +295,11 @@ def slab_kernel(t: Simplex, x: PointSet) -> SlabKernel:
     # a float value is bitwise the one the scalar formula gives.
     cols = np.array(inv, dtype=pts.dtype).T[:, :, None]  # column q of inv, shaped (d+1, 1)
     dots = linalg.combine(cols[:d], pts.T)
-    exact = mode is ScalarMode.EXACT
     return SlabKernel(
         mode=mode,
         den=det,
         values=det - (d + 1) * (dots + cols[d]),
-        vertices=tuple(tuple(_ratio(mode, v, scale) for v in vert) for vert in verts),
-        center=tuple(
-            _ratio(mode, sum(v[q] for v in verts), (d + 1) * scale) for q in range(d)
-        ),
-        # u_i(x) = 1 - (d+1) beta_i(x): a_i is -(d+1) times row i of A^-1
-        # without its last entry, undoing the integer scaling.
-        normals=tuple(
-            tuple(_ratio(mode, -(d + 1) * scale * r[q], det) for q in range(d)) for r in inv
-        ),
-        scale=scale if exact else None,
-        int_vertices=tuple(map(tuple, verts)) if exact else None,
-        inverse=tuple(map(tuple, inv)) if exact else None,
+        scale=scale,
+        scaled_vertices=tuple(map(tuple, verts)),
+        inverse=tuple(map(tuple, inv)),
     )

@@ -1,26 +1,25 @@
-"""Self-contained dense LP solver for inequality-form programs.
+"""Certificate checks, and a dense reference solver, for inequality-form LPs.
 
     minimize    c . z
     subject to  G z <= h        (z free)
 
-Two-phase primal simplex on the standard-form tableau.  Free variables are
-split as z = u - w with u, w >= 0, every row gets a slack, and rows with
-negative right-hand side get a phase-1 artificial.  Bland's anti-cycling
-rule (smallest eligible column; ratio ties broken by smallest basic column)
-makes termination unconditional in exact arithmetic.
+The runtime uses only ``check_certificate``: every dilation is a closed
+form, re-checked by substitution against dual multipliers y >= 0 with
+y.G = -c and y.h = -value.  ``solve_lp`` is the tests' reference solver.
+Nothing at runtime calls it; it stays in the package because the
+benchmark's span tracer looks it up by name (ROADMAP.md, item 2).
 
-Exact mode runs entirely in Fractions and certifies its answers:
-
-* Optimal solutions carry dual multipliers y >= 0 with  y.G = -c  and
-  y.h = -value, re-checkable by substitution (``check_certificate``).
-* Infeasible outcomes carry a Farkas vector y >= 0 with y.G = 0, y.h < 0.
-* Unbounded outcomes carry a feasible point plus a ray r with G r <= 0 and
-  c . r < 0.
-
-Float mode uses the same pivoting with magnitude guards, and every float
-status must additionally survive its own certificate at a loose tolerance;
-anything that fails surfaces as NUMERICAL_BREAKDOWN rather than a silently
-wrong answer.
+``solve_lp`` is a two-phase primal simplex on the standard-form tableau.
+Free variables are split as z = u - w with u, w >= 0, every row gets a
+slack, and rows with negative right-hand side get a phase-1 artificial.
+Bland's anti-cycling rule (smallest eligible column; ratio ties broken by
+smallest basic column) makes termination unconditional in exact
+arithmetic.  Exact mode runs in Fractions, and every outcome carries a
+certificate: dual multipliers for OPTIMAL, a Farkas vector y >= 0 with
+y.G = 0 and y.h < 0 for INFEASIBLE (``check_farkas``), a feasible point
+and a ray r with G r <= 0 and c . r < 0 for UNBOUNDED.  Float mode pivots
+with magnitude guards, and a float status that fails its own certificate
+at a loose tolerance becomes NUMERICAL_BREAKDOWN.
 """
 from __future__ import annotations
 

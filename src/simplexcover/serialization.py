@@ -153,11 +153,13 @@ def parse_points_json(text: str, mode: ScalarMode) -> PointSet:
         raise InputFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict) or "dim" not in data or "points" not in data:
         raise InputFormatError('expected an object with "dim" and "points"')
-    dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    dim, points = data["dim"], data["points"]
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise InputFormatError('"dim" must be a positive integer')
+    if not isinstance(points, list):
+        raise InputFormatError('"points" must be a list of points')
     pts = []
-    for i, row in enumerate(data["points"]):
+    for i, row in enumerate(points):
         if not isinstance(row, list) or len(row) != dim:
             raise InputFormatError(f"point {i}: expected {dim} coordinates")
         coords = []

@@ -210,8 +210,10 @@ def halfspace_dilation_lp(t: Simplex, x: PointSet, sign: DilationSign) -> Linear
 def fraction_min_dilation(t: Simplex, x: PointSet, sign: DilationSign) -> DilationResult:
     """``min_dilation``'s closed form in the kernel's scalars: Fractions in
     exact mode.  Exact ``min_dilation`` runs on the kernel's integers and
-    must give the same result."""
+    must give the same result.  The slab values come from the kernel; the
+    centroid, normals and vertices come from ``t`` itself."""
     k = slab_kernel(t, x)
+    h = halfspace_form(t)
     d = t.dim
     s = 1 if sign is DilationSign.POSITIVE else -1
     # The body's facet i has normal s * a_i, so its slab values are s * u_i.
@@ -220,15 +222,15 @@ def fraction_min_dilation(t: Simplex, x: PointSet, sign: DilationSign) -> Dilati
     top = u[np.arange(d + 1), argmax].tolist()
     lam = k.scalar(sum(top), d + 1)
     w = [k.scalar(m) - lam for m in top]
-    c = k.center
+    c = centroid(t)
     # Offset of the covering body's centroid from c, so the covering body is
     # (c + z) + lam * (body - c); every facet row is tight: s a_i . z = w_i.
     z = tuple(
-        -s * sum(wi * (v[q] - c[q]) for wi, v in zip(w, k.vertices)) / (d + 1)
+        -s * sum(wi * (v[q] - c[q]) for wi, v in zip(w, t.vertices)) / (d + 1)
         for q in range(d)
     )
 
-    reduced = _facet_rows(k, s, [[j] for j in argmax])
+    reduced = _facet_rows(k, h.normals, s, [[j] for j in argmax])
     certificate = LPSolution(
         status=LPStatus.OPTIMAL, z=z + (lam,), value=lam, dual=(k.ratio(1, d + 1),) * (d + 1)
     )
@@ -243,7 +245,7 @@ def fraction_min_dilation(t: Simplex, x: PointSet, sign: DilationSign) -> Dilati
     # Containment of every point: s u_ij / den - s a_i . z <= lam + tol,
     # which holds for all j exactly when it holds for the row maximum.
     tol = default_tol(k.mode)
-    for m, normal in zip(top, k.normals):
+    for m, normal in zip(top, h.normals):
         if m > (lam + tol + s * dot(normal, z)) * k.den:
             if k.mode is ScalarMode.FLOAT:
                 raise NumericalBreakdownError(

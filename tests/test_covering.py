@@ -352,6 +352,38 @@ def test_john_builds_one_kernel(monkeypatch, mode, d):
     assert calls == [rep.mvs.simplex]
 
 
+@pytest.mark.parametrize(
+    "argv,frames",
+    [
+        (["john", "--sample", "square", "--n", "12", "--dim", "2"], 0),  # enumeration
+        (["john", "--sample", "square", "--n", "300", "--dim", "3"], 0),  # local search
+        (["counterexample", "--epsilon", "1/3", "--delta", "1/4"], 0),
+        (["john", "--mode", "float", "--sample", "square", "--n", "12", "--dim", "2"], 2),
+    ],
+    ids=["exact-john", "exact-local-john", "counterexample", "float-john"],
+)
+def test_only_float_dilations_derive_the_frame(monkeypatch, argv, frames):
+    # Exact dilations run on the kernel's integers; each float dilation
+    # derives the centroid and normals once.
+    import simplexcover.cli as cli
+    import simplexcover.covering as covering
+
+    calls = []
+
+    def counted(k):
+        calls.append(k.mode)
+        return frame(k)
+
+    frame = covering._frame
+    monkeypatch.setattr(covering, "_frame", counted)
+    code, _ = cli.run(cli.parse_argv(argv))
+    assert code == 0
+    assert len(calls) == frames and set(calls) <= {ScalarMode.FLOAT}
+    t = make_simplex([(F(0), F(0)), (F(1), F(0)), (F(0), F(1))])
+    dilation_lp(t, PointSet(2, [(F(2), F(3))]), DilationSign.NEGATIVE)
+    assert calls[frames:] == [ScalarMode.EXACT]
+
+
 @pytest.mark.parametrize("name", ["flat15", "flat69"])
 def test_near_flat_float_rounding_is_a_breakdown(name):
     # flat15 fails the containment check, flat69 the bounds check.

@@ -45,6 +45,7 @@ from simplexcover import (
     verify_sandwich,
 )
 from simplexcover.counterexample import CounterexampleConfig, build_points, enumerate_triangles
+from simplexcover.covering import _frame
 from simplexcover.errors import DegenerateSimplexError, LPInternalError, SingularMatrixError
 from simplexcover.geometry import slab_kernel
 from simplexcover.linalg import det, scaled_inverse
@@ -113,8 +114,7 @@ def test_kernel_matches_halfspace_form(case):
     k = slab_kernel(t, x)
     h = halfspace_form(t)
     assert k.mode is ScalarMode.EXACT and isinstance(k.den, int) and k.den > 0
-    assert k.center == centroid(t)
-    assert k.normals == h.normals
+    assert _frame(k) == (centroid(t), h.normals)
     for i in range(t.dim + 1):
         for j, p in enumerate(x.points):
             assert isinstance(k.values[i][j], int)
@@ -127,9 +127,9 @@ def test_exact_kernel_keeps_its_integers(case):
     k = slab_kernel(t, x)
     d, S, D = t.dim, k.scale, k.den
     assert type(S) is int and S > 0
-    assert k.vertices == tuple(tuple(F(v, S) for v in p) for p in k.int_vertices)
+    assert tuple(tuple(F(v, S) for v in p) for p in k.scaled_vertices) == t.vertices
     # inverse / den inverts the homogenized vertex matrix ...
-    homog = [[v[q] for v in k.int_vertices] for q in range(d)] + [[1] * (d + 1)]
+    homog = [[v[q] for v in k.scaled_vertices] for q in range(d)] + [[1] * (d + 1)]
     for i, r in enumerate(k.inverse):
         assert all(type(v) is int for v in r)
         assert [sum(r[q] * homog[q][j] for q in range(d + 1)) for j in range(d + 1)] == [
@@ -139,8 +139,15 @@ def test_exact_kernel_keeps_its_integers(case):
         for j, p in enumerate(x.points):
             scaled = [v * S for v in p] + [1]
             assert k.values[i][j] == D - (d + 1) * sum(a * b for a, b in zip(r, scaled))
-    kf = slab_kernel(*floats(t, x))
-    assert (kf.scale, kf.int_vertices, kf.inverse) == (None, None, None)
+    # A float kernel holds the same form in floats, at scale 1.0.
+    tf, xf = floats(t, x)
+    kf = slab_kernel(tf, xf)
+    assert type(kf.scale) is float and kf.scale == 1.0
+    assert kf.scaled_vertices == tf.vertices
+    assert all(type(v) is float for p in kf.scaled_vertices for v in p)
+    den, inverse = float_inverse(tf)
+    assert (kf.den, kf.inverse) == (den, inverse)
+    assert all(type(v) is float for r in kf.inverse for v in r)
 
 
 def assert_matches_fraction_closed_form(t: Simplex, x: PointSet):
@@ -316,13 +323,20 @@ def test_float_mode_matches_exact(case):
         assert abs(fhi - float(hi)) <= 1e-9 * max(1.0, abs(float(hi)))
 
 
-def scalar_slab_values(t: Simplex, x: PointSet):
-    """Float slab numerators one entry at a time: (den, rows)."""
+def float_inverse(t: Simplex):
+    """(den, inverse) of t's float homogenized vertex matrix, den > 0."""
     d = t.dim
     verts = [[float(v) for v in p] for p in t.vertices]
     inv, den = scaled_inverse([[v[q] for v in verts] for q in range(d)] + [[1.0] * (d + 1)])
     if den < 0:
         inv, den = [[-v for v in r] for r in inv], -den
+    return den, tuple(map(tuple, inv))
+
+
+def scalar_slab_values(t: Simplex, x: PointSet):
+    """Float slab numerators one entry at a time: (den, rows)."""
+    d = t.dim
+    den, inv = float_inverse(t)
     rows = []
     for r in inv:
         row = []
@@ -355,8 +369,25 @@ def test_exact_points_against_a_float_simplex_are_rounded_once(case):
     assert mixed.mode is ScalarMode.FLOAT and mixed.values.dtype == np.float64
     assert mixed.values.tobytes() == plain.values.tobytes()
     assert type(mixed.den) is float and mixed.den == plain.den
-    assert (mixed.vertices, mixed.center, mixed.normals) == (
-        plain.vertices, plain.center, plain.normals)
+    assert (mixed.scale, mixed.scaled_vertices, mixed.inverse) == (
+        plain.scale, plain.scaled_vertices, plain.inverse)
+    assert _frame(mixed) == _frame(plain)
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_float_frame_is_the_eager_formula_bitwise(case):
+    # The centroid and normals a float kernel once stored, computed as it
+    # computed them: the vertices' sums over (d+1) * 1.0, and -(d+1) * 1.0
+    # times each inverse row over den, all as float(num) / float(den).
+    t, x = floats(*random_instance(*case))
+    d = t.dim
+    den, inv = float_inverse(t)
+    verts = [[float(v) for v in p] for p in t.vertices]
+    center = [float(sum(v[q] for v in verts)) / float((d + 1) * 1.0) for q in range(d)]
+    normals = [[float(-(d + 1) * 1.0 * r[q]) / float(den) for q in range(d)] for r in inv]
+    got_center, got_normals = _frame(slab_kernel(t, x))
+    assert [v.hex() for v in got_center] == [v.hex() for v in center]
+    assert [[v.hex() for v in a] for a in got_normals] == [[v.hex() for v in a] for a in normals]
 
 
 def _leaves(obj):

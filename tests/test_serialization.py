@@ -177,6 +177,9 @@ def test_json_float_literals_survive_exact_mode():
     [
         ("[1,2]", '"dim" and "points"'),
         ('{"dim": 0, "points": []}', "positive integer"),
+        ('{"dim": true, "points": [[0], [1], [2]]}', "positive integer"),
+        ('{"dim": 2, "points": 5}', '"points" must be a list'),
+        ('{"dim": 2, "points": null}', '"points" must be a list'),
         ('{"dim": 2, "points": [[1]]}', "point 0"),
         ('{"dim": 1, "points": [[true]]}', "unsupported entry"),
         ('{"dim": 1, "points": [["x"]]}', "point 0"),
