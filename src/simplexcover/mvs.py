@@ -2,19 +2,10 @@
 
 Two entry points:
 
-* ``mvs_exact``: exhaustive enumeration of all C(n, d+1) vertex subsets.
-  Rational input arrives as integers over one denominator (the point
-  set's ``array``).  For d <= 7 the enumeration walks the d-subsets
-  (facets) in lexicographic order, in numpy chunks: each facet's cofactor
-  vector, the signed (d-1)-minors of its difference rows, scores every
-  later point with one dot product.  The walk runs on int64 when an
-  a-priori bound (``_int64_safe``) proves that no intermediate overflows,
-  and on object-dtype Python ints otherwise, so both stay exact.  Float
-  input with d <= 6 reads its subsets from the same chunked generator and
-  takes one float64 d x d determinant per subset.  Only d > 7 (exact) and
-  d > 6 (float) take one determinant at a time in pure Python:
-  big-integer Bareiss, or pivoted elimination for float input.
-  Ties are broken toward the lexicographically smallest sorted index tuple.
+* ``mvs_exact``: exhaustive enumeration of all C(n, d+1) vertex subsets, ties
+  to the lexicographically smallest index tuple: exact d <= 7 by one float64
+  walk, exact by bound or by filter; float d <= 6 by float64 determinants;
+  exact d > 7 by Bareiss, float d > 6 by pivoted elimination, one at a time.
 
 * ``mvs_local_search``: a greedy seed, then single-vertex swaps until none
   helps.  The rows of the point set's ``array``, in a seeded shuffled
@@ -39,31 +30,20 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb, factorial
+from functools import lru_cache
+from math import comb, factorial, nextafter
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import linalg
-from .errors import (
-    DegeneratePointSetError,
-    EnumerationCapError,
-    NumericalBreakdownError,
-    SingularMatrixError,
-)
-from .geometry import (
-    PointSet,
-    Simplex,
-    SlabKernel,
-    dot,
-    simplex_volume,
-    slab_kernel,
-)
+from .errors import DegeneratePointSetError, EnumerationCapError, NumericalBreakdownError
+from .errors import SingularMatrixError
+from .geometry import PointSet, Simplex, SlabKernel, dot, simplex_volume, slab_kernel
 from .scalars import Scalar, ScalarMode
 
 DEFAULT_ENUM_CAP = 2_000_000
 _CHUNK = 65_536
-_INT64_SAFE = 1 << 62
 _PAIR_BLOCK = 32  # rows per block of the farthest-pair scan
 _NOT_SPANNING = "points do not affinely span the ambient space"
 
@@ -125,36 +105,6 @@ def _batch_dets(D):
     return acc
 
 
-def _minor_bound(k: int, a: int) -> int:
-    """Bound on every intermediate of ``_batch_dets`` on k x k entries <= a."""
-    if k <= 3:
-        return (1, a, 2 * a * a, 6 * a ** 3)[k]
-    r = k // 2
-    return comb(k, r) * _minor_bound(r, a) * _minor_bound(k - r, a)
-
-
-def _int64_safe(d: int, max_abs_coord: int) -> bool:
-    """True when every intermediate of ``_cofactor_scores`` fits int64.
-
-    Proof.  Let A = ``max_abs_coord``.  Every entry of a difference row
-    p_fi - p_f0 is at most 2A in absolute value.  ``_minor`` on k <= 3 rows
-    of entries at most a keeps every intermediate within 1, a, 2a^2, 6a^3
-    (for k = 3: each 2 x 2 bracket is at most 2a^2, each of its three
-    products at most 2a^3).  ``_batch_dets`` on k = 4..6 rows adds
-    C(k, r) products of an r- and a (k - r)-minor, r = k // 2, so every
-    partial sum stays within B_k = C(k, r) B_r B_{k-r}.  A cofactor is a
-    (d-1)-minor of the difference rows, so |c_F| <= M = B_{d-1}(2A)
-    entrywise.  The dot products c_F . p_j and c_F . p_f0 add d products
-    of at most M A each, so each of their partial sums, in any order, is
-    at most d M A, and their difference at most 2 d M A.  For A >= 1 that
-    last bound is the largest of all, so requiring it below 2^62 proves
-    the int64 path exact.  d > 7 has no batched cofactors.
-    """
-    if d > 7:
-        return False
-    return 2 * d * _minor_bound(d - 1, 2 * max_abs_coord) * max_abs_coord < _INT64_SAFE
-
-
 def _subsets(n: int, k: int, size: int):
     """The k-subsets of range(n) in lexicographic order, in chunks of at most
     ``size``: (k, m) intp arrays whose columns are the subsets.
@@ -176,62 +126,124 @@ def _subsets(n: int, k: int, size: int):
         yield out
 
 
-def _cofactor_scores(Pt: np.ndarray, F: np.ndarray):
-    """Score each facet F[:, i] with every later point j, F[-1, i] < j < n.
+@lru_cache(maxsize=8)
+def _prefixes(n: int, d: int):
+    """Levels 0 .. d-1 of the prefixes f0 < ... < fk <= n - 1 - d + k of the
+    (d+1)-subsets of range(n), in lexicographic order: parent, fk, f0, and the
+    Laplace terms (C[t], index of C - C[t]) over the k-subsets C, t < k."""
+    levels = [(None, np.arange(n - d), np.arange(n - d), None)]
+    for k in range(1, d):
+        last, f0 = levels[-1][1:3]
+        count = n - 1 - d + k - last
+        parent = np.repeat(np.arange(len(last)), count)
+        last = np.arange(len(parent)) - np.repeat(np.cumsum(count) - count - last - 1, count)
+        sub = {c: i for i, c in enumerate(itertools.combinations(range(d), k - 1))}
+        comps = list(itertools.combinations(range(d), k))
+        terms = [(np.array([c[t] for c in comps]), np.array([sub[c[:t] + c[t + 1:]] for c in comps]))
+                 for t in range(k)]
+        levels.append((parent, last, f0[parent], terms))
+    return levels
 
-    Pt holds the n points coordinate-major.  The cofactor vector c_F of a
-    facet F = (f0, ..., f_{d-1}) holds the signed (d-1)-minors of its
-    difference rows p_fi - p_f0, so the simplex F + (j,) costs one dot
-    product: |c_F . p_j - c_F . p_f0| = |det| of its difference rows.
-    Returns the scores and, for each, its facet column f and point j, in
-    (facet, point) row-major order.
+
+@lru_cache(maxsize=None)
+def _rounding_bound(d: int) -> float:
+    """A bound e on |S - s| for every score S of ``_exact_walk``, rounded up.
+
+    Proof.  With u = 2^-53 and eta = 2^-1075 a rounded sum is off by at most
+    u |sum|, a rounded product by u |product| + eta, underflow included.
+    Inputs x in [0, 1) become floats in [0, 1] off by u + eta, so a row
+    entry fl(X_b - X_a) is off by ed = 3 u + 2 eta; both are at most 1.  Level
+    k sums k products of a row entry (at level d a point, ed = u + eta) and a
+    (k-1)-minor (<= a = (k-1)!, off by err), each off by p = u (1 + ed)(a +
+    err) + eta + (1 + ed) err + a ed; summed in any order, fused or not, they
+    are off by k p + gamma_{k-1} k (a + p), gamma_j = j u / (1 - j u).  A
+    score subtracts two level-d dot products, each at most d!.
     """
-    d, n = Pt.shape
-    count = n - 1 - F[-1]
-    # Pair p belongs to facet f[p]; counted from that facet's first pair,
-    # it is the point F[-1, f[p]] + 1 + (p - first).
-    f = np.repeat(np.arange(F.shape[1]), count)
-    j = np.arange(len(f)) + np.repeat(F[-1] + 1 + count - np.cumsum(count), count)
-    E = [[Pc[F[i]] - Pc[F[0]] for Pc in Pt] for i in range(1, d)]
-    if d == 1:
-        C = [np.ones(F.shape[1], dtype=Pt.dtype)]
-    else:
-        C = [(-1) ** c * _batch_dets([row[:c] + row[c + 1:] for row in E]) for c in range(d)]
-    base = linalg.combine(C, [Pc[F[0]] for Pc in Pt])
-    vals = np.abs(linalg.combine([Cc[f] for Cc in C], [Pc[j] for Pc in Pt]) - base[f])
-    return vals, f, j
+    u, eta, a, err = Fraction(1, 2**53), Fraction(1, 2**1075), 1, 0
+    for k in range(1, d + 1):
+        ed = 3 * u + 2 * eta if k < d else u + eta
+        p = u * (1 + ed) * (a + err) + eta + (1 + ed) * err + a * ed
+        err, a = k * p + (k - 1) * u / (1 - (k - 1) * u) * k * (a + p), a * k
+    return nextafter(float(2 * err + 2 * u * (a + err)), float("inf"))
+
+
+def _exact_walk(P: np.ndarray, n: int, d: int) -> Tuple[Tuple[int, ...], int]:
+    """``_best_subset_numpy`` on integer rows, d <= 7: one float64 walk.
+
+    Rows are translated by their column minima and scaled into [0, 1) by
+    ``int / 2**s``.  Prefixes get minors of p_fi - p_f0 from their parents';
+    facet cofactors c score j as |c . p_j - c . p_f0|, ``_CHUNK`` // n facets
+    at a time.  On [0, r] with d! r^d < 2^53 every step is exact (e = 0);
+    else the subsets within 2e of the maximum are rescored exactly.
+    """
+    Q = P - P.min(axis=0)
+    r = int(Q.max())
+    X = (Q.T / (1 << r.bit_length())).astype(np.float64)
+    e = 0.0 if factorial(d) * r ** d < 2**53 else _rounding_bound(d)
+    Xd = (X[:, None] - X[:, :, None]).reshape(d, -1) if d > 1 else X  # p_b - p_a at [:, a n + b]
+    levels = _prefixes(n, d)
+    _, last, f0, _ = levels[-1]
+
+    def minors(k, lo, hi):  # of the level-k prefixes lo .. hi - 1
+        if k == 0:
+            return np.ones((1, hi - lo))
+        parent, last, f0, terms = levels[k]
+        p = parent[lo:hi]
+        G = minors(k - 1, p[0], p[-1] + 1)[:, p - p[0]]
+        D = np.take(Xd, f0[lo:hi] * n + last[lo:hi], axis=1)
+        for t, (col, idx) in enumerate(terms):
+            term = D[col]
+            term *= G[idx]
+            V = term if t == 0 else (np.subtract if t % 2 else np.add)(V, term, out=V)
+        return V
+
+    # Score: sum_q (-1)^q V[d-1-q] (p_j - p_f0)[q]; X carries signs and order.
+    X = X[::-1] * np.where(np.arange(d) % 2, -1.0, 1.0)[::-1, None]
+    step, best, kept = max(1, _CHUNK // n), -1.0, []
+    for a in range(0, len(last), step):
+        S = minors(d - 1, a, min(a + step, len(last))).T @ X
+        S -= S[np.arange(len(S)), f0[a:a + step], None]
+        np.abs(S, out=S)
+        i = int(S.argmax())
+        best = max(best, S.flat[i])
+        thr = best if e == 0 else np.nextafter(best - 2 * e, -np.inf)  # <= best - 2e
+        if S.flat[i] >= thr:
+            pos = np.flatnonzero(S >= thr) if e else np.array([i])
+            pos = pos[pos % n > last[pos // n + a]]  # else j repeats or reorders
+            kept.append((S.flat[pos], pos // n + a, pos % n))
+    if best == 0 == e:  # every subset is flat
+        return tuple(range(d + 1)), 0
+    score, rows, j = (np.concatenate(z) for z in zip(*kept))
+    cols, rows = [j[score >= thr]], rows[score >= thr]
+    for parent, lst, _, _ in levels[:0:-1]:
+        cols.append(lst[rows])
+        rows = parent[rows]
+    cands = map(tuple, np.array([rows] + cols[::-1]).T.tolist())
+    return _first_max(P.tolist(), cands, linalg.int_det_bareiss)
 
 
 def _best_subset_numpy(P: np.ndarray, n: int, d: int) -> Tuple[Tuple[int, ...], object]:
-    """The first maximum |det| over the (d+1)-subsets in lexicographic order.
-
-    Integer rows (int64 or object-dtype Python ints, d <= 7) are walked
-    facet by facet with ``_cofactor_scores``, max(1, ``_CHUNK`` // n)
-    facets at a time, so a chunk scores fewer than max(``_CHUNK``, n)
-    (facet, point) pairs; their row-major order is the lexicographic order
-    of the subsets.  Float rows (d <= 6) take one full
-    d x d determinant per subset.  Returns the index tuple and the value as
-    a Python int or float.
-    """
-    exact = P.dtype != np.float64
+    """The first maximum |det| over the (d+1)-subsets, lexicographic, and its tuple."""
+    if P.dtype != np.float64:
+        return _exact_walk(P, n, d)
     Pt = np.ascontiguousarray(P.T)
     best_val = best_combo = None
-    if exact:  # a facet needs a later point, so it lies in range(n - 1)
-        chunks = _subsets(n - 1, d, max(1, _CHUNK // n))
-    else:
-        chunks = _subsets(n, d + 1, _CHUNK)
-    for S in chunks:
-        if exact:
-            vals, f, j = _cofactor_scores(Pt, S)
-        else:
-            vals = np.abs(_batch_dets([[Pc[S[r]] - Pc[S[0]] for Pc in Pt] for r in range(1, d + 1)]))
+    for S in _subsets(n, d + 1, _CHUNK):
+        vals = np.abs(_batch_dets([[Pc[S[r]] - Pc[S[0]] for Pc in Pt] for r in range(1, d + 1)]))
         pos = int(np.argmax(vals))  # first maximum in chunk order
         if best_val is None or vals.item(pos) > best_val:
-            best_val = vals.item(pos)
-            if exact:
-                best_combo = (*S[:, f[pos]].tolist(), int(j[pos]))
-            else:
-                best_combo = tuple(S[:, pos].tolist())
+            best_val, best_combo = vals.item(pos), tuple(S[:, pos].tolist())
+    return best_combo, best_val
+
+
+def _first_max(P: Sequence[Sequence[Scalar]], combos, det):
+    """The first of ``combos`` with the largest |det| of its difference rows."""
+    best_val, best_combo = -1, None
+    for combo in combos:
+        base = P[combo[0]]
+        val = abs(det([[P[i][k] - base[k] for k in range(len(base))] for i in combo[1:]]))
+        if val > best_val:
+            best_val, best_combo = val, combo
     return best_combo, best_val
 
 
@@ -239,16 +251,7 @@ def _best_subset_python(P: Sequence[Sequence[Scalar]], n: int, d: int):
     """Subset enumeration one determinant at a time: big-integer Bareiss on
     int rows, pivoted elimination (``linalg.det``) on float rows."""
     det = linalg.det if isinstance(P[0][0], float) else linalg.int_det_bareiss
-    best_val = -1
-    best_combo = None
-    for combo in itertools.combinations(range(n), d + 1):
-        base = P[combo[0]]
-        rows = [[P[i][k] - base[k] for k in range(d)] for i in combo[1:]]
-        val = abs(det(rows))
-        if val > best_val:
-            best_val = val
-            best_combo = combo
-    return best_combo, best_val
+    return _first_max(P, itertools.combinations(range(n), d + 1), det)
 
 
 def mvs_exact(x: PointSet, *, enum_cap: int = DEFAULT_ENUM_CAP) -> MvsResult:
@@ -263,10 +266,7 @@ def mvs_exact(x: PointSet, *, enum_cap: int = DEFAULT_ENUM_CAP) -> MvsResult:
         )
     exact = x.mode is ScalarMode.EXACT
     if d <= (7 if exact else 6):
-        P = x.array
-        if exact and _int64_safe(d, max(map(abs, P.flat))):
-            P = P.astype(np.int64)
-        combo, best_val = _best_subset_numpy(P, n, d)
+        combo, best_val = _best_subset_numpy(x.array, n, d)
     else:
         combo, best_val = _best_subset_python(x.array.tolist(), n, d)
     # A float subset that repeats a point scores rounding noise, not 0.

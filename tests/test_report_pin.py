@@ -3,8 +3,9 @@
 Each case runs ``cli.run(parse_argv(argv))`` in a fresh directory with
 relative file names, drops the ``timings`` block and compares the sha256 of
 the serialized report with a recorded value.  Together the cases reach every
-enumeration path of ``mvs_exact`` (int64, big-integer, float64 for d <= 6,
-and both d > 6 paths), local search in both modes, both dilation signs, a
+enumeration path of ``mvs_exact`` (the exact float64 walk, both without and
+with its rounding filter; float64 determinants for d <= 6; and both d > 6
+paths), local search in both modes, both dilation signs, a
 float dilation, the counterexample on both sides of feasibility, the sweep,
 random trials, an input-error report from exact enumeration, local
 search's spanning error in dimensions 2 and 1, a dilation whose simplex
@@ -27,7 +28,8 @@ from simplexcover.cli import _load_points, parse_argv, run
 from simplexcover.serialization import dumps_report
 
 FILES = {
-    # 6-digit decimals: the common denominator 10^6 fails the int64 guard.
+    # 6-digit decimals: their integers span ~2 * 10^6, so the exact walk
+    # takes its rounding filter.
     "dec.csv": (
         "-0.527904,-0.793668,-0.207884\n"
         "-0.690055,-0.866970,-0.196818\n"
