@@ -303,9 +303,9 @@ def john_positive_cover(
     Exact input is checked at zero tolerance, float input at the float
     tolerance.  A local-search simplex that fails a check is reported as it
     is.  An enumerated simplex that fails one raises
-    ``TheoremViolationError`` for exact input; for float input the
-    enumeration's rounding is to blame, and it raises
-    ``NumericalBreakdownError``.
+    ``TheoremViolationError`` for exact input.  Float input is enumerated
+    exactly on the binary rationals it denotes, so there the float slab
+    kernel's rounding is to blame, and it raises ``NumericalBreakdownError``.
     """
     d = x.dim
     tol = default_tol(x.mode)

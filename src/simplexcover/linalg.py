@@ -133,9 +133,11 @@ def scaled_inverse(rows: Sequence[Sequence[Scalar]]) -> Tuple[List[List[Scalar]]
 
 
 def clear_denominators(points: Sequence[Sequence[Scalar]]) -> Tuple[List[List[int]], int]:
-    """Integer rows and the positive scale s with row * s = ints, for ints and Fractions."""
-    scale = lcm(*(x.denominator for p in points for x in p))
-    return [[x.numerator * (scale // x.denominator) for x in p] for p in points], scale
+    """Integer rows and the positive scale s with row * s = ints, for ints,
+    Fractions and floats alike (a float is the binary rational it denotes)."""
+    ratios = [[x.as_integer_ratio() for x in p] for p in points]
+    scale = lcm(*(q for r in ratios for _, q in r))
+    return [[a * (scale // q) for a, q in r] for r in ratios], scale
 
 
 def int_det_bareiss(rows: Sequence[Sequence[int]]) -> int:

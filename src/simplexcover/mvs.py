@@ -3,9 +3,9 @@
 Two entry points:
 
 * ``mvs_exact``: exhaustive enumeration of all C(n, d+1) vertex subsets, ties
-  to the lexicographically smallest index tuple: exact d <= 7 by one float64
-  walk, exact by bound or by filter; float d <= 6 by float64 determinants;
-  exact d > 7 by Bareiss, float d > 6 by pivoted elimination, one at a time.
+  to the lexicographically smallest index tuple.  Float input is enumerated
+  exactly on its binary rationals, by the same route: d <= 7 by one float64
+  walk, exact by bound or by filter; d > 7 by Bareiss, one subset at a time.
 
 * ``mvs_local_search``: a greedy seed, then single-vertex swaps until none
   helps.  The rows of the point set's ``array``, in a seeded shuffled
@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, nextafter
+from math import comb, factorial, inf, nextafter
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,77 +66,27 @@ class LocalMaximalityReport:
 
 
 # ---------------------------------------------------------------------------
-# batched determinants
+# subset enumeration
 # ---------------------------------------------------------------------------
-
-def _minor(D, rows: Sequence[int], cols: Sequence[int]):
-    """k x k determinant (k <= 3) of given rows/cols; D[r][c] is a batch."""
-    k = len(rows)
-    if k == 1:
-        return D[rows[0]][cols[0]]
-    if k == 2:
-        (r0, r1), (c0, c1) = rows, cols
-        return D[r0][c0] * D[r1][c1] - D[r0][c1] * D[r1][c0]
-    (r0, r1, r2), (c0, c1, c2) = rows, cols
-    return (
-        D[r0][c0] * (D[r1][c1] * D[r2][c2] - D[r1][c2] * D[r2][c1])
-        - D[r0][c1] * (D[r1][c0] * D[r2][c2] - D[r1][c2] * D[r2][c0])
-        + D[r0][c2] * (D[r1][c0] * D[r2][c1] - D[r1][c1] * D[r2][c0])
-    )
-
-
-def _batch_dets(D):
-    """Determinants of a batch of d x d matrices, 1 <= d <= 6, via Laplace
-    row splits.  D[r][c] holds entry (r, c) of every matrix: a (d, d, N)
-    array or nested lists of N-vectors, so each product runs over
-    contiguous memory."""
-    d = len(D)
-    if d <= 3:
-        return _minor(D, tuple(range(d)), tuple(range(d)))
-    r = d // 2
-    top_rows = tuple(range(r))
-    bot_rows = tuple(range(r, d))
-    acc = None
-    for cols in itertools.combinations(range(d), r):
-        comp = tuple(c for c in range(d) if c not in cols)
-        sign = -1 if (sum(cols) + r * (r - 1) // 2) % 2 else 1
-        term = _minor(D, top_rows, cols) * _minor(D, bot_rows, comp)
-        acc = sign * term if acc is None else acc + sign * term
-    return acc
-
-
-def _subsets(n: int, k: int, size: int):
-    """The k-subsets of range(n) in lexicographic order, in chunks of at most
-    ``size``: (k, m) intp arrays whose columns are the subsets.
-
-    Each subset is unranked on its own.  With q = C(n, k) - rank, counted
-    from the end, the next element is n - y for the least y with
-    C(y, t) >= q, where t elements remain to be chosen, and q then drops by
-    C(y - 1, t).
-    """
-    total = comb(n, k)
-    binom = [np.array([comb(y, t) for y in range(n + 1)], dtype=np.int64) for t in range(k + 1)]
-    for start in range(0, total, size):
-        q = total - np.arange(start, min(start + size, total), dtype=np.int64)
-        out = np.empty((k, len(q)), dtype=np.intp)
-        for p, t in enumerate(range(k, 0, -1)):
-            y = np.searchsorted(binom[t], q)
-            out[p] = n - y
-            q -= binom[t][y - 1]
-        yield out
-
 
 @lru_cache(maxsize=8)
 def _prefixes(n: int, d: int):
     """Levels 0 .. d-1 of the prefixes f0 < ... < fk <= n - 1 - d + k of the
     (d+1)-subsets of range(n), in lexicographic order: parent, fk, f0, and the
-    Laplace terms (C[t], index of C - C[t]) over the k-subsets C, t < k."""
-    levels = [(None, np.arange(n - d), np.arange(n - d), None)]
+    Laplace terms (C[t], index of C - C[t]) over the k-subsets C, t < k.
+
+    Indices are int32.  Entries are below n or a level's size, at most
+    C(n - 1, d) <= C(n, d+1), and row indices f0 * n + last below n^2: the
+    default cap gives n <= 2,000, so f0 * n + last < 4 * 10^6 cannot
+    overflow.  Overflow would first need 2^30 prefixes (12 GiB of indices).
+    """
+    levels = [(None, np.arange(n - d, dtype=np.int32), np.arange(n - d, dtype=np.int32), None)]
     for k in range(1, d):
         last, f0 = levels[-1][1:3]
         count = n - 1 - d + k - last
-        parent = np.repeat(np.arange(len(last)), count)
-        last = np.arange(len(parent)) - np.repeat(np.cumsum(count) - count - last - 1, count)
+        parent = np.repeat(np.arange(len(last), dtype=np.int32), count)
+        skip = (np.cumsum(count) - count - last - 1).astype(np.int32)
+        last = np.arange(len(parent), dtype=np.int32) - np.repeat(skip, count)
         sub = {c: i for i, c in enumerate(itertools.combinations(range(d), k - 1))}
         comps = list(itertools.combinations(range(d), k))
         terms = [(np.array([c[t] for c in comps]), np.array([sub[c[:t] + c[t + 1:]] for c in comps]))
@@ -147,7 +97,7 @@ def _prefixes(n: int, d: int):
 
 @lru_cache(maxsize=None)
 def _rounding_bound(d: int) -> float:
-    """A bound e on |S - s| for every score S of ``_exact_walk``, rounded up.
+    """A bound e on |S - s| for every score S of ``_best_subset_numpy``, rounded up.
 
     Proof.  With u = 2^-53 and eta = 2^-1075 a rounded sum is off by at most
     u |sum|, a rounded product by u |product| + eta, underflow included.
@@ -167,8 +117,9 @@ def _rounding_bound(d: int) -> float:
     return nextafter(float(2 * err + 2 * u * (a + err)), float("inf"))
 
 
-def _exact_walk(P: np.ndarray, n: int, d: int) -> Tuple[Tuple[int, ...], int]:
-    """``_best_subset_numpy`` on integer rows, d <= 7: one float64 walk.
+def _best_subset_numpy(P: np.ndarray, n: int, d: int) -> Tuple[Tuple[int, ...], int]:
+    """The first maximum |det| over the (d+1)-subsets of the integer rows P,
+    lexicographic, and its tuple, for d <= 7: one float64 walk.
 
     Rows are translated by their column minima and scaled into [0, 1) by
     ``int / 2**s``.  Prefixes get minors of p_fi - p_f0 from their parents';
@@ -219,43 +170,29 @@ def _exact_walk(P: np.ndarray, n: int, d: int) -> Tuple[Tuple[int, ...], int]:
         cols.append(lst[rows])
         rows = parent[rows]
     cands = map(tuple, np.array([rows] + cols[::-1]).T.tolist())
-    return _first_max(P.tolist(), cands, linalg.int_det_bareiss)
+    return _first_max(P.tolist(), cands)
 
 
-def _best_subset_numpy(P: np.ndarray, n: int, d: int) -> Tuple[Tuple[int, ...], object]:
-    """The first maximum |det| over the (d+1)-subsets, lexicographic, and its tuple."""
-    if P.dtype != np.float64:
-        return _exact_walk(P, n, d)
-    Pt = np.ascontiguousarray(P.T)
-    best_val = best_combo = None
-    for S in _subsets(n, d + 1, _CHUNK):
-        vals = np.abs(_batch_dets([[Pc[S[r]] - Pc[S[0]] for Pc in Pt] for r in range(1, d + 1)]))
-        pos = int(np.argmax(vals))  # first maximum in chunk order
-        if best_val is None or vals.item(pos) > best_val:
-            best_val, best_combo = vals.item(pos), tuple(S[:, pos].tolist())
-    return best_combo, best_val
-
-
-def _first_max(P: Sequence[Sequence[Scalar]], combos, det):
+def _first_max(P: Sequence[Sequence[int]], combos):
     """The first of ``combos`` with the largest |det| of its difference rows."""
     best_val, best_combo = -1, None
     for combo in combos:
         base = P[combo[0]]
-        val = abs(det([[P[i][k] - base[k] for k in range(len(base))] for i in combo[1:]]))
+        rows = [[P[i][k] - base[k] for k in range(len(base))] for i in combo[1:]]
+        val = abs(linalg.int_det_bareiss(rows))
         if val > best_val:
             best_val, best_combo = val, combo
     return best_combo, best_val
 
 
-def _best_subset_python(P: Sequence[Sequence[Scalar]], n: int, d: int):
-    """Subset enumeration one determinant at a time: big-integer Bareiss on
-    int rows, pivoted elimination (``linalg.det``) on float rows."""
-    det = linalg.det if isinstance(P[0][0], float) else linalg.int_det_bareiss
-    return _first_max(P, itertools.combinations(range(n), d + 1), det)
+def _best_subset_python(P: Sequence[Sequence[int]], n: int, d: int):
+    """Subset enumeration one big-integer Bareiss determinant at a time."""
+    return _first_max(P, itertools.combinations(range(n), d + 1))
 
 
 def mvs_exact(x: PointSet, *, enum_cap: int = DEFAULT_ENUM_CAP) -> MvsResult:
-    """Globally maximum-volume simplex by exhaustive subset enumeration."""
+    """Globally maximum-volume simplex by exhaustive subset enumeration; a
+    float volume is the exact volume rounded once."""
     n, d = len(x), x.dim
     if n < d + 1:
         raise DegeneratePointSetError(f"need at least {d + 1} points, got {n}")
@@ -264,18 +201,25 @@ def mvs_exact(x: PointSet, *, enum_cap: int = DEFAULT_ENUM_CAP) -> MvsResult:
         raise EnumerationCapError(
             f"C({n}, {d + 1}) = {total} subsets exceeds the cap of {enum_cap}"
         )
-    exact = x.mode is ScalarMode.EXACT
-    if d <= (7 if exact else 6):
-        combo, best_val = _best_subset_numpy(x.array, n, d)
+    if x.mode is ScalarMode.EXACT:
+        P, scale = x.array, x.scale
+    else:  # every float is a binary rational: enumerate it exactly
+        ints, scale = linalg.clear_denominators(x.array.tolist())
+        P = np.array(ints, dtype=object).reshape(n, d)
+    if d <= 7:
+        combo, best_val = _best_subset_numpy(P, n, d)
     else:
-        combo, best_val = _best_subset_python(x.array.tolist(), n, d)
-    # A float subset that repeats a point scores rounding noise, not 0.
-    if best_val == 0 or len({x.points[i] for i in combo}) <= d:
+        combo, best_val = _best_subset_python(P.tolist(), n, d)
+    if best_val == 0:
         raise DegeneratePointSetError(_NOT_SPANNING)
-    if exact:
-        volume = Fraction(best_val, factorial(d) * x.scale ** d)
-    else:
-        volume = best_val / factorial(d)
+    den = factorial(d) * scale ** d
+    if x.mode is ScalarMode.EXACT:
+        volume = Fraction(best_val, den)
+    else:  # the exact volume, rounded once
+        try:
+            volume = best_val / den
+        except OverflowError:
+            volume = inf
     simplex = Simplex(d, tuple(x.points[i] for i in combo), tuple(combo))
     return MvsResult(simplex=simplex, volume=volume, method="exact", swap_count=0)
 

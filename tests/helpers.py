@@ -3,8 +3,8 @@
 The oracles deliberately avoid the code paths they are checking:
 ``brute_mvs`` walks subsets with the plain Fraction determinant volume,
 ``lp_vertex_minimum`` enumerates basic points of boxed LPs by solving
-square systems, and neither touches the simplex tableau or the batched
-minor expansion.  ``reference_local_search`` is the scalar swap local
+square systems, and neither touches the simplex tableau or the float64
+subset walk.  ``reference_local_search`` is the scalar swap local
 search that the array version in ``mvs`` must reproduce.
 ``halfspace_dilation_lp`` builds the full dilation LP from
 ``halfspace_form``'s normals, derived without the slab kernel.  ``contains``,
@@ -120,12 +120,14 @@ FLOAT_LINE = PointSet(4, [tuple(0.7 * k * c for c in (1, 2, 3, 4)) for k in rang
 
 # Float inputs on which rounding alone used to fail a check, as CSV text.
 # ``flat15`` and ``flat69`` are five planar points within ~1e-16 of a line:
-# float ``john`` failed the dilation's containment check and the bounds
-# check.  ``line5`` is five nearly collinear points whose float
-# determinants choose a simplex that is not maximal (float ``mvs``).
-# ``dup7`` is seven points of R^4, four of them equal, so they do not span;
-# a float copy of a chosen vertex won the seed's score by rounding.  Exact
-# mode passes the first three and rejects ``dup7`` as not spanning.
+# the float slab kernel's rounding fails float ``john``'s containment check
+# and bounds check, a numerical breakdown.  ``line5`` is five nearly
+# collinear points whose float64 determinants chose a simplex that is not
+# maximal; enumerated exactly on its binary rationals, float ``mvs`` gets
+# exact mode's (0, 1, 2).  ``dup7`` is seven points of R^4, four of them
+# equal, so they do not span; a float copy of a chosen vertex won the local
+# search seed's score by rounding.  Exact mode passes the first three and
+# rejects ``dup7`` as not spanning.
 A7 = "-0.8344507149397993,-0.2764828784644533,0.18490558275547886,-0.33755496442423527\n"
 ROUNDING_CSV = {
     "flat15": (

@@ -339,13 +339,36 @@ def test_float_enumeration_that_repeats_a_point_does_not_span(tmp_path, capsys, 
 @pytest.mark.parametrize("name, command", [("flat15", "john"), ("flat69", "john"),
                                            ("line5", "mvs")])
 def test_float_rounding_never_exits_2(tmp_path, name, command):
+    # The float slab kernel's rounding fails john's checks on flat15 and
+    # flat69: a numerical breakdown.  line5's float enumeration runs on its
+    # binary rationals, so float mvs returns exact mode's maximum.
     path = write(tmp_path, f"{name}.csv", ROUNDING_CSV[name])
     code, rep = run(RunConfig(command=command, input=path, mode=ScalarMode.FLOAT))
-    assert code == 1
-    assert rep["error_kind"] == "input-error"
-    assert rep["error"].endswith("rerun in exact mode")
-    code, rep = run(RunConfig(command=command, input=path))
-    assert code == 0 and rep["violations"] == []
+    exact_code, exact_rep = run(RunConfig(command=command, input=path))
+    assert exact_code == 0 and exact_rep["violations"] == []
+    if command == "mvs":
+        assert code == 0 and rep["violations"] == []
+        got, want = (r["result"]["mvs"]["simplex"]["vertex_indices"] for r in (rep, exact_rep))
+        assert got == want == [0, 1, 2]
+    else:
+        assert code == 1
+        assert rep["error_kind"] == "input-error"
+        assert rep["error"].endswith("rerun in exact mode")
+
+
+@pytest.mark.parametrize("scale, code, error", [
+    (1e200, 0, None),  # the exact volume 5e399 rounds to inf
+    (1e-200, 1, "vertices are affinely dependent (volume 0)"),  # 5e-401 rounds to 0
+], ids=["1e200", "1e-200"])
+def test_float_volume_out_of_range(tmp_path, capsys, scale, code, error):
+    text = "".join(f"{a * scale!r},{b * scale!r}\n" for a, b in ((0, 0), (1, 0), (0, 1), (1, 1)))
+    assert main(["mvs", "--mode", "float", "--input", write(tmp_path, "sq.csv", text)]) == code
+    rep = json.loads(capsys.readouterr().out)
+    if error is None:
+        assert rep["result"]["mvs"]["volume"] == "inf"
+        assert rep["result"]["mvs"]["simplex"]["vertex_indices"] == [0, 1, 2]
+    else:
+        assert (rep["error_kind"], rep["error"]) == ("input-error", error)
 
 
 def test_float_rounding_is_no_violation_at_tol_zero():

@@ -34,10 +34,8 @@ from simplexcover.geometry import (
 from simplexcover import mvs
 from simplexcover.linalg import det, int_det_bareiss
 from simplexcover.mvs import (
-    _batch_dets,
     _best_subset_numpy,
     _best_subset_python,
-    _subsets,
     mvs_exact,
     mvs_local_search,
     verify_local_maximality,
@@ -58,17 +56,6 @@ def test_square_corners_volume_and_tiebreak():
     assert res.method == "exact"
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-def test_batched_dets_match_plain_determinants(d):
-    """The split-Laplace minor expansion must reproduce det exactly."""
-    rng = np.random.default_rng(d)
-    D = rng.integers(-9, 10, size=(40, d, d)).astype(np.int64)
-    got = _batch_dets(D.transpose(1, 2, 0))
-    for k in range(D.shape[0]):
-        expect = det([[int(v) for v in row] for row in D[k]])
-        assert int(got[k]) == expect
-
-
 @pytest.fixture
 def walk_spy(monkeypatch):
     """Record, per exact enumeration, whether the walk took the rounding
@@ -80,10 +67,10 @@ def walk_spy(monkeypatch):
         seen["filtered"].append(True)
         return bound(d)
 
-    def spy_first_max(P, combos, det):
+    def spy_first_max(P, combos):
         combos = list(combos)
         seen["rescored"].append(combos)
-        return first_max(P, combos, det)
+        return first_max(P, combos)
 
     monkeypatch.setattr(mvs, "_rounding_bound", spy_bound)
     monkeypatch.setattr(mvs, "_first_max", spy_first_max)
@@ -98,7 +85,7 @@ def _abs_det(P, combo):
     return abs(int_det_bareiss([[a - b for a, b in zip(P[i], P[combo[0]])] for i in combo[1:]]))
 
 
-def test_int64_guard_thresholds(walk_spy):
+def test_walk_exactness_bound_thresholds(walk_spy):
     # The guard is now e = 0: the walk is exact without a filter when every
     # intermediate is an integer below 2^53, i.e. d! r^d < 2^53 for the
     # translated integers in [0, r].  The benchmark's 1/64 grids (r <= 128,
@@ -115,17 +102,9 @@ def test_int64_guard_thresholds(walk_spy):
 @pytest.fixture(params=[None, 3, 40], ids=["chunk-default", "chunk-3", "chunk-40"])
 def chunk(request, monkeypatch):
     """Rerun a test with chunks of a few rows, so that the walk over facets
-    (and over float subsets) crosses many chunk boundaries."""
+    crosses many chunk boundaries."""
     if request.param is not None:
         monkeypatch.setattr(mvs, "_CHUNK", request.param)
-
-
-@pytest.mark.parametrize("n,k", [(1, 1), (5, 1), (6, 3), (9, 4), (8, 8), (12, 5)])
-@pytest.mark.parametrize("size", [1, 4, 1000])
-def test_subsets_are_lexicographic(n, k, size):
-    got = np.concatenate(list(_subsets(n, k, size)), axis=1)
-    assert [tuple(c) for c in got.T.tolist()] == list(itertools.combinations(range(n), k))
-    assert all(S.shape[1] <= size for S in _subsets(n, k, size))
 
 
 def _largest_exact_range(d):
@@ -137,7 +116,7 @@ def _largest_exact_range(d):
 
 
 @pytest.mark.parametrize("d", range(1, 8))
-def test_int64_guard_boundary(d, walk_spy, monkeypatch):
+def test_walk_exactness_bound_boundary(d, walk_spy, monkeypatch):
     # At the largest range r with e = 0 the walk is exact and rescores only
     # exact ties of the maximum; at r + 1 it takes the rounding filter.  Both
     # agree with Bareiss in index tuple and value, also one facet per chunk.
@@ -203,14 +182,29 @@ def test_decimal_set_matches_bareiss(seed, chunk, walk_spy):
     assert res.volume == F(val, 6 * x.scale ** 3)
 
 
+def _as_exact(x):
+    """The binary rationals that the floats of x denote, as an exact PointSet."""
+    return PointSet(x.dim, tuple(tuple(map(F, p)) for p in x.points))
+
+
+def _assert_float_matches_exact(x):
+    """Float ``mvs_exact`` of x equals exact ``mvs_exact`` of its binary
+    rationals: the same index tuple, and the exact volume rounded once
+    (inf past the float range)."""
+    res, exact = mvs_exact(x), mvs_exact(_as_exact(x))
+    assert res.simplex.vertex_indices == exact.simplex.vertex_indices
+    try:
+        volume = float(exact.volume)
+    except OverflowError:
+        volume = float("inf")
+    assert isinstance(res.volume, float) and res.volume == volume
+
+
 def test_float_enumeration_in_chunks_matches_brute(chunk):
     x = float_points(12, 3, seed=5)
-    res = mvs_exact(x)
-    expect = max(
-        itertools.combinations(range(12), 4),
-        key=lambda c: abs(det([[x.points[i][k] - x.points[c[0]][k] for k in range(3)] for i in c[1:]])),
-    )
-    assert res.simplex.vertex_indices == expect
+    _assert_float_matches_exact(x)
+    _, idx = brute_mvs(_as_exact(x))
+    assert mvs_exact(x).simplex.vertex_indices == idx
 
 
 def test_exact_matches_brute_oracle():
@@ -230,7 +224,7 @@ def test_exact_matches_brute_oracle():
             assert simplex_volume(s) < vol
 
 
-def test_huge_coordinates_fall_back_to_bigint_path(walk_spy):
+def test_huge_coordinates_take_the_rounding_filter(walk_spy):
     # Numerators around 10^14 pass the e = 0 bound for d = 3, so the walk
     # takes the rounding filter and rescores its candidates in Python ints.
     rng = random.Random(4)
@@ -274,7 +268,12 @@ def test_float_scores_reverse_near_2_60(seed, chunk, walk_spy):
     rows = base + [[v + rng.randint(-3, 3) for v in p] for p in base]
     rng.shuffle(rows)
     expect = _best_subset_python(rows, 6, 2)
-    assert _best_subset_numpy(np.array(rows, dtype=float), 6, 2)[0] != expect[0]
+    P = np.array(rows, dtype=float).tolist()
+    by_float_det = max(
+        itertools.combinations(range(6), 3),
+        key=lambda c: abs(det([[P[i][k] - P[c[0]][k] for k in range(2)] for i in c[1:]])),
+    )
+    assert by_float_det != expect[0]
     assert _best_subset_numpy(_ints(2, rows).array, 6, 2) == expect
     assert walk_spy["filtered"]
 
@@ -320,6 +319,18 @@ def test_integers_near_1e200(d, chunk):
 
 
 @pytest.mark.parametrize("d", [2, 3])
+def test_float_exponents_1e200_and_1e_minus_200(d):
+    # Float coordinates near 1e200 next to ones near 1e-200: their binary
+    # rationals clear to integers of ~1,330 bits over one power-of-two scale,
+    # and the volume, near 1e200^d, rounds to inf.
+    rng = random.Random(300 + d)
+    x = PointSet(d, [tuple(rng.uniform(-1, 1) * rng.choice((1e200, 1e-200)) for _ in range(d))
+                     for _ in range(d + 6)])
+    _assert_float_matches_exact(x)
+    assert mvs_exact(x).volume == float("inf")
+
+
+@pytest.mark.parametrize("d", [2, 3])
 def test_near_flat_set_rescores_every_subset(d, chunk, walk_spy):
     # Points i M (1, ..., 1) plus offsets in {0, 1, 2} with M = 10^30: every
     # exact determinant is far below the rounding bound, so every subset is
@@ -361,13 +372,56 @@ def test_many_large_denominators_pinned():
 
 @pytest.mark.parametrize("points", [rational_points, float_points], ids=["exact", "float"])
 def test_dimension_seven_matches_brute(points):
-    # d > 6 has no batched determinants: one determinant per subset, Bareiss
-    # on ints or pivoted elimination on floats, equal bit for bit to the oracle.
+    # d = 7, the walk's largest dimension, whose facet cofactors are 6 x 6
+    # minors.  Float input is enumerated on its binary rationals, so it
+    # matches exact mode on them.
     x = points(11, 7, seed=7)
+    if x.mode is ScalarMode.FLOAT:
+        _assert_float_matches_exact(x)
+        x = _as_exact(x)
     res = mvs_exact(x)
     vol, idx = brute_mvs(x)
     assert res.volume == vol
     assert res.simplex.vertex_indices == idx
+
+
+def _differential_set(seed):
+    """A seeded float set for the float-versus-exact differential: d = 1..8,
+    and uniform, with repeated points, or within ~1e-14 of a hyperplane."""
+    rng = random.Random(seed)
+    d, kind = 1 + seed % 8, ("uniform", "repeats", "flat")[seed // 8 % 3]
+    n = d + 1 + rng.randint(0, 3 if d > 5 else 6)
+    pts = [[rng.uniform(-1, 1) for _ in range(d)] for _ in range(n)]
+    if kind == "repeats":
+        for i in rng.sample(range(n), rng.randint(1, n - 1)):
+            pts[i] = list(rng.choice(pts))
+    elif kind == "flat":
+        a = [rng.uniform(-1, 1) for _ in range(d)]
+        for p in pts:
+            p[-1] = sum(c * v for c, v in zip(a, p[:-1])) + a[-1] + rng.uniform(-1e-14, 1e-14)
+    return PointSet(d, tuple(map(tuple, pts)))
+
+
+def test_float_matches_exact_on_binary_rationals():
+    # 304 seeded sets, d = 1..8, n up to d + 7: float mvs_exact equals exact
+    # mvs_exact on the same binary rationals in tuple, float(volume) and
+    # outcome, and the tuple is the first maximum of direct enumeration.
+    outcomes = {"ok": 0, "degenerate": 0}
+    for seed in range(304):
+        x = _differential_set(seed)
+        xe = _as_exact(x)
+        try:
+            exact = mvs_exact(xe)
+        except DegeneratePointSetError:
+            with pytest.raises(DegeneratePointSetError, match="do not affinely span"):
+                mvs_exact(x)
+            outcomes["degenerate"] += 1
+            continue
+        _assert_float_matches_exact(x)
+        combo, _ = _best_subset_python(xe.array.tolist(), len(x), x.dim)
+        assert exact.simplex.vertex_indices == combo
+        outcomes["ok"] += 1
+    assert min(outcomes.values()) >= 20
 
 
 def test_float_mode_matches_brute():
@@ -395,7 +449,8 @@ def test_degenerate_point_set():
         mvs_exact(line)
     with pytest.raises(DegeneratePointSetError):
         mvs_exact(PointSet(2, ((F(0), F(0)), (F(1), F(1)))))
-    # Four equal float points: a subset that repeats one scores rounding noise.
+    # Seven float points of R^4, four of them equal: only four are distinct,
+    # so every subset's exact determinant is 0.
     with pytest.raises(DegeneratePointSetError, match="do not affinely span"):
         mvs_exact(parse_points_csv(ROUNDING_CSV["dup7"], ScalarMode.FLOAT))
 
