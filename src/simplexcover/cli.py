@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -214,6 +213,10 @@ def _cmd_random_trials(cfg: RunConfig) -> Tuple[Dict[str, Any], List[str]]:
         for i in range(cfg.trials)
     ]
     if workers > 1:
+        # Imported here, so that the other commands do not pay for
+        # importing the process pool and multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_trial_worker, work))
     else:

@@ -18,6 +18,9 @@ Conventions used throughout:
   matrix, and keeps that inverse rather than the center and normals; the
   slab, maximality and dilation computations all read it.
   ``halfspace_form`` derives the same normals by solves; only tests call it.
+* A simplex's volume and its degeneracy come from one integer determinant
+  of its vertices cleared to a common denominator (``linalg.simplex_det``)
+  in both modes; a float volume is that exact volume rounded once.
 """
 from __future__ import annotations
 
@@ -34,6 +37,7 @@ from .errors import (
     DegenerateSimplexError,
     DimensionMismatchError,
     InputFormatError,
+    NumericalBreakdownError,
     SingularMatrixError,
 )
 from .scalars import Scalar, ScalarMode, infer_mode
@@ -140,28 +144,47 @@ def make_simplex(
     vertices: Sequence[Sequence[Scalar]],
     vertex_indices: Optional[Sequence[int]] = None,
 ) -> Simplex:
-    """Validated constructor: rejects affinely dependent vertex lists."""
+    """Validated constructor: rejects non-finite and affinely dependent
+    vertex lists.
+
+    The test is exact, so a float simplex whose volume rounds to 0.0 passes.
+    """
     dim = len(vertices[0]) if vertices else 0
     s = Simplex(dim, tuple(tuple(v) for v in vertices),
                 tuple(vertex_indices) if vertex_indices is not None else None)
-    if simplex_volume(s) == 0:
+    if any(isinstance(v, float) and not math.isfinite(v) for p in s.vertices for v in p):
+        raise InputFormatError(f"a vertex has a non-finite coordinate: {s.vertices}")
+    if _scaled_det(s)[0] == 0:
         raise DegenerateSimplexError("vertices are affinely dependent (volume 0)")
     return s
 
 
-def simplex_volume(s: Simplex) -> Scalar:
-    """Unsigned d-volume, |det(v_1-v_0, ..., v_d-v_0)| / d!.
+def _scaled_det(s: Simplex) -> Tuple[int, int, ScalarMode]:
+    """d! scale^d vol(s) as an integer, the scale that clears s's vertices,
+    and their mode.  Float mode reads each coordinate as ``float(v)``, the
+    binary rational the slab kernel reads."""
+    mode = infer_mode(v for p in s.vertices for v in p)
+    verts = s.vertices if mode is ScalarMode.EXACT else [[float(v) for v in p] for p in s.vertices]
+    ints, scale = linalg.clear_denominators(verts)
+    return linalg.simplex_det(ints), scale, mode
 
-    Exact inputs give an exact Fraction; degenerate vertex lists give 0.
+
+def simplex_volume(s: Simplex) -> Scalar:
+    """Unsigned d-volume, |det(v_1-v_0, ..., v_d-v_0)| / d!, from one integer
+    determinant in both modes.
+
+    Exact inputs give an exact Fraction; float inputs the exact volume of the
+    binary rationals they denote, rounded once (``inf`` past the float range).
+    Degenerate vertex lists give 0.
     """
-    d = s.dim
-    rows = [vec_sub(v, s.vertices[0]) for v in s.vertices[1:]]
-    value = linalg.det(rows)
-    if value < 0:
-        value = -value
-    if isinstance(value, float):
-        return value / factorial(d)
-    return Fraction(value, factorial(d))
+    value, scale, mode = _scaled_det(s)
+    den = factorial(s.dim) * scale ** s.dim
+    if mode is ScalarMode.EXACT:
+        return Fraction(value, den)
+    try:
+        return value / den
+    except OverflowError:
+        return math.inf
 
 
 def centroid(s: Simplex) -> Point:
@@ -286,6 +309,11 @@ def slab_kernel(t: Simplex, x: PointSet) -> SlabKernel:
     try:
         inv, det = linalg.scaled_inverse(homog)
     except SingularMatrixError:
+        if mode is ScalarMode.FLOAT and _scaled_det(t)[0] != 0:
+            raise NumericalBreakdownError(
+                "the float slab kernel rounded a non-degenerate simplex to a "
+                "singular one; rerun in exact mode"
+            ) from None
         raise DegenerateSimplexError("vertices are affinely dependent (volume 0)") from None
     if det < 0:
         inv, det = [[-v for v in r] for r in inv], -det

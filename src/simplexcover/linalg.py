@@ -1,9 +1,12 @@
 """Small dense linear algebra that works for Fraction and float alike.
 
 Dimensions here are tiny (the ambient dimension, at most a handful), so the
-implementations favor exactness and clarity over asymptotics.  Fraction
-inputs go through plain Gaussian elimination with first-nonzero pivoting,
-which stays exact; float inputs use partial pivoting by magnitude.
+implementations favor exactness and clarity over asymptotics.  Every
+simplex determinant is an integer one: ``clear_denominators`` scales ints,
+Fractions and floats to integer rows, and ``simplex_det`` evaluates them by
+Bareiss elimination.  Only ``solve`` still does Fraction elimination, with
+first-nonzero pivoting; its float inputs, like ``scaled_inverse``'s, use
+partial pivoting by magnitude.
 """
 from __future__ import annotations
 
@@ -29,39 +32,6 @@ def _pivot_row(col: List[Scalar], start: int, exact: bool) -> int:
         if a > best_abs:
             best, best_abs = r, a
     return best if best_abs > 0.0 else -1
-
-
-def det(rows: Sequence[Sequence[Scalar]]) -> Scalar:
-    """Determinant of a square matrix, exact for rational entries."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    for r in m:
-        if len(r) != n:
-            raise ValueError("det requires a square matrix")
-    if n == 0:
-        return 1
-    exact = all(is_exact_value(x) for r in m for x in r)
-    if exact:
-        # int entries would hit true division below; promote them
-        m = [[Fraction(x) for x in r] for r in m]
-    result = Fraction(1) if exact else 1.0
-    for k in range(n):
-        p = _pivot_row([m[r][k] for r in range(n)], k, exact)
-        if p < 0:
-            return result * 0
-        if p != k:
-            m[k], m[p] = m[p], m[k]
-            result = -result
-        pivot = m[k][k]
-        result = result * pivot
-        for r in range(k + 1, n):
-            factor = m[r][k] / pivot
-            if factor == 0:
-                continue
-            row, prow = m[r], m[k]
-            for c in range(k + 1, n):
-                row[c] = row[c] - factor * prow[c]
-    return result
 
 
 def solve(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> List[Scalar]:
@@ -169,6 +139,13 @@ def int_det_bareiss(rows: Sequence[Sequence[int]]) -> int:
             row_i[k] = 0
         prev = pivot
     return sign * m[n - 1][n - 1]
+
+
+def simplex_det(points: Sequence[Sequence[int]]) -> int:
+    """|det(p_1 - p_0, ..., p_d - p_0)| of d+1 integer points, d! times the
+    volume of their simplex."""
+    base = points[0]
+    return abs(int_det_bareiss([[a - b for a, b in zip(p, base)] for p in points[1:]]))
 
 
 def combine(coeffs: Sequence, terms: Sequence):

@@ -18,6 +18,9 @@ Two entry points:
   replacement by a point of X increases the volume (beyond relative 1e-12
   in float mode).
 
+Both report ``simplex_volume`` of their simplex, so a float volume is the
+exact volume of the binary rationals rounded once, whichever search ran.
+
 Swap-local maximality is exactly the slab property checked by
 ``verify_local_maximality``: replacing vertex i by x scales the volume by
 |a_i . (x - c) - 1| / (d + 1), so maximality of a simplex with unit facet
@@ -31,7 +34,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, inf, nextafter
+from math import comb, factorial, nextafter
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -177,9 +180,7 @@ def _first_max(P: Sequence[Sequence[int]], combos):
     """The first of ``combos`` with the largest |det| of its difference rows."""
     best_val, best_combo = -1, None
     for combo in combos:
-        base = P[combo[0]]
-        rows = [[P[i][k] - base[k] for k in range(len(base))] for i in combo[1:]]
-        val = abs(linalg.int_det_bareiss(rows))
+        val = linalg.simplex_det([P[i] for i in combo])
         if val > best_val:
             best_val, best_combo = val, combo
     return best_combo, best_val
@@ -202,9 +203,9 @@ def mvs_exact(x: PointSet, *, enum_cap: int = DEFAULT_ENUM_CAP) -> MvsResult:
             f"C({n}, {d + 1}) = {total} subsets exceeds the cap of {enum_cap}"
         )
     if x.mode is ScalarMode.EXACT:
-        P, scale = x.array, x.scale
+        P = x.array
     else:  # every float is a binary rational: enumerate it exactly
-        ints, scale = linalg.clear_denominators(x.array.tolist())
+        ints, _ = linalg.clear_denominators(x.array.tolist())
         P = np.array(ints, dtype=object).reshape(n, d)
     if d <= 7:
         combo, best_val = _best_subset_numpy(P, n, d)
@@ -212,16 +213,8 @@ def mvs_exact(x: PointSet, *, enum_cap: int = DEFAULT_ENUM_CAP) -> MvsResult:
         combo, best_val = _best_subset_python(P.tolist(), n, d)
     if best_val == 0:
         raise DegeneratePointSetError(_NOT_SPANNING)
-    den = factorial(d) * scale ** d
-    if x.mode is ScalarMode.EXACT:
-        volume = Fraction(best_val, den)
-    else:  # the exact volume, rounded once
-        try:
-            volume = best_val / den
-        except OverflowError:
-            volume = inf
     simplex = Simplex(d, tuple(x.points[i] for i in combo), tuple(combo))
-    return MvsResult(simplex=simplex, volume=volume, method="exact", swap_count=0)
+    return MvsResult(simplex=simplex, volume=simplex_volume(simplex), method="exact")
 
 
 # ---------------------------------------------------------------------------
@@ -356,19 +349,16 @@ def _local_maximality(
     report = _slab_check(k, tol)
     if report.ok or k.mode is ScalarMode.EXACT:
         return report
+    # The kernel read float(v) for every coordinate.  Slab values are
+    # invariant under scaling t and x together, so the integers of those
+    # binary rationals, over one denominator, decide the check.
+    ints, _ = linalg.clear_denominators([[float(v) for v in p] for p in t.vertices + x.points])
+    verts, pts = ints[:t.dim + 1], ints[t.dim + 1:]
     exact = _slab_check(
-        slab_kernel(
-            Simplex(t.dim, _as_fractions(t.vertices), t.vertex_indices),
-            PointSet(x.dim, _as_fractions(x.points)),
-        ),
-        tol,
+        slab_kernel(Simplex(t.dim, verts, t.vertex_indices), PointSet(x.dim, pts)), tol
     )
     slab = [(float(lo), float(hi)) for lo, hi in exact.slab]
     return replace(exact, excess=float(exact.excess), slab=slab)
-
-
-def _as_fractions(points: Sequence[Sequence[Scalar]]) -> Tuple[Tuple[Fraction, ...], ...]:
-    return tuple(tuple(map(Fraction, p)) for p in points)
 
 
 def _slab_check(k: SlabKernel, tol: Scalar) -> LocalMaximalityReport:

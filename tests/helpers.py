@@ -1,10 +1,12 @@
 """Shared generators and brute-force oracles for the test suite.
 
 The oracles deliberately avoid the code paths they are checking:
-``brute_mvs`` walks subsets with the plain Fraction determinant volume,
+``det`` is plain Gaussian elimination (Fraction or pivoted float), the
+oracle for Bareiss, ``scaled_inverse`` and ``solve``; ``fraction_volume``
+is a simplex's volume by ``det``, and ``brute_mvs`` walks subsets with it;
 ``lp_vertex_minimum`` enumerates basic points of boxed LPs by solving
-square systems, and neither touches the simplex tableau or the float64
-subset walk.  ``reference_local_search`` is the scalar swap local
+square systems.  None of them touches the simplex tableau, Bareiss or the
+float64 subset walk.  ``reference_local_search`` is the scalar swap local
 search that the array version in ``mvs`` must reproduce.
 ``halfspace_dilation_lp`` builds the full dilation LP from
 ``halfspace_form``'s normals, derived without the slab kernel.  ``contains``,
@@ -55,7 +57,7 @@ from simplexcover.geometry import (
     vec_scale,
     vec_sub,
 )
-from simplexcover.linalg import det
+from simplexcover.linalg import _pivot_row
 from simplexcover.linalg import solve as linear_solve
 from simplexcover.linprog import (
     _FLOAT_CHECK_TOL,
@@ -183,12 +185,51 @@ def traced_local_search(monkeypatch, x: PointSet, seed: int = 0):
     return res, volumes
 
 
+def det(rows: Sequence[Sequence[Scalar]]) -> Scalar:
+    """Determinant of a square matrix, exact for rational entries."""
+    n = len(rows)
+    m = [list(r) for r in rows]
+    for r in m:
+        if len(r) != n:
+            raise ValueError("det requires a square matrix")
+    if n == 0:
+        return 1
+    exact = all(is_exact_value(x) for r in m for x in r)
+    if exact:
+        # int entries would hit true division below; promote them
+        m = [[Fraction(x) for x in r] for r in m]
+    result = Fraction(1) if exact else 1.0
+    for k in range(n):
+        p = _pivot_row([m[r][k] for r in range(n)], k, exact)
+        if p < 0:
+            return result * 0
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            result = -result
+        pivot = m[k][k]
+        result = result * pivot
+        for r in range(k + 1, n):
+            factor = m[r][k] / pivot
+            if factor == 0:
+                continue
+            row, prow = m[r], m[k]
+            for c in range(k + 1, n):
+                row[c] = row[c] - factor * prow[c]
+    return result
+
+
+def fraction_volume(vertices: Sequence[Sequence[Scalar]]) -> Fraction:
+    """|det(v_1 - v_0, ..., v_d - v_0)| / d! of exact vertices, by ``det``."""
+    rows = [vec_sub(v, vertices[0]) for v in vertices[1:]]
+    return abs(det(rows)) / math.factorial(len(rows))
+
+
 def brute_mvs(x: PointSet) -> Tuple[Fraction, Tuple[int, ...]]:
     """Best (volume, index tuple) by direct subset enumeration."""
     best_vol = None
     best_idx = None
     for idx in itertools.combinations(range(len(x)), x.dim + 1):
-        vol = simplex_volume(Simplex(x.dim, tuple(x.points[i] for i in idx)))
+        vol = fraction_volume([x.points[i] for i in idx])
         if best_vol is None or vol > best_vol:
             best_vol, best_idx = vol, idx
     return best_vol, best_idx

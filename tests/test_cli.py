@@ -1,10 +1,16 @@
 """Command line interface: parsing, exit codes, report envelopes."""
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from helpers import FLOAT_LINE, ROUNDING_CSV, revisiting_float_inputs
+import simplexcover
 from simplexcover import ScalarMode, TheoremViolationError
 from simplexcover.cli import RunConfig, build_parser, main, parse_argv, run
 from simplexcover.serialization import dumps_report
@@ -358,7 +364,9 @@ def test_float_rounding_never_exits_2(tmp_path, name, command):
 
 @pytest.mark.parametrize("scale, code, error", [
     (1e200, 0, None),  # the exact volume 5e399 rounds to inf
-    (1e-200, 1, "vertices are affinely dependent (volume 0)"),  # 5e-401 rounds to 0
+    # 5e-401 rounds to 0.0, and the float kernel's inverse comes out singular
+    (1e-200, 1, "the float slab kernel rounded a non-degenerate simplex to a singular one; "
+                "rerun in exact mode"),
 ], ids=["1e200", "1e-200"])
 def test_float_volume_out_of_range(tmp_path, capsys, scale, code, error):
     text = "".join(f"{a * scale!r},{b * scale!r}\n" for a, b in ((0, 0), (1, 0), (0, 1), (1, 1)))
@@ -400,12 +408,19 @@ def test_random_trials_clamps_jobs(monkeypatch, jobs, trials, cpus, expected):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     code, rep = run(RunConfig(command="random-trials", body="square", n=5, dim=2,
                               trials=trials, jobs=jobs))
     assert code == 0 and rep["result"]["ok_count"] == trials
     assert sizes == expected
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # Only random-trials runs a process pool, so it imports one itself.
+    code = "import sys, simplexcover.cli; sys.exit('concurrent.futures.process' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(simplexcover.__file__).parents[1]))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 @pytest.mark.parametrize("jobs", [0, -3])

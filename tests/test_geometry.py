@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -6,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import barycentric_coordinates, contains, reflect_vertex
+from helpers import barycentric_coordinates, contains, fraction_volume, reflect_vertex
 from simplexcover.errors import (
     DegenerateSimplexError,
     DimensionMismatchError,
     InputFormatError,
+    NumericalBreakdownError,
 )
 from simplexcover.geometry import (
     PointSet,
@@ -101,11 +103,67 @@ def test_make_simplex_rejects_degenerate():
         make_simplex([(F(0), F(0)), (F(1), F(1)), (F(2), F(2))])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_make_simplex_rejects_non_finite(bad):
+    with pytest.raises(InputFormatError, match="non-finite"):
+        make_simplex([(0.0, 0.0), (1.0, 0.0), (bad, 1.0)])
+
+
 def test_volume_known_values():
     assert simplex_volume(RIGHT_TRIANGLE) == F(1, 2)
     assert simplex_volume(TETRA) == F(8, 3)
     seg = make_simplex([(F(-3),), (F(5),)])
     assert simplex_volume(seg) == 8
+
+
+# Exactly, twice its area is about 3.9e-17; a pivoted float determinant
+# of its difference rows gives 0.0.
+NEAR_FLAT = [
+    (-0.10101787042252375, 0.3031859454455259),
+    (-0.913298696874054, -0.6401191015104615),
+    (-0.5700667549749437, -0.24152244315482463),
+]
+
+
+def test_near_flat_float_triangle_is_a_simplex():
+    t = make_simplex(NEAR_FLAT)
+    exact = fraction_volume([tuple(map(F, p)) for p in NEAR_FLAT])
+    assert simplex_volume(t) == float(exact)
+    assert 1.9e-17 < simplex_volume(t) < 2e-17
+    # The float kernel rounds it to a singular matrix.
+    with pytest.raises(NumericalBreakdownError, match="rerun in exact mode$"):
+        slab_kernel(t, PointSet(2, NEAR_FLAT))
+
+
+def test_float_volume_out_of_range():
+    assert simplex_volume(make_simplex([(0.0, 0.0), (1e200, 0.0), (0.0, 1e200)])) == math.inf
+    # A volume that underflows to 0.0 is no degeneracy.
+    t = make_simplex([(0.0, 0.0), (1e-200, 0.0), (0.0, 1e-200)])
+    assert simplex_volume(t) == 0.0
+    with pytest.raises(NumericalBreakdownError, match="rerun in exact mode$"):
+        slab_kernel(t, PointSet(2, t.vertices))
+    with pytest.raises(DegenerateSimplexError):
+        slab_kernel(Simplex(2, ((0.0, 0.0), (1.0, 1.0), (2.0, 2.0))), PointSet(2, [(0.0, 0.0)]))
+
+
+def test_numpy_integer_vertices_are_float_mode():
+    # numpy ints are not Python ints, so they are read as floats.
+    t = make_simplex(list(np.array([[0, 0], [3, 0], [0, 2]])))
+    assert simplex_volume(t) == 3.0
+    with pytest.raises(DegenerateSimplexError):
+        make_simplex(list(np.array([[0, 0], [1, 1], [2, 2]])))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_volume_is_the_fraction_determinant(d):
+    rng = random.Random(d)
+    for _ in range(20):
+        verts = [tuple(F(rng.randint(-99, 99), rng.randint(1, 30)) for _ in range(d))
+                 for _ in range(d + 1)]
+        assert simplex_volume(Simplex(d, verts)) == fraction_volume(verts)
+        floats = [tuple(rng.uniform(-1, 1) for _ in range(d)) for _ in range(d + 1)]
+        expect = fraction_volume([tuple(map(F, p)) for p in floats])
+        assert simplex_volume(Simplex(d, floats)) == float(expect)
 
 
 def test_centroid():

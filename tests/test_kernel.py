@@ -20,6 +20,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (
     dense_dual,
+    det,
     float_points,
     fraction_min_dilation,
     halfspace_dilation_lp,
@@ -48,7 +49,7 @@ from simplexcover.counterexample import CounterexampleConfig, build_points, enum
 from simplexcover.covering import _frame
 from simplexcover.errors import DegenerateSimplexError, LPInternalError, SingularMatrixError
 from simplexcover.geometry import slab_kernel
-from simplexcover.linalg import det, scaled_inverse
+from simplexcover.linalg import scaled_inverse
 
 F = Fraction
 DIMS = (1, 2, 3, 4, 5)

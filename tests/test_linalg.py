@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import det
 from simplexcover.errors import SingularMatrixError
-from simplexcover.linalg import det, int_det_bareiss, solve
+from simplexcover.linalg import int_det_bareiss, solve
 
 
 def test_det_known_values():

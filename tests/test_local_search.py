@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import reference_local_search, traced_local_search
+from helpers import fraction_volume, reference_local_search, traced_local_search
 from simplexcover.geometry import PointSet
 from simplexcover.mvs import _PAIR_BLOCK, mvs_local_search
 
@@ -86,6 +86,15 @@ def test_float_search_on_a_lattice_follows_exact_mode(monkeypatch, d, n):
         assert (res.simplex.vertex_indices, res.swap_count) == (indices, swaps)
         assert trace == pytest.approx([float(v) for v in volumes], rel=1e-12)
 
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_float_volume_is_the_exact_volume_rounded_once(d):
+    # mvs_exact's rule: the exact volume of the binary rationals, rounded once.
+    for seed in range(8):
+        x = spanning_points(d, 40, "float", seed)
+        res = mvs_local_search(x, seed=seed)
+        exact = fraction_volume([tuple(map(F, p)) for p in res.simplex.vertices])
+        assert res.volume == float(exact)
 
 
 def test_exact_search_converts_only_the_simplex_vertices(monkeypatch):

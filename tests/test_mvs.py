@@ -12,6 +12,7 @@ from helpers import (
     FLOAT_LINE,
     ROUNDING_CSV,
     brute_mvs,
+    det,
     float_points,
     rational_points,
     reflect_vertex,
@@ -32,7 +33,7 @@ from simplexcover.geometry import (
     slab_kernel,
 )
 from simplexcover import mvs
-from simplexcover.linalg import det, int_det_bareiss
+from simplexcover.linalg import int_det_bareiss
 from simplexcover.mvs import (
     _best_subset_numpy,
     _best_subset_python,
