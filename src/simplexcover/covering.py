@@ -18,11 +18,11 @@ with every row tight at the unique translate z = -(1/(d+1)) sum_i
 row.  In barycentric coordinates beta this reads lambda+ = 1 - sum_i
 min_j beta_i and lambda- = sum_i max_j beta_i - 1.  The answer is not
 trusted on that algebra alone but re-checked by substitution, as a dual
-certificate (``check_certificate``) on the d+1 binding rows and by testing
-that every point is covered.  With the weight fixed at 1/(d+1), the
-indices of the binding points (``DilationResult.binding``) are the whole
-dual: that weight on row i * n + binding[i] of ``dilation_lp``, and 0 on
-every other row, certifies the full LP too.
+certificate (``check_certificate``) on the d+1 binding rows, which hold
+exactly when every point is covered.  With the weight fixed at 1/(d+1),
+the indices of the binding points (``DilationResult.binding``) are the
+whole dual: that weight on row i * n + binding[i] of ``dilation_lp``, and
+0 on every other row, certifies the full LP too.
 
 Every dilation is read from ``slab_kernel``: the slab values over one
 positive denominator D, and the vertices times S and the inverse times D
@@ -243,10 +243,10 @@ def _exact_dilation(
     n1 D, and both c . z - value and y . h + value by n1 D Q.  So it holds
     at tolerance 0 exactly when P's certificate holds.
 
-    Containment of facet i's row maximum, top_i / D <= lambda + s a_i . z,
-    is top_i Q <= D Ln + s (D a_i) . Zn after multiplying by D Q > 0.
-    Fractions are built only for the reported lam, translate and
-    lp_translate.
+    The rows are the containment proof: row i, top_i Q <= D Ln - s n1 S
+    (R_i[:d] . Zn), is top_i / D <= lambda + s a_i . z for facet i's largest
+    slab value, times D Q > 0.  Fractions are built only for the reported
+    lam, translate and lp_translate.
     """
     n1, S, D = len(top), k.scale, k.den
     d = n1 - 1
@@ -271,11 +271,6 @@ def _exact_dilation(
     )
     if not check_certificate(reduced, certificate, tol=0):
         raise LPInternalError("closed-form dilation failed its dual certificate")
-
-    for m, row in zip(top, k.inverse):
-        normal = tuple(-n1 * S * r for r in row[:d])  # D a_i
-        if m * Q > D * Ln + s * dot(normal, Zn):
-            raise LPInternalError("optimal dilation fails to contain its own input")
 
     # translate = z + (1 - s lam) c, with c = sums / (n1 S).
     return DilationResult(

@@ -149,7 +149,7 @@ def make_simplex(
 
     The test is exact, so a float simplex whose volume rounds to 0.0 passes.
     """
-    dim = len(vertices[0]) if vertices else 0
+    dim = len(vertices[0]) if len(vertices) else 0
     s = Simplex(dim, tuple(tuple(v) for v in vertices),
                 tuple(vertex_indices) if vertex_indices is not None else None)
     if any(isinstance(v, float) and not math.isfinite(v) for p in s.vertices for v in p):
@@ -251,9 +251,9 @@ class SlabKernel:
     (d+1) beta_i(x_j), with a_i as in ``HalfspaceForm``.  ``scaled_vertices``
     is the vertices times ``scale``, and ``inverse`` / ``den`` inverts the
     homogenized vertex matrix (column i is (scaled_vertices[i], 1)), so
-    ``values[i, j] = den - (d+1) (inverse[i] . (scale x_j, 1))``.  Exact
-    input (``mode``) makes all of them Python ints, ``values`` of object
-    dtype, with ``scale`` and ``den`` positive.  Float input makes them
+    ``values[i, j] = den - (d+1) (inverse[i] . (scale x_j, 1))`` and ``den``
+    > 0.  Exact input (``mode``) makes all of them Python ints, ``values``
+    of object dtype, with ``scale`` positive.  Float input makes them
     floats, ``values`` float64, with ``scale`` 1.0, so the scaled vertices
     are the vertices.  ``scalar`` and ``slab`` return plain Python scalars,
     so no numpy scalar reaches a report.
@@ -287,10 +287,10 @@ def slab_kernel(t: Simplex, x: PointSet) -> SlabKernel:
 
     With A the homogenized vertex matrix (column i is (v_i, 1)), beta(x) =
     A^-1 (x, 1).  Exact input is scaled to integers by its common
-    denominator first, so A^-1 = N / D with integer N and D and every slab
-    value is an integer over |D|.  The arithmetic is exact when every
-    coordinate of t and x is an int or Fraction, float otherwise.  Only t's
-    vertices are converted here; x brings its own ``array``.
+    denominator first, so A^-1 = N / D with integers N and D = |det A|,
+    and every slab value is an integer over D.  The arithmetic is exact
+    when every coordinate of t and x is an int or Fraction, float
+    otherwise.  Only t's vertices are converted; x brings its ``array``.
     """
     if x.dim != t.dim:
         raise DimensionMismatchError(f"point set is {x.dim}-dimensional, simplex is {t.dim}")
@@ -315,8 +315,6 @@ def slab_kernel(t: Simplex, x: PointSet) -> SlabKernel:
                 "singular one; rerun in exact mode"
             ) from None
         raise DegenerateSimplexError("vertices are affinely dependent (volume 0)") from None
-    if det < 0:
-        inv, det = [[-v for v in r] for r in inv], -det
     # Row i of inv dotted with (x, 1) is det * beta_i(x); the slab value is
     # det * (1 - (d+1) beta_i(x)).  The dot product is summed left to right,
     # r[0] x[0] + ... + r[d-1] x[d-1] + r[d], one coordinate at a time, so

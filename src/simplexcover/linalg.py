@@ -70,7 +70,7 @@ def scaled_inverse(rows: Sequence[Sequence[Scalar]]) -> Tuple[List[List[Scalar]]
 
     Gauss-Jordan in Bareiss form (Montante's method): every update is a 2x2
     determinant divided by the previous pivot, and for integer input that
-    division is exact, so N and D stay integers and D = +/- det(A).  Float
+    division is exact, so N and D stay integers and D = |det(A)| > 0.  Float
     input runs the same steps with true division and magnitude pivoting.
     Raises SingularMatrixError when A is rank-deficient.
     """
@@ -99,6 +99,8 @@ def scaled_inverse(rows: Sequence[Sequence[Scalar]]) -> Tuple[List[List[Scalar]]
             for c in range(2 * n):
                 row[c] = div(pivot * row[c] - f * prow[c], prev)
         prev = pivot
+    if prev < 0:  # the last pivot is -det(A); negation is exact in both modes
+        return [[-v for v in r[n:]] for r in m], -prev
     return [r[n:] for r in m], prev
 
 

@@ -5,7 +5,7 @@ Two entry points:
 * ``mvs_exact``: exhaustive enumeration of all C(n, d+1) vertex subsets, ties
   to the lexicographically smallest index tuple.  Float input is enumerated
   exactly on its binary rationals, by the same route: d <= 7 by one float64
-  walk, exact by bound or by filter; d > 7 by Bareiss, one subset at a time.
+  walk, its near-maximal subsets rescored exactly; d > 7 by Bareiss.
 
 * ``mvs_local_search``: a greedy seed, then single-vertex swaps until none
   helps.  The rows of the point set's ``array``, in a seeded shuffled
@@ -127,8 +127,14 @@ def _best_subset_numpy(P: np.ndarray, n: int, d: int) -> Tuple[Tuple[int, ...], 
     Rows are translated by their column minima and scaled into [0, 1) by
     ``int / 2**s``.  Prefixes get minors of p_fi - p_f0 from their parents';
     facet cofactors c score j as |c . p_j - c . p_f0|, ``_CHUNK`` // n facets
-    at a time.  On [0, r] with d! r^d < 2^53 every step is exact (e = 0);
-    else the subsets within 2e of the maximum are rescored exactly.
+    at a time.  Each S is within e = ``_rounding_bound`` of its exact score
+    (e = 0 if d! r^d < 2^53 on [0, r]).  One rule keeps a subset for exact
+    rescoring (``_first_max``, walk order): S >= fl(best - 2e), best the
+    largest S, and S > fl(M - 4e), M the largest earlier S (in its chunk,
+    of those passing the first test).  A maximizer has S >= s* - e >= best
+    - 2e, and rounding is monotone.  As fl(M - 4e) <= M - 2e (S < 2^54 e if
+    e > 0), a subset failing the second test scores at most an earlier one
+    (a repeat 0, a reordering as an earlier subset); with e = 0 one is kept.
     """
     Q = P - P.min(axis=0)
     r = int(Q.max())
@@ -153,22 +159,21 @@ def _best_subset_numpy(P: np.ndarray, n: int, d: int) -> Tuple[Tuple[int, ...], 
 
     # Score: sum_q (-1)^q V[d-1-q] (p_j - p_f0)[q]; X carries signs and order.
     X = X[::-1] * np.where(np.arange(d) % 2, -1.0, 1.0)[::-1, None]
-    step, best, kept = max(1, _CHUNK // n), -1.0, []
+    step, best, kept = max(1, _CHUNK // n), -np.inf, []
     for a in range(0, len(last), step):
         S = minors(d - 1, a, min(a + step, len(last))).T @ X
         S -= S[np.arange(len(S)), f0[a:a + step], None]
-        np.abs(S, out=S)
-        i = int(S.argmax())
-        best = max(best, S.flat[i])
-        thr = best if e == 0 else np.nextafter(best - 2 * e, -np.inf)  # <= best - 2e
-        if S.flat[i] >= thr:
-            pos = np.flatnonzero(S >= thr) if e else np.array([i])
+        S = np.abs(S, out=S).ravel()
+        top = S.max()
+        if top >= best - 2 * e:
+            prev, best = best, max(best, top)
+            pos = np.flatnonzero(S >= best - 2 * e)
+            earlier = np.maximum.accumulate(np.concatenate(([prev], S[pos[:-1]])))
+            pos = pos[S[pos] > earlier - 4 * e]
             pos = pos[pos % n > last[pos // n + a]]  # else j repeats or reorders
-            kept.append((S.flat[pos], pos // n + a, pos % n))
-    if best == 0 == e:  # every subset is flat
-        return tuple(range(d + 1)), 0
+            kept.append((S[pos], pos // n + a, pos % n))
     score, rows, j = (np.concatenate(z) for z in zip(*kept))
-    cols, rows = [j[score >= thr]], rows[score >= thr]
+    cols, rows = [j[score >= best - 2 * e]], rows[score >= best - 2 * e]
     for parent, lst, _, _ in levels[:0:-1]:
         cols.append(lst[rows])
         rows = parent[rows]
@@ -177,8 +182,9 @@ def _best_subset_numpy(P: np.ndarray, n: int, d: int) -> Tuple[Tuple[int, ...], 
 
 
 def _first_max(P: Sequence[Sequence[int]], combos):
-    """The first of ``combos`` with the largest |det| of its difference rows."""
-    best_val, best_combo = -1, None
+    """The first of ``combos`` with the largest |det| of its difference rows,
+    or (0, ..., d) and 0 when none has volume."""
+    best_val, best_combo = 0, tuple(range(len(P[0]) + 1))
     for combo in combos:
         val = linalg.simplex_det([P[i] for i in combo])
         if val > best_val:
@@ -270,8 +276,6 @@ def _greedy_seed(P: np.ndarray) -> List[int]:
             adj, det = linalg.scaled_inverse([[dot(u, v) for v in basis] for u in basis])
         except SingularMatrixError:
             raise DegeneratePointSetError(_NOT_SPANNING) from None
-        if det < 0:
-            adj, det = [[-v for v in row] for row in adj], -det
         b = [linalg.combine(u, rel) for u in basis]
         adj_b = [linalg.combine(row, b) for row in adj]
         score = det * norm2 - linalg.combine(b, adj_b)

@@ -274,6 +274,44 @@ def test_sweep_needs_grids():
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["john"], "no input: pass --input FILE or --sample BODY"),
+        (["random-trials", "--sample", "square", "--n", "5", "--dim", "2", "--trials", "0"],
+         "--trials must be positive"),
+        (["sweep", "--epsilons", ",", "--deltas", "1/5"], "--epsilons: empty list"),
+        (["sweep", "--epsilons", "1/0", "--deltas", "1/5"], "--epsilons: Fraction(1, 0)"),
+    ],
+    ids=["john-no-input", "zero-trials", "empty-epsilons", "zero-denominator"],
+)
+def test_cli_input_errors(argv, error):
+    code, rep = run(parse_argv(argv))
+    assert code == 1
+    assert (rep["error_kind"], rep["error"]) == ("input-error", error)
+
+
+def test_float_fraction_past_the_float_range_is_an_input_error(tmp_path):
+    # A p/q text goes through Fraction, whose float() overflows to inf here.
+    path = write(tmp_path, "big.csv", "1" + "0" * 400 + "/3,0\n0,1\n1,0\n")
+    code, rep = run(RunConfig(command="john", input=path, mode=ScalarMode.FLOAT))
+    assert code == 1
+    assert (rep["error_kind"], rep["error"]) == (
+        "input-error", "point 0 has a non-finite coordinate: (inf, 0.0)")
+
+
+def test_float_regular_simplex_sample():
+    # Interior points are float barycentric combinations of the vertices,
+    # so the maximum simplex is the regular simplex itself.
+    code, rep = run(parse_argv(["john", "--mode", "float", "--sample", "regular-simplex",
+                                "--n", "8", "--dim", "3"]))
+    assert code == 0
+    cover = rep["result"]["cover"]
+    assert cover["mvs"]["simplex"]["vertex_indices"] == [0, 1, 2, 3]
+    assert abs(float(cover["positive"]["lam"]) - 1) <= 1e-9
+    assert abs(float(cover["negative"]["lam"]) - 3) <= 1e-9
+
+
 def test_non_finite_input_is_an_input_error(tmp_path):
     # 1e400 parses to inf in float mode; it must not reach the float kernel.
     for name, text in (("inf.csv", "0,0\n1,0\n0,1\n1e400,1\n"),

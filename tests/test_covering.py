@@ -1,4 +1,5 @@
 """Minimal-dilation covers and the two-sided covering guarantee."""
+import dataclasses
 import random
 import warnings
 from fractions import Fraction
@@ -314,19 +315,36 @@ def test_float_failure_of_an_enumerated_simplex_is_a_breakdown(monkeypatch):
         john_positive_cover(corners)
 
 
-@pytest.mark.parametrize("mode, error", [(ScalarMode.EXACT, LPInternalError),
-                                         (ScalarMode.FLOAT, NumericalBreakdownError)],
-                         ids=["exact", "float"])
-def test_failed_containment_check(monkeypatch, mode, error):
-    # Shift the translate's term so that no point is contained any more.
+@pytest.mark.parametrize("mode", list(ScalarMode), ids=lambda m: m.value)
+def test_failed_containment_check(monkeypatch, mode):
     import simplexcover.covering as covering
 
-    monkeypatch.setattr(covering, "dot", lambda a, b: -1000)
     x = rational_points(8, 2, seed=1)
-    if mode is ScalarMode.FLOAT:
-        x = PointSet(2, [tuple(map(float, p)) for p in x.points])
-    with pytest.raises(error, match="fails to contain its own input"):
+    if mode is ScalarMode.EXACT:
+        # The certificate's rows are the exact containment test.  Moving one
+        # scaled vertex moves the closed-form point Zn but not those rows,
+        # so the point leaves a binding row.
+        k = slab_kernel(mvs_exact(x).simplex, x)
+        v = k.scaled_vertices
+        k = dataclasses.replace(k, scaled_vertices=((v[0][0] + 1,) + v[0][1:],) + v[1:])
+        with pytest.raises(LPInternalError,
+                           match="^closed-form dilation failed its dual certificate$"):
+            covering._kernel_dilation(k, DilationSign.POSITIVE)
+        return
+    # Shift the translate's term so that no point is contained any more.
+    monkeypatch.setattr(covering, "dot", lambda a, b: -1000)
+    x = PointSet(2, [tuple(map(float, p)) for p in x.points])
+    with pytest.raises(NumericalBreakdownError, match="fails to contain its own input"):
         min_dilation(mvs_exact(x).simplex, x, DilationSign.POSITIVE)
+
+
+def test_float_certificate_breakdown_asks_for_an_exact_rerun(monkeypatch):
+    import simplexcover.covering as covering
+
+    monkeypatch.setattr(covering, "check_certificate", lambda *args, **kwargs: False)
+    x = PointSet(2, [tuple(map(float, p)) for p in rational_points(8, 2, seed=1).points])
+    with pytest.raises(NumericalBreakdownError, match="rerun in exact mode$"):
+        min_dilation(mvs_exact(x).simplex, x, DilationSign.NEGATIVE)
 
 
 @pytest.mark.parametrize("mode", list(ScalarMode), ids=lambda m: m.value)

@@ -154,6 +154,13 @@ def test_numpy_integer_vertices_are_float_mode():
         make_simplex(list(np.array([[0, 0], [1, 1], [2, 2]])))
 
 
+def test_make_simplex_takes_a_numpy_array():
+    arr = np.array([[0, 0], [3, 0], [0, 2]])
+    t, rows = make_simplex(arr), make_simplex(list(arr))
+    assert t.vertices == rows.vertices
+    assert simplex_volume(t) == simplex_volume(rows) == 3.0
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_volume_is_the_fraction_determinant(d):
     rng = random.Random(d)

@@ -329,8 +329,6 @@ def float_inverse(t: Simplex):
     d = t.dim
     verts = [[float(v) for v in p] for p in t.vertices]
     inv, den = scaled_inverse([[v[q] for v in verts] for q in range(d)] + [[1.0] * (d + 1)])
-    if den < 0:
-        inv, den = [[-v for v in r] for r in inv], -den
     return den, tuple(map(tuple, inv))
 
 
@@ -432,7 +430,10 @@ def test_scaled_inverse_is_exact():
                 scaled_inverse(a)
             continue
         inv, den = scaled_inverse(a)
-        assert isinstance(den, int) and abs(den) == abs(det([[F(v) for v in row] for row in a]))
+        assert isinstance(den, int) and den > 0
+        assert den == abs(det([[F(v) for v in row] for row in a]))
+        # Float input takes the same steps, so its denominator is positive too.
+        assert scaled_inverse([[float(v) for v in row] for row in a])[1] > 0
         for i in range(n):
             for j in range(n):
                 assert isinstance(inv[i][j], int)

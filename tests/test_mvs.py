@@ -279,6 +279,20 @@ def test_float_scores_reverse_near_2_60(seed, chunk, walk_spy):
     assert walk_spy["filtered"]
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_exact_ties_rescore_one_subset(d, chunk, walk_spy):
+    # The cube's corners, written four times over: the maximum ties 4^(d+1)
+    # ways or more.  The first maximum takes the first copies, the corners'
+    # own indices, and an exact walk rescores only that subset.
+    corners = [list(c) for c in itertools.product((0, 1), repeat=d)]
+    expect = _best_subset_python(corners, len(corners), d)
+    walk_spy["rescored"].clear()
+    rows = corners * 4
+    assert _best_subset_numpy(_ints(d, rows).array, len(rows), d) == expect
+    assert [len(c) for c in walk_spy["rescored"]] == [1]
+    assert not walk_spy["filtered"]
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_cluster_far_from_the_origin(d, chunk, walk_spy):
     # Integers near 10^15 with offsets below 50: translating by the column
