@@ -24,6 +24,7 @@ Conventions used throughout:
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,7 +69,10 @@ class PointSet:
     Its numeric form is derived once, read-only and not a dataclass field:
     ``mode`` (``infer_mode`` of the coordinates), ``array`` ((n, d) float64,
     or object-dtype ints equal to the points times ``scale``) and ``scale``
-    (the common denominator; 1 in float mode)."""
+    (the common denominator; 1 in float mode).
+
+    ``points`` may also be an (n, d) float64 array: a copy of it becomes
+    ``array``, and its rows, as Python floats, the points."""
 
     dim: int
     points: Tuple[Point, ...]
@@ -76,24 +80,29 @@ class PointSet:
     def __init__(self, dim: int, points: Sequence[Sequence[Scalar]]):
         if dim < 1:
             raise DimensionMismatchError(f"dimension must be >= 1, got {dim}")
-        pts = tuple(tuple(p) for p in points)
+        array = mode = None
+        if isinstance(points, np.ndarray) and points.dtype == np.float64:
+            array, mode, points = points.copy(), ScalarMode.FLOAT, points.tolist()
+        pts = tuple(map(tuple, points))
         if not pts:
             raise ValueError("a PointSet needs at least one point")
-        for k, p in enumerate(pts):
-            if len(p) != dim:
-                raise DimensionMismatchError(
-                    f"point {k} has {len(p)} coordinates, expected {dim}"
-                )
-            # Only floats can be non-finite; float() of a huge Fraction would
-            # overflow, so exact coordinates are not converted to test them.
-            if any(isinstance(v, float) and not math.isfinite(v) for v in p):
-                raise InputFormatError(f"point {k} has a non-finite coordinate: {p}")
-        mode = infer_mode(v for p in pts for v in p)
+        if set(map(len, pts)) != {dim}:
+            _raise_first_bad_point(pts, dim)
+        if mode is None:
+            mode = infer_mode(itertools.chain.from_iterable(pts))
         if mode is ScalarMode.EXACT:
             ints, scale = linalg.clear_denominators(pts)
             array = np.array(ints, dtype=object).reshape(len(pts), dim)
         else:
-            array, scale = np.array([[float(v) for v in p] for p in pts]), 1
+            scale = 1
+            if array is None:
+                try:
+                    array = np.array(pts, dtype=np.float64)
+                except OverflowError:  # a huge exact coordinate
+                    _raise_first_bad_point(pts, dim)
+                    raise
+            if not np.isfinite(array).all():
+                _raise_first_bad_point(pts, dim)
         array.flags.writeable = False
         # Frozen: the fields and the numeric form are set once, here.
         self.__dict__.update(dim=dim, points=pts, mode=mode, array=array, scale=scale)
@@ -103,6 +112,22 @@ class PointSet:
 
     def __iter__(self):
         return iter(self.points)
+
+
+def _raise_first_bad_point(pts: Tuple[Point, ...], dim: int) -> None:
+    """Raise for the first point, in order, with a wrong length or a
+    non-finite float coordinate; return if there is none.
+
+    Only floats can be non-finite; float() of a huge Fraction would overflow,
+    so exact coordinates are not converted to test them.
+    """
+    for k, p in enumerate(pts):
+        if len(p) != dim:
+            raise DimensionMismatchError(
+                f"point {k} has {len(p)} coordinates, expected {dim}"
+            )
+        if any(isinstance(v, float) and not math.isfinite(v) for v in p):
+            raise InputFormatError(f"point {k} has a non-finite coordinate: {p}")
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,12 @@ Two entry points:
 * ``mvs_local_search``: a greedy seed, then single-vertex swaps until none
   helps.  The rows of the point set's ``array``, in a seeded shuffled
   order, feed the seed.  The seed is the farthest pair, found by
-  scanning blocks of rows against all later rows, extended one vertex at a
-  time by the point with the largest bordered Gram determinant; all
-  candidates are scored at once.  Each swap step reads one ``slab_kernel``
-  of the current simplex and takes the first (facet, point) pair with the
-  largest |u - 1|.  The result is swap-locally maximal: no single vertex
+  scanning blocks of rows against all later rows, after a bound around the
+  bounding box's centre has dropped the rows that cannot be in it.  It is
+  extended one vertex at a time by the point with the largest bordered
+  Gram determinant; all candidates are scored at once.  Each swap step
+  reads one ``slab_kernel`` of the current simplex and takes the first
+  (facet, point) pair with the largest |u - 1|.  The result is swap-locally maximal: no single vertex
   replacement by a point of X increases the volume (beyond relative 1e-12
   in float mode).
 
@@ -30,6 +31,7 @@ points x.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -228,20 +230,70 @@ def mvs_exact(x: PointSet, *, enum_cap: int = DEFAULT_ENUM_CAP) -> MvsResult:
 # ---------------------------------------------------------------------------
 
 def _farthest_pair(P: np.ndarray) -> Tuple[int, int]:
-    """The first pair a < b of rows, in row order, at the largest distance.
+    """The first pair a < b of rows, in row order, at the largest distance
+    as ``_pair_scan`` computes it, scanning only rows that can be in it.
 
-    Rows are scanned in blocks of ``_PAIR_BLOCK`` against every later row;
-    squared distances are summed coordinate by coordinate, left to right.
+    Float rows whose squared differences could overflow are first scaled by
+    a power of two, which changes no comparison (it is exact unless a
+    coordinate falls below 2^-1022).  Let c be the centre of the bounding
+    box, r_i = |p_i - c|, R = max r_i at row a, and L^2 = max_j s(a, j),
+    where s is the scan's own squared distance.  The scan runs on the rows
+    with r_i + R >= L (1 - m), m = (d + 8) 2^-48, in row order.
+
+    Proof that the first maximal pair (p, q) of the full scan survives, and
+    so stays first: the kept rows keep their order and their pairs' s.  With
+    u = 2^-53 and eta = 2^-1075, s <= (1 + u)^(d+2) (D^2 + d eta) for the
+    true distance D (each difference, square and sum rounds once; a square
+    may underflow), and s = D^2 for exact rows.  Since s(p, q) >= L^2,
+    D_pq >= L (1 + u)^-(d+2)/2 - sqrt(d eta).  By the triangle inequality
+    r_p + R >= r_p + r_q >= D_pq, and the computed r_i are at least
+    (1 - u)^((d+4)/2) r_i - sqrt(d eta); the sum, 1 - m and the threshold
+    round once each, L at most twice.  So the test passes if
+    L (m - (d + 9) u) >= 3 sqrt(d eta), which holds for L^2 >= 2^-960.
+    Below that, and for integers past 2^53, which float64 cannot hold
+    exactly, every row is scanned.
     """
-    n, d = P.shape
+    d = P.shape[1]
+    if P.dtype == object:
+        if np.abs(P).max() > 2**53:
+            return _pair_scan(P)
+        F = P.astype(np.float64)
+    else:
+        e = math.frexp(np.abs(P).max())[1]  # |P| < 2^e
+        # Every squared distance is below d 2^(2e + 2) < 2^1022 after this.
+        top = (1020 - d.bit_length()) // 2
+        if e > top:
+            P = P * 2.0 ** (top - e)
+        F = P
+    c = (F.min(axis=0) + F.max(axis=0)) / 2
+    r = np.sqrt(((F - c) ** 2).sum(axis=1))
+    a = int(np.argmax(r))
+    L2 = _squared_distances(P[a:a + 1], P).max()
+    if L2 < 2.0**-960:
+        return _pair_scan(P)
+    keep = np.flatnonzero(r + r[a] >= math.sqrt(L2) * (1 - (d + 8) * 2.0**-48))
+    a, b = _pair_scan(P[keep])
+    return int(keep[a]), int(keep[b])
+
+
+def _squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """|a - b|^2 for every row a of A and b of B, summed coordinate by
+    coordinate, left to right."""
+    for q in range(A.shape[1]):
+        diff = A[:, q, None] - B[:, q]
+        d2 = diff * diff if q == 0 else d2 + diff * diff
+    return d2
+
+
+def _pair_scan(P: np.ndarray) -> Tuple[int, int]:
+    """The first pair a < b of rows, in row order, with the largest
+    ``_squared_distances``: blocks of ``_PAIR_BLOCK`` rows against every
+    later row."""
+    n = len(P)
     best_d2, best = -1, (0, 1)
     for a0 in range(0, n - 1, _PAIR_BLOCK):
         a1 = min(a0 + _PAIR_BLOCK, n - 1)
-        later = P[a0 + 1:]
-        d2 = None
-        for q in range(d):
-            diff = P[a0:a1, q, None] - later[:, q]
-            d2 = diff * diff if d2 is None else d2 + diff * diff
+        d2 = _squared_distances(P[a0:a1], P[a0 + 1:])
         d2[np.arange(1, n - a0) <= np.arange(a1 - a0)[:, None]] = -1  # b <= a
         pos = int(np.argmax(d2))  # first maximum in row-major, i.e. (a, b) order
         a, b = divmod(pos, n - a0 - 1)

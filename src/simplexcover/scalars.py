@@ -19,7 +19,9 @@ import math
 import re
 import sys
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import InputFormatError
 
@@ -70,8 +72,15 @@ def is_exact_value(x: Scalar) -> bool:
 
 
 def infer_mode(values: Iterable[Scalar]) -> ScalarMode:
-    """EXACT when every value is an int or Fraction, FLOAT otherwise."""
-    return ScalarMode.EXACT if all(is_exact_value(v) for v in values) else ScalarMode.FLOAT
+    """EXACT when every value is an int or Fraction, FLOAT otherwise.
+
+    Decided from the set of distinct value types, which ``map`` collects
+    without a Python-level loop over the values."""
+    exact = all(
+        issubclass(t, (int, Fraction)) and not issubclass(t, bool)
+        for t in set(map(type, values))
+    )
+    return ScalarMode.EXACT if exact else ScalarMode.FLOAT
 
 
 def parse_scalar(text: str, mode: ScalarMode) -> Scalar:
@@ -130,6 +139,28 @@ def parse_scalar(text: str, mode: ScalarMode) -> Scalar:
         # Past the float range the nearest double is infinite; PointSet
         # rejects non-finite coordinates with an input error.
         return math.inf if value > 0 else -math.inf
+
+
+def float_batch(texts: Sequence[str]) -> Optional[np.ndarray]:
+    """``float`` of every text as one float64 array, NaN where float-mode
+    ``parse_scalar`` may read the text otherwise, or None if ``float``
+    rejects a text.
+
+    The NaN entries are the texts ``float`` reads as zero or non-finite and
+    those with an underscore, a non-ASCII character or more than
+    ``_FLOAT_FAST_MAX_LEN`` characters.  On every other text
+    ``parse_scalar`` returns ``float(text)``.
+    """
+    try:
+        values = np.array(list(map(float, texts)))
+    except ValueError:
+        return None
+    values[~np.isfinite(values) | (values == 0)] = np.nan
+    joined = "".join(texts)
+    if "_" in joined or not joined.isascii() or max(map(len, texts)) > _FLOAT_FAST_MAX_LEN:
+        odd = [len(t) > _FLOAT_FAST_MAX_LEN or "_" in t or not t.isascii() for t in texts]
+        values[odd] = np.nan
+    return values
 
 
 def scalar_to_str(x: Scalar) -> str:

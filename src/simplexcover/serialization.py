@@ -19,15 +19,18 @@ import csv
 import dataclasses
 import enum
 import io
+import itertools
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from .counterexample import TRIANGLE_LABELS, SweepRow
 from .errors import InputFormatError
 from .geometry import PointSet
-from .scalars import ScalarMode, parse_scalar, scalar_to_str
+from .scalars import Scalar, ScalarMode, float_batch, parse_scalar, scalar_to_str
 
 
 # Field names of each dataclass type that ``to_jsonable`` has converted.
@@ -121,26 +124,66 @@ def _write_json(obj: Any, newline: str, out: List[str]) -> None:
 
 
 def parse_points_csv(text: str, mode: ScalarMode) -> PointSet:
-    """One point per line, comma-separated; "p/q" and decimal entries accepted."""
-    rows: List[tuple] = []
-    dim = None
-    for lineno, fields in enumerate(csv.reader(text.splitlines()), start=1):
-        fields = [f.strip() for f in fields]
-        if not fields or fields == [""]:
-            continue
-        if dim is None:
-            dim = len(fields)
-        elif len(fields) != dim:
-            raise InputFormatError(
-                f"line {lineno}: expected {dim} coordinates, got {len(fields)}"
-            )
-        try:
-            rows.append(tuple(parse_scalar(f, mode) for f in fields))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputFormatError(f"line {lineno}: {exc}") from exc
+    """One point per line, comma-separated; "p/q" and decimal entries accepted.
+
+    Each field is read as ``parse_scalar`` reads it (which strips it), and
+    the first error in file order is raised.  Lines are split on commas,
+    except that a text holding a double quote or a NUL is read by
+    ``csv.reader``: only those characters make its fields differ.
+    """
+    lines = text.splitlines()
+    quoted = '"' in text or "\0" in text
+    records = csv.reader(lines) if quoted else (line.split(",") for line in lines)
+    rows: List[List[str]] = []
+    linenos: List[int] = []
+    dim, stop = None, None
+    try:
+        for lineno, fields in enumerate(records, start=1):
+            if len(fields) < 2 and not "".join(fields).strip():
+                continue  # a blank line
+            if dim is None:
+                dim = len(fields)
+            elif len(fields) != dim:
+                raise InputFormatError(
+                    f"line {lineno}: expected {dim} coordinates, got {len(fields)}"
+                )
+            rows.append(fields)
+            linenos.append(lineno)
+    except (InputFormatError, csv.Error) as exc:
+        stop = exc  # raised once the rows before it have parsed
+    if rows:
+        points = _parse_fields(rows, linenos, mode)
+    if stop is not None:
+        raise stop
     if not rows:
         raise InputFormatError("no points found")
-    return PointSet(dim, tuple(rows))
+    return PointSet(dim, points)
+
+
+def _parse_fields(rows: List[List[str]], linenos: List[int], mode: ScalarMode):
+    """The points of ``rows``, found on lines ``linenos``, each field as
+    ``parse_scalar`` reads it; in float mode an (n, d) array.
+
+    Float mode converts every field in one ``float_batch`` and gives
+    ``parse_scalar`` only the fields whose value that leaves open, or every
+    field if ``float`` rejects one.
+    """
+    dim = len(rows[0])
+    fields = list(itertools.chain.from_iterable(rows))
+
+    def parse(i: int) -> Scalar:
+        try:
+            return parse_scalar(fields[i], mode)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputFormatError(f"line {linenos[i // dim]}: {exc}") from exc
+
+    array = float_batch(fields) if mode is ScalarMode.FLOAT else None
+    if array is not None:
+        for i in np.flatnonzero(np.isnan(array)).tolist():
+            array[i] = parse(i)
+        return array.reshape(len(rows), dim)
+    values = [parse(i) for i in range(len(fields))]
+    return list(zip(*[iter(values)] * dim))
 
 
 def parse_points_json(text: str, mode: ScalarMode) -> PointSet:

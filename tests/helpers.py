@@ -20,9 +20,14 @@ report, which ``dumps_report`` must reproduce byte for byte.
 the full LP, and ``report_v1`` maps a schema-2 report back to schema 1.
 ``fraction_min_dilation`` is the dilation closed form in Fraction
 arithmetic, the oracle for exact ``min_dilation`` on the kernel's integers.
+``reference_farthest_pair`` scans every pair of rows, the oracle for the
+pruned pair scan.  ``reference_parse_points_csv`` reads a CSV text through
+``csv.reader`` and ``parse_scalar`` one field at a time, the oracle for the
+batched float reader.
 """
 from __future__ import annotations
 
+import csv
 import itertools
 import json
 import math
@@ -72,6 +77,7 @@ from simplexcover.scalars import (
     default_tol,
     infer_mode,
     is_exact_value,
+    parse_scalar,
     scalar_to_str,
 )
 from simplexcover.serialization import to_jsonable
@@ -460,6 +466,31 @@ def _dot(a: Sequence, b: Sequence):
     return acc
 
 
+def reference_farthest_pair(P: np.ndarray) -> Tuple[int, int]:
+    """The first pair a < b of rows, in row order, at the largest squared
+    distance, each row against all later rows, no row pruned.
+
+    Squared differences are summed coordinate by coordinate, left to right,
+    as ``mvs._farthest_pair`` sums them.  Float rows reaching 2^500 are
+    first scaled by a power of two so that no square overflows; any such
+    scaling that takes no coordinate below 2^-1022 is exact and so orders
+    the pairs alike.
+    """
+    if P.dtype != object and np.abs(P).max() >= 2.0**500:
+        P = P * 2.0 ** (400 - math.frexp(np.abs(P).max())[1])
+    n, d = P.shape
+    best_d2, best = -1, (0, 1)
+    for a in range(n - 1):
+        d2 = 0
+        for q in range(d):
+            diff = P[a, q] - P[a + 1:, q]
+            d2 = d2 + diff * diff
+        b = int(np.argmax(d2))
+        if d2[b] > best_d2:
+            best_d2, best = d2[b], (a, a + 1 + b)
+    return best
+
+
 def reference_local_search(x: PointSet, seed: int = 0):
     """Scalar swap local search: (vertex_indices, swap_count, volumes).
 
@@ -530,6 +561,35 @@ def fraction_parse_scalar(text: str, mode: ScalarMode) -> Scalar:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+
+
+def reference_parse_points_csv(text: str, mode: ScalarMode) -> List[Tuple[Scalar, ...]]:
+    """The points of a CSV text read one field at a time: ``csv.reader``,
+    then ``parse_scalar`` on every field, then the first point with a
+    non-finite coordinate rejected, with the messages of ``parse_points_csv``
+    and ``PointSet``."""
+    rows: List[Tuple[Scalar, ...]] = []
+    dim = None
+    for lineno, fields in enumerate(csv.reader(text.splitlines()), start=1):
+        fields = [f.strip() for f in fields]
+        if not fields or fields == [""]:
+            continue
+        if dim is None:
+            dim = len(fields)
+        elif len(fields) != dim:
+            raise InputFormatError(
+                f"line {lineno}: expected {dim} coordinates, got {len(fields)}"
+            )
+        try:
+            rows.append(tuple(parse_scalar(f, mode) for f in fields))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputFormatError(f"line {lineno}: {exc}") from exc
+    if not rows:
+        raise InputFormatError("no points found")
+    for k, p in enumerate(rows):
+        if any(isinstance(v, float) and not math.isfinite(v) for v in p):
+            raise InputFormatError(f"point {k} has a non-finite coordinate: {p}")
+    return rows
 
 
 def json_oracle(report) -> str:

@@ -64,6 +64,37 @@ def test_pointset_rejects_non_finite_floats():
     assert PointSet(1, ((huge,), (-huge,))).points[0] == (huge,)
 
 
+@pytest.mark.parametrize("dim, points, error", [
+    (2, [(0.0, 0.0), (math.inf, 1.0), (1.0,)],
+     (InputFormatError, "point 1 has a non-finite coordinate: (inf, 1.0)")),
+    (1, [(0.0,), (math.inf, 1.0)],
+     (DimensionMismatchError, "point 1 has 2 coordinates, expected 1")),
+    # The non-finite float is reported before the huge int fails to convert.
+    (1, [(10**400,), (math.inf,)],
+     (InputFormatError, "point 1 has a non-finite coordinate: (inf,)")),
+    (1, [(F(10**400, 3),), (0.5,)],
+     (OverflowError, "integer division result too large for a float")),
+    (2, [(1, 2), (0.5, math.nan), (-math.inf, 0.0)],
+     (InputFormatError, "point 1 has a non-finite coordinate: (0.5, nan)")),
+], ids=["non-finite-first", "length-first", "inf-before-overflow", "overflow", "nan"])
+def test_pointset_reports_the_first_bad_point(dim, points, error):
+    with pytest.raises(error[0]) as exc:
+        PointSet(dim, points)
+    assert str(exc.value) == error[1]
+
+
+def test_pointset_takes_a_float_array():
+    a = np.array([[0.5, -0.0], [3.0, 0.25]])
+    x = PointSet(2, a)
+    assert x == PointSet(2, ((0.5, -0.0), (3.0, 0.25)))
+    assert all(type(v) is float for p in x.points for v in p)
+    assert x.mode is ScalarMode.FLOAT and x.array.tolist() == a.tolist()
+    a[0, 0] = 7.0  # the caller's array stays writeable and is not shared
+    assert x.points[0][0] == 0.5 and x.array[0, 0] == 0.5
+    with pytest.raises(InputFormatError, match="point 1 has a non-finite"):
+        PointSet(2, np.array([[0.0, 0.0], [1.0, math.inf]]))
+
+
 @pytest.mark.parametrize(
     "points, mode, scale, array",
     [

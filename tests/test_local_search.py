@@ -1,23 +1,40 @@
 """The array swap local search against its scalar reference.
 
-``mvs_local_search`` scans pairs in row blocks, scores every seed candidate
-at once and takes each swap from one slab kernel.  ``reference_local_search``
-(helpers.py) does the same search one pair, candidate and (facet, point) at
-a time.  Both must visit the same simplices: equal vertex indices, swap
-counts and traced volumes.  The inputs cover the block edges of the pair
-scan, integer lattices where many distances and volumes tie (so the
-first-in-order tie-breaking is exercised), and coordinates near 10^30 whose
-products only fit Python ints.  Float mode is compared on random points,
-where no two candidates tie.
+``mvs_local_search`` prunes the rows that cannot be in the farthest pair,
+scans the rest in row blocks, scores every seed candidate at once and takes
+each swap from one slab kernel.  ``reference_local_search`` (helpers.py)
+does the same search one pair, candidate and (facet, point) at a time.  Both
+must visit the same simplices: equal vertex indices, swap counts and traced
+volumes.  The inputs cover integer lattices where many distances and
+volumes tie (so the first-in-order tie-breaking is exercised), and
+coordinates near 10^30 whose products only fit Python ints.  Float mode is
+compared on random points, where no two candidates tie.  Pruning leaves few
+rows of a cube, so the block edges of the pair scan (``_PAIR_BLOCK`` - 1, +0
+and +1 rows) are covered by lattice points on a sphere, of which it keeps
+every row.
+
+``_farthest_pair`` is also compared with ``reference_farthest_pair``, which
+scans every pair one row at a time, on inputs where pruning keeps few rows,
+every row, or must not run: tied lattices, duplicated maxima, integers near
+10^400 and coordinates whose squares underflow or overflow.
 """
+import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
+import numpy as np
 import pytest
 
-from helpers import fraction_volume, reference_local_search, traced_local_search
+import simplexcover.mvs as mvs
+from helpers import (
+    fraction_volume,
+    reference_farthest_pair,
+    reference_local_search,
+    traced_local_search,
+)
 from simplexcover.geometry import PointSet
-from simplexcover.mvs import _PAIR_BLOCK, mvs_local_search
+from simplexcover.mvs import _PAIR_BLOCK, _farthest_pair, mvs_local_search
 
 F = Fraction
 SIZES = ("d+1", _PAIR_BLOCK - 1, _PAIR_BLOCK, _PAIR_BLOCK + 1, 70)
@@ -116,3 +133,105 @@ def test_exact_search_converts_only_the_simplex_vertices(monkeypatch):
     res = mvs_local_search(x, seed=0)
     assert res.swap_count == 2
     assert rows and max(rows) <= x.dim + 1
+
+
+@lru_cache(maxsize=None)
+def _sphere(d: int):
+    """The integer points of R^d at distance 5 from 0, axis points first."""
+    pts = [p for p in itertools.product(range(-5, 6), repeat=d) if sum(v * v for v in p) == 25]
+    return sorted(pts, key=lambda p: sum(map(abs, p)) != 5)
+
+
+def sphere_points(d: int, n: int, seed: int, exact: bool) -> PointSet:
+    """The 2d axis points of the sphere of radius 5, then random points of
+    it (repeats allowed): the bounding box is [-5, 5]^d, so every point is
+    at the largest distance from its centre and the pair scan keeps every
+    row."""
+    rng = random.Random(f"sphere/{d}/{n}/{seed}")
+    pts = _sphere(d)
+    rows = pts[:2 * d] + [rng.choice(pts) for _ in range(n - 2 * d)]
+    rng.shuffle(rows)
+    return PointSet(d, [tuple(v if exact else float(v) for v in p) for p in rows])
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    """The row count of every block scan that ``_farthest_pair`` runs."""
+    sizes = []
+    pair_scan = mvs._pair_scan
+
+    def recording(P):
+        sizes.append(len(P))
+        return pair_scan(P)
+
+    monkeypatch.setattr(mvs, "_pair_scan", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("d,n", [(d, n) for d in (1, 2, 3, 4, 5)
+                                 for n in (_PAIR_BLOCK - 1, _PAIR_BLOCK, _PAIR_BLOCK + 1)])
+def test_sphere_rows_all_reach_the_block_scan(monkeypatch, scanned, d, n, exact):
+    # Small integers: every float operation of the search is exact, so the
+    # float search follows exact mode too.
+    for seed in (0, 1):
+        x = sphere_points(d, n, seed, exact)
+        res, trace = traced_local_search(monkeypatch, x, seed=seed)
+        indices, swaps, volumes = reference_local_search(sphere_points(d, n, seed, True), seed)
+        assert (res.simplex.vertex_indices, res.swap_count) == (indices, swaps)
+        assert trace == [v if exact else float(v) for v in volumes]
+    assert scanned == [n, n]
+
+
+def _pair_inputs():
+    rng = np.random.default_rng(19)
+    cases = {}
+    for d in (1, 2, 3, 5):
+        cube = rng.uniform(-1.0, 1.0, (300, d))
+        norms = np.sqrt((cube ** 2).sum(axis=1))[:, None]
+        cases[f"cube-d{d}"] = cube
+        cases[f"ball-d{d}"] = cube[norms[:, 0] <= 1]
+        cases[f"sphere-d{d}"] = cube / norms
+        cases[f"tiny-d{d}"] = cube * 1e-200
+        cases[f"subnormal-d{d}"] = cube * 1e-160  # squares lose their low bits
+        cases[f"big-d{d}"] = cube * 1e160
+        lattice = rng.integers(-3, 4, (200, d))
+        cases[f"lattice-d{d}"] = lattice.astype(np.float64)
+        cases[f"lattice-exact-d{d}"] = lattice.astype(object)
+        ints = rng.integers(-50, 51, (60, d)).astype(object)
+        cases[f"near-1e400-d{d}"] = ints + 10**400
+        cases[f"near-2^53-d{d}"] = ints + (2**53 - 50)
+        cases[f"past-2^53-d{d}"] = ints + (2**53 + 51)
+        # The farthest pair of the cube, written again at several places.
+        a, b = reference_farthest_pair(cube)
+        dup = cube[:100].copy()
+        dup[[10, 40, 70]], dup[[20, 60, 90]] = cube[a], cube[b]
+        cases[f"dup-max-d{d}"] = dup
+        cases[f"equal-d{d}"] = np.full((40, d), 0.3)
+        cases[f"equal-exact-d{d}"] = np.full((40, d), 7, dtype=object)
+    cases["mixed-scales"] = np.array([[1e-200, 1.0], [0.5, -1e-200], [1e-300, 1e-300], [-0.5, 0.25]])
+    return cases
+
+
+PAIR_INPUTS = _pair_inputs()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(PAIR_INPUTS))
+def test_farthest_pair_matches_the_full_scan(name):
+    P = PAIR_INPUTS[name]
+    assert _farthest_pair(P) == reference_farthest_pair(P)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_farthest_pair_without_overflow():
+    # Squared, these differences overflow; the scan compares them on a copy
+    # scaled by a power of two.
+    P = np.array([[0.0], [1e160], [-1e160]])
+    assert _farthest_pair(P) == (1, 2)
+
+
+def test_pruning_keeps_few_cube_rows(scanned):
+    P = PAIR_INPUTS["cube-d3"]
+    assert _farthest_pair(P) == reference_farthest_pair(P)
+    assert scanned and scanned[0] < len(P) // 10

@@ -1,4 +1,5 @@
 """Point file parsing and JSON/CSV emission."""
+import csv
 import enum
 import json
 from dataclasses import dataclass
@@ -7,9 +8,9 @@ from typing import Any
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import json_oracle
+from helpers import json_oracle, reference_parse_points_csv
 from simplexcover import (
     InputFormatError,
     PointSet,
@@ -146,6 +147,57 @@ def test_csv_float_mode():
     x = parse_points_csv("0.5,1/4\n", ScalarMode.FLOAT)
     assert x.points == ((0.5, 0.25),)
     assert all(isinstance(c, float) for c in x.points[0])
+
+
+# Fields the batched float reader must hand to parse_scalar, and plain ones.
+_ODD_FIELDS = [
+    "-0.0", "0e5", "-1e-400", "1e400", "-1e999", "nan", "inf", "-Infinity",
+    "1_0", "1/3", "-7/2", "2/0", "", " ", "abc", "1,5", "0x10", "\0",
+    "\u0661\u0662", "\uff11.5", "\u00a02", " 0.5 ", "\t-2", "\x1f3",
+    "1" * 700, "0." + "3" * 700, "9" * 5000, "0." + "3" * 5000,
+]
+_FIELD = st.one_of(
+    st.sampled_from(_ODD_FIELDS),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+)
+
+
+@st.composite
+def _csv_texts(draw):
+    dim = draw(st.integers(1, 3))
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "ragged"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t", " \t "])))
+            continue
+        width = dim if kind == "row" else draw(st.integers(1, 4))
+        fields = [draw(_FIELD) for _ in range(width)]
+        fields = [f'"{f}"' if draw(st.integers(0, 9)) == 0 else f for f in fields]
+        lines.append(",".join(fields))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r", "\f"])) for _ in lines]
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _read(parse, text, mode):
+    """The points, each float by its hex form (so -0.0 counts), or the error."""
+    try:
+        points = parse(text, mode)
+    except (InputFormatError, csv.Error) as exc:
+        return type(exc), str(exc)
+    return [[v.hex() if isinstance(v, float) else (type(v), v) for v in p] for p in points]
+
+
+@settings(deadline=None, max_examples=300)
+@given(_csv_texts(), st.sampled_from(list(ScalarMode)))
+@example("0." + "3" * 5000 + ",1\n", ScalarMode.FLOAT)  # float reads it, Fraction rejects it
+@example("-0.0,1\r\n\n-1e-400,2\f0e5,1e400\n", ScalarMode.FLOAT)
+@example('"1.5",2\n3,nan\n1_0,\u0661\u0662\n', ScalarMode.FLOAT)
+def test_csv_reader_matches_field_by_field_parse(text, mode):
+    assert _read(lambda t, m: parse_points_csv(t, m).points, text, mode) == _read(
+        reference_parse_points_csv, text, mode
+    )
 
 
 # ---------------------------------------------------------------------------
