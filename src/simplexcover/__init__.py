@@ -27,6 +27,7 @@ from .covering import (
     dilation_lp,
     john_positive_cover,
     min_dilation,
+    min_dilations,
     verify_sandwich,
 )
 from .errors import (
@@ -122,6 +123,7 @@ __all__ = [
     "make_simplex",
     "min_dilation",
     "min_dilation_all",
+    "min_dilations",
     "mvs_exact",
     "mvs_local_search",
     "parse_points_csv",

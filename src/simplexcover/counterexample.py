@@ -10,8 +10,9 @@ Whenever epsilon + delta < 1/2 ("feasible" configurations), no triangle on
 three of the five points admits a translate whose 2-dilation covers all
 five: the minimal covering dilation lambda* exceeds 2 for every one of the
 ten triangles.  Everything in this module runs in exact rational
-arithmetic; ``min_dilation`` checks each lambda* once, by substituting its
-dual certificate and testing containment, and raises if either fails.
+arithmetic; ``min_dilations`` builds the ten slab kernels as one batch and
+checks each lambda* once, by substituting its dual certificate, whose rows
+are the containment test, and raises if it fails.
 
 The ten triangles fall into six classes under the mirror symmetry
 x -> -x (which swaps A with B and C with D).  For each class an analytic
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .covering import DilationResult, DilationSign, min_dilation
+from .covering import DilationResult, DilationSign, min_dilations
 from .errors import DegenerateSimplexError, InputFormatError
 from .geometry import PointSet, Simplex
 
@@ -123,15 +124,15 @@ def min_dilation_all(
 ) -> Tuple[List[TriangleCaseReport], Fraction]:
     """Exact minimal positive dilation of every triangle against all 5 points.
 
-    ``min_dilation`` checks each lambda* once and raises ``LPInternalError``
-    when its certificate fails.
+    One ``min_dilations`` call builds the ten slab kernels as one batch,
+    checks each lambda* once and raises ``LPInternalError`` when its
+    certificate fails.
     """
     x = build_points(cfg)
+    triangles = enumerate_triangles(x)
     reports = []
-    best = None
-    for tri in enumerate_triangles(x):
+    for tri, res in zip(triangles, min_dilations(x, triangles, DilationSign.POSITIVE)):
         label = "".join(POINT_LABELS[i] for i in tri.vertex_indices)
-        res = min_dilation(tri, x, DilationSign.POSITIVE)
         reports.append(
             TriangleCaseReport(
                 label=label,
@@ -142,8 +143,7 @@ def min_dilation_all(
                 dilation=res,
             )
         )
-        best = res.lam if best is None else min(best, res.lam)
-    return reports, best
+    return reports, min(r.lambda_star for r in reports)
 
 
 @dataclass(frozen=True)

@@ -24,16 +24,18 @@ the indices of the binding points (``DilationResult.binding``) are the
 whole dual: that weight on row i * n + binding[i] of ``dilation_lp``, and
 0 on every other row, certifies the full LP too.
 
-Every dilation is read from ``slab_kernel``: the slab values over one
+Every dilation is read from a slab kernel: the slab values over one
 positive denominator D, and the vertices times S and the inverse times D
-that they came from, Python ints in exact mode.  ``_frame`` derives the
-centroid and the normals from those for the float path and for
-``dilation_lp``; the exact path needs neither.  Exact ``min_dilation``
-computes the closed form over the one denominator Q = (d+1)^3 D S and
-checks its certificate on an integer LP: the binding rows times D, the
-variables times Q and the objective (0, ..., 0, (d+1) D), all scalings
-positive, so that its point is the closed form's numerators and its dual
-is (1, ..., 1) (proof at ``_exact_dilation``).
+that they came from, Python ints in exact mode.  ``min_dilations`` reads
+the kernels of many simplices as one batch (``slab_kernels``), with one
+row maximum over all their facets, and certifies each simplex on its own.
+``_frame`` derives the centroid and the normals from a kernel for the
+float path and for ``dilation_lp``; the exact path needs neither.  Exact
+``min_dilation`` computes the closed form over the one denominator
+Q = (d+1)^3 D S and checks its certificate on an integer LP: the binding
+rows times D, the variables times Q and the objective (0, ..., 0, (d+1) D),
+all scalings positive, so that its point is the closed form's numerators
+and its dual is (1, ..., 1) (proof at ``_exact_dilation``).
 ``check_certificate`` then runs at tolerance 0 on Python ints alone, and
 Fractions are built only for the reported values.  Float kernels take the
 same steps in floats, checked at the float tolerance.
@@ -64,6 +66,7 @@ from .geometry import (
     dilate_about_center,
     dot,
     slab_kernel,
+    slab_kernels,
     vec_add,
     vec_scale,
 )
@@ -165,16 +168,41 @@ def min_dilation(t: Simplex, x: PointSet, sign: DilationSign) -> DilationResult:
     return _kernel_dilation(slab_kernel(t, x), sign)
 
 
+def min_dilations(
+    x: PointSet, simplices: Sequence[Simplex], sign: DilationSign
+) -> List[DilationResult]:
+    """``min_dilation`` of each simplex against x, from one batch of slab
+    kernels; each result is checked on its own certificate."""
+    return _kernel_dilations(slab_kernels(x, simplices), sign)
+
+
 def _kernel_dilation(k: SlabKernel, sign: DilationSign) -> DilationResult:
     """``min_dilation`` on a kernel that is already built."""
-    d = k.values.shape[0] - 1
-    s = 1 if sign is DilationSign.POSITIVE else -1
+    return _kernel_dilations([k], sign)[0]
+
+
+def _kernel_dilations(ks: Sequence[SlabKernel], sign: DilationSign) -> List[DilationResult]:
+    """``_kernel_dilation`` of each kernel (all with d+1 rows), with the row
+    argmax and row maxima of all their facets in one numpy call each."""
+    if not ks:
+        return []
     # The body's facet i has normal s * a_i, so its slab values are s * u_i.
-    u = k.values if s == 1 else -k.values
-    argmax = np.argmax(u, axis=1).tolist()  # first j on ties
-    top = u[np.arange(d + 1), argmax].tolist()
-    if k.mode is ScalarMode.EXACT:
-        return _exact_dilation(k, sign, argmax, top)
+    u = np.concatenate([k.values for k in ks])
+    u = u if sign is DilationSign.POSITIVE else -u
+    argmax = np.argmax(u, axis=1)  # first j on ties
+    top = u[np.arange(len(u)), argmax].reshape(len(ks), -1).tolist()
+    return [
+        (_exact_dilation if k.mode is ScalarMode.EXACT else _float_dilation)(k, sign, a, m)
+        for k, a, m in zip(ks, argmax.reshape(len(ks), -1).tolist(), top)
+    ]
+
+
+def _float_dilation(
+    k: SlabKernel, sign: DilationSign, argmax: List[int], top: List[float]
+) -> DilationResult:
+    """The closed form in floats, checked at the float tolerance."""
+    d = len(top) - 1
+    s = 1 if sign is DilationSign.POSITIVE else -1
     lam = k.scalar(sum(top), d + 1)
     w = [k.scalar(m) - lam for m in top]
     c, normals = _frame(k)

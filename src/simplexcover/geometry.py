@@ -13,10 +13,11 @@ Conventions used throughout:
 * ``dilate_about_center(S, lam)`` scales about the centroid; lam < 0 gives
   the point-reflected copy scaled by |lam|.
 * In barycentric coordinates beta (with respect to S) the same functional
-  is a_i . (x - center) = 1 - (d+1) beta_i(x).  ``slab_kernel`` evaluates it
-  for a whole point set from one inversion of the homogenized vertex
-  matrix, and keeps that inverse rather than the center and normals; the
-  slab, maximality and dilation computations all read it.
+  is a_i . (x - center) = 1 - (d+1) beta_i(x).  ``slab_kernels`` evaluates
+  it for a point set against many simplices, from one inversion of each
+  homogenized vertex matrix and one dot product over the stacked inverses,
+  and keeps each inverse rather than the center and normals; the slab,
+  maximality and dilation computations all read it.
   ``halfspace_form`` derives the same normals by solves; only tests call it.
 * A simplex's volume and its degeneracy come from one integer determinant
   of its vertices cleared to a common denominator (``linalg.simplex_det``)
@@ -308,49 +309,63 @@ class SlabKernel:
 
 
 def slab_kernel(t: Simplex, x: PointSet) -> SlabKernel:
-    """Every slab value a_i . (x_j - c) of x against t, from one inversion.
+    """The slab kernel of x against the one simplex t."""
+    return slab_kernels(x, [t])[0]
+
+
+def slab_kernels(x: PointSet, simplices: Sequence[Simplex]) -> List[SlabKernel]:
+    """Every slab value a_i . (x_j - c) of x against each simplex, from one
+    inversion per simplex and one dot product over all of them.
 
     With A the homogenized vertex matrix (column i is (v_i, 1)), beta(x) =
-    A^-1 (x, 1).  Exact input is scaled to integers by its common
-    denominator first, so A^-1 = N / D with integers N and D = |det A|,
-    and every slab value is an integer over D.  The arithmetic is exact
-    when every coordinate of t and x is an int or Fraction, float
-    otherwise.  Only t's vertices are converted; x brings its ``array``.
+    A^-1 (x, 1).  Exact input is scaled to integers first, each simplex by
+    the lcm of x's common denominator and its own vertices', so A^-1 = N / D
+    with integers N and D = |det A|, and every slab value is an integer over
+    D.  The batch is exact when every coordinate of x and of every simplex
+    is an int or Fraction, float otherwise.  Kernel k then depends on
+    simplices[k] alone, and the first simplex that fails raises what it
+    raises alone; the kernels' ``values`` are views into one array.
     """
-    if x.dim != t.dim:
-        raise DimensionMismatchError(f"point set is {x.dim}-dimensional, simplex is {t.dim}")
-    d = t.dim
-    mode = infer_mode(v for p in t.vertices for v in p) if x.mode is ScalarMode.EXACT else x.mode
+    d = x.dim
+    mode = x.mode if x.mode is ScalarMode.FLOAT else infer_mode(
+        v for t in simplices for p in t.vertices for v in p)
     if mode is ScalarMode.EXACT:
-        verts, vscale = linalg.clear_denominators(t.vertices)
-        scale, one = math.lcm(x.scale, vscale), 1
-        verts = [[v * (scale // vscale) for v in p] for p in verts]
-        pts = x.array if scale == x.scale else x.array * (scale // x.scale)
+        pts, one = x.array, 1
     else:
-        verts, scale, one = [[float(v) for v in p] for p in t.vertices], 1.0, 1.0
         # int / int rounds correctly, like float(Fraction); x.scale is 1 for floats.
-        pts = np.asarray(x.array / x.scale, dtype=np.float64)
-    homog = [[v[q] for v in verts] for q in range(d)] + [[one] * (d + 1)]
-    try:
-        inv, det = linalg.scaled_inverse(homog)
-    except SingularMatrixError:
-        if mode is ScalarMode.FLOAT and _scaled_det(t)[0] != 0:
-            raise NumericalBreakdownError(
-                "the float slab kernel rounded a non-degenerate simplex to a "
-                "singular one; rerun in exact mode"
-            ) from None
-        raise DegenerateSimplexError("vertices are affinely dependent (volume 0)") from None
+        pts, one = np.asarray(x.array / x.scale, dtype=np.float64), 1.0
+    fields, rows = [], []
+    for t in simplices:
+        if t.dim != d:
+            raise DimensionMismatchError(f"point set is {d}-dimensional, simplex is {t.dim}")
+        if mode is ScalarMode.EXACT:
+            verts, vscale = linalg.clear_denominators(t.vertices)
+            scale = math.lcm(x.scale, vscale)
+            verts = [[v * (scale // vscale) for v in p] for p in verts]
+        else:
+            verts, scale = [[float(v) for v in p] for p in t.vertices], 1.0
+        homog = [[v[q] for v in verts] for q in range(d)] + [[one] * (d + 1)]
+        try:
+            inv, det = linalg.scaled_inverse(homog)
+        except SingularMatrixError:
+            if mode is ScalarMode.FLOAT and _scaled_det(t)[0] != 0:
+                raise NumericalBreakdownError(
+                    "the float slab kernel rounded a non-degenerate simplex to a "
+                    "singular one; rerun in exact mode"
+                ) from None
+            raise DegenerateSimplexError("vertices are affinely dependent (volume 0)") from None
+        fields.append((det, scale, tuple(map(tuple, verts)), tuple(map(tuple, inv))))
+        # x's exact array is x times x.scale, so the factor scale / x.scale
+        # moves onto the inverse's coordinate columns.
+        f = scale // x.scale if mode is ScalarMode.EXACT else 1
+        rows += inv if f == 1 else [[f * c for c in r[:d]] + [r[d]] for r in inv]
     # Row i of inv dotted with (x, 1) is det * beta_i(x); the slab value is
     # det * (1 - (d+1) beta_i(x)).  The dot product is summed left to right,
     # r[0] x[0] + ... + r[d-1] x[d-1] + r[d], one coordinate at a time, so
     # a float value is bitwise the one the scalar formula gives.
-    cols = np.array(inv, dtype=pts.dtype).T[:, :, None]  # column q of inv, shaped (d+1, 1)
-    dots = linalg.combine(cols[:d], pts.T)
-    return SlabKernel(
-        mode=mode,
-        den=det,
-        values=det - (d + 1) * (dots + cols[d]),
-        scale=scale,
-        scaled_vertices=tuple(map(tuple, verts)),
-        inverse=tuple(map(tuple, inv)),
-    )
+    cols = np.array(rows, dtype=pts.dtype).reshape(-1, d + 1).T[:, :, None]
+    dots = linalg.combine(cols[:d], pts.T) + cols[d]
+    dens = np.array([det for det, *_ in fields], dtype=pts.dtype)[:, None, None]
+    values = dens - (d + 1) * dots.reshape(len(fields), d + 1, len(x))
+    # Each entry of fields is (den, scale, scaled_vertices, inverse).
+    return [SlabKernel(mode, det, v, *rest) for v, (det, *rest) in zip(values, fields)]

@@ -41,7 +41,7 @@ def to_jsonable(obj: Any) -> Any:
     """Recursively convert results (dataclasses, scalars, enums) to JSON types."""
     # The exact types that fill the package's reports first, because
     # isinstance against Fraction's abstract base class is slow; everything
-    # else (dicts, numpy scalars, enums, subclasses) takes the chain below.
+    # else (numpy scalars, enums, subclasses) takes the chain below.
     cls = type(obj)
     if cls is str or cls is int or cls is bool or obj is None:
         return obj
@@ -49,6 +49,8 @@ def to_jsonable(obj: Any) -> Any:
         return scalar_to_str(obj)
     if cls is list or cls is tuple:
         return [to_jsonable(v) for v in obj]
+    if cls is dict:
+        return {str(k): to_jsonable(v) for k, v in obj.items()}
     names = _DATACLASS_FIELDS.get(cls)
     if names is not None:
         return {name: to_jsonable(getattr(obj, name)) for name in names}
@@ -149,8 +151,10 @@ def parse_points_csv(text: str, mode: ScalarMode) -> PointSet:
                 )
             rows.append(fields)
             linenos.append(lineno)
-    except (InputFormatError, csv.Error) as exc:
+    except InputFormatError as exc:
         stop = exc  # raised once the rows before it have parsed
+    except csv.Error as exc:  # only csv.reader raises it
+        stop = InputFormatError(f"line {records.line_num}: {exc}")
     if rows:
         points = _parse_fields(rows, linenos, mode)
     if stop is not None:

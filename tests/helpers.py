@@ -20,6 +20,8 @@ report, which ``dumps_report`` must reproduce byte for byte.
 the full LP, and ``report_v1`` maps a schema-2 report back to schema 1.
 ``fraction_min_dilation`` is the dilation closed form in Fraction
 arithmetic, the oracle for exact ``min_dilation`` on the kernel's integers.
+``reference_slab_kernel`` builds one simplex's kernel on its own, the
+oracle for each kernel of the batched ``slab_kernels``.
 ``reference_farthest_pair`` scans every pair of rows, the oracle for the
 pruned pair scan.  ``reference_parse_points_csv`` reads a CSV text through
 ``csv.reader`` and ``parse_scalar`` one field at a time, the oracle for the
@@ -52,6 +54,7 @@ from simplexcover.geometry import (
     Point,
     PointSet,
     Simplex,
+    SlabKernel,
     centroid,
     dilate_about_center,
     dot,
@@ -315,6 +318,46 @@ def fraction_min_dilation(t: Simplex, x: PointSet, sign: DilationSign) -> Dilati
     )
 
 
+def reference_slab_kernel(t: Simplex, x: PointSet) -> SlabKernel:
+    """One simplex's slab kernel on its own, as ``slab_kernel`` built it
+    before kernels were batched: the oracle for every kernel of
+    ``slab_kernels``, field by field and error by error."""
+    if x.dim != t.dim:
+        raise DimensionMismatchError(f"point set is {x.dim}-dimensional, simplex is {t.dim}")
+    d = t.dim
+    mode = infer_mode(v for p in t.vertices for v in p) if x.mode is ScalarMode.EXACT else x.mode
+    if mode is ScalarMode.EXACT:
+        verts, vscale = linalg.clear_denominators(t.vertices)
+        scale, one = math.lcm(x.scale, vscale), 1
+        verts = [[v * (scale // vscale) for v in p] for p in verts]
+        pts = x.array if scale == x.scale else x.array * (scale // x.scale)
+    else:
+        verts, scale, one = [[float(v) for v in p] for p in t.vertices], 1.0, 1.0
+        pts = np.asarray(x.array / x.scale, dtype=np.float64)
+    homog = [[v[q] for v in verts] for q in range(d)] + [[one] * (d + 1)]
+    try:
+        inv, det = linalg.scaled_inverse(homog)
+    except SingularMatrixError:
+        if mode is ScalarMode.FLOAT and linalg.simplex_det(
+            linalg.clear_denominators(verts)[0]
+        ) != 0:
+            raise NumericalBreakdownError(
+                "the float slab kernel rounded a non-degenerate simplex to a "
+                "singular one; rerun in exact mode"
+            ) from None
+        raise DegenerateSimplexError("vertices are affinely dependent (volume 0)") from None
+    cols = np.array(inv, dtype=pts.dtype).T[:, :, None]
+    dots = linalg.combine(cols[:d], pts.T)
+    return SlabKernel(
+        mode=mode,
+        den=det,
+        values=det - (d + 1) * (dots + cols[d]),
+        scale=scale,
+        scaled_vertices=tuple(map(tuple, verts)),
+        inverse=tuple(map(tuple, inv)),
+    )
+
+
 def dense_dual(res: DilationResult, n: int) -> Tuple[Scalar, ...]:
     """The dual of the full (d+1)*n row LP that ``res.binding`` stands for:
     1/(d+1) on row i*n + binding[i], 0 elsewhere, in the mode of ``res``."""
@@ -563,6 +606,16 @@ def fraction_parse_scalar(text: str, mode: ScalarMode) -> Scalar:
         return math.inf if value > 0 else -math.inf
 
 
+def _csv_records(text: str):
+    """``csv.reader``'s records of ``text``, a ``csv.Error`` raised as an
+    input error on the line it stopped at."""
+    reader = csv.reader(text.splitlines())
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise InputFormatError(f"line {reader.line_num}: {exc}") from exc
+
+
 def reference_parse_points_csv(text: str, mode: ScalarMode) -> List[Tuple[Scalar, ...]]:
     """The points of a CSV text read one field at a time: ``csv.reader``,
     then ``parse_scalar`` on every field, then the first point with a
@@ -570,7 +623,7 @@ def reference_parse_points_csv(text: str, mode: ScalarMode) -> List[Tuple[Scalar
     and ``PointSet``."""
     rows: List[Tuple[Scalar, ...]] = []
     dim = None
-    for lineno, fields in enumerate(csv.reader(text.splitlines()), start=1):
+    for lineno, fields in enumerate(_csv_records(text), start=1):
         fields = [f.strip() for f in fields]
         if not fields or fields == [""]:
             continue

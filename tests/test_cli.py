@@ -291,6 +291,15 @@ def test_cli_input_errors(argv, error):
     assert (rep["error_kind"], rep["error"]) == ("input-error", error)
 
 
+def test_oversized_quoted_csv_field_is_an_input_error(tmp_path, capsys):
+    # csv.reader stops on a field past its 131,072-character limit.
+    path = write(tmp_path, "wide.csv", '"' + "1" * 200_000 + '",2\n')
+    assert main(["john", "--mode", "float", "--input", path]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["error_kind"] == "input-error"
+    assert rep["error"] == "line 1: field larger than field limit (131072)"
+
+
 def test_float_fraction_past_the_float_range_is_an_input_error(tmp_path):
     # A p/q text goes through Fraction, whose float() overflows to inf here.
     path = write(tmp_path, "big.csv", "1" + "0" * 400 + "/3,0\n0,1\n1,0\n")

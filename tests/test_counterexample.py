@@ -29,7 +29,7 @@ from simplexcover.counterexample import (
 )
 from simplexcover import cli
 from simplexcover.errors import LPInternalError
-from simplexcover.geometry import slab_kernel
+from simplexcover.geometry import slab_kernels
 
 F = Fraction
 FIFTH = CounterexampleConfig(F(1, 5), F(1, 5))
@@ -301,17 +301,29 @@ def test_sweep_raises_on_a_failing_certificate(monkeypatch):
 
 
 def test_each_triangle_builds_one_kernel(monkeypatch):
+    # One batched kernel call builds the ten triangles' kernels, and each
+    # triangle's dilation is still checked on its own certificate.
     import simplexcover.covering as covering
 
-    calls = []
+    batches, checks = [], []
 
-    def counted(t, x):
-        calls.append(t)
-        return slab_kernel(t, x)
+    def counted_kernels(x, simplices):
+        batches.append(list(simplices))
+        return slab_kernels(x, simplices)
 
-    monkeypatch.setattr(covering, "slab_kernel", counted)
-    min_dilation_all(FIFTH)
-    assert len(calls) == 10
+    def counted_check(*args, **kwargs):
+        checks.append(args[0])
+        return check_certificate(*args, **kwargs)
+
+    monkeypatch.setattr(covering, "slab_kernels", counted_kernels)
+    monkeypatch.setattr(covering, "slab_kernel", None)  # no single-kernel path
+    monkeypatch.setattr(covering, "check_certificate", counted_check)
+    triangles, _ = min_dilation_all(FIFTH)
+    assert [[t.vertex_indices for t in b] for b in batches] == [
+        [t.vertex_indices for t in triangles]
+    ]
+    assert len(checks) == 10
+    assert all(len(lp.rows) == 3 for lp in checks)
 
 
 def test_sweep_accepts_strings():

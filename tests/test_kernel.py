@@ -4,7 +4,9 @@
 per-facet Fraction loops of the slab checks, and ``dilation_lp`` is built
 from it.  Every result here is compared with an oracle derived without the
 kernel, from the halfspace form: ``solve_lp`` on ``halfspace_dilation_lp``,
-and facet-by-facet scans over ``halfspace_form(...).value``.  The inputs are
+and facet-by-facet scans over ``halfspace_form(...).value``.  Batched
+kernels (``slab_kernels``, ``min_dilations``) are compared with the same
+simplices one at a time, against ``reference_slab_kernel``.  The inputs are
 deliberately not the friendly ones the MVS pipeline produces: arbitrary
 (non-maximal) simplices, points far outside T, and coordinates far beyond
 int64.
@@ -25,6 +27,7 @@ from helpers import (
     fraction_min_dilation,
     halfspace_dilation_lp,
     rational_points,
+    reference_slab_kernel,
 )
 from simplexcover import (
     DilationSign,
@@ -40,6 +43,7 @@ from simplexcover import (
     john_positive_cover,
     make_simplex,
     min_dilation,
+    min_dilations,
     simplex_volume,
     solve_lp,
     verify_local_maximality,
@@ -48,7 +52,7 @@ from simplexcover import (
 from simplexcover.counterexample import CounterexampleConfig, build_points, enumerate_triangles
 from simplexcover.covering import _frame
 from simplexcover.errors import DegenerateSimplexError, LPInternalError, SingularMatrixError
-from simplexcover.geometry import slab_kernel
+from simplexcover.geometry import slab_kernel, slab_kernels
 from simplexcover.linalg import scaled_inverse
 
 F = Fraction
@@ -216,6 +220,96 @@ def test_exact_dilation_matches_fraction_closed_form_on_the_counterexample(pqr):
         assume(False)
     for t in triangles:
         assert_matches_fraction_closed_form(t, x)
+
+
+# Mixed denominators, small and past int64, for exact coordinates.
+_DENOMS = (1, 2, 3, 7, 64, 10**6 + 3, 10**18 + 9)
+
+
+@st.composite
+def kernel_batches(draw):
+    """A point set x (exact, or float at scale 1, 1e-160 or 1e160) in R^d,
+    d = 1..5, and 1-12 simplices whose vertices are points of x or new
+    points of x's kind.  In half the batches a member may be degenerate or
+    of the wrong dimension."""
+    d = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        coord = st.sampled_from(_DENOMS).flatmap(
+            lambda q: st.builds(F, st.integers(-3 * q, 3 * q), st.just(q)))
+    else:
+        scale = draw(st.sampled_from([1.0, 1e-160, 1e160]))
+        coord = st.floats(-3, 3).map(lambda v: v * scale)
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=8))
+
+    def simplices(dim, vertex):
+        return st.lists(vertex, min_size=dim + 1, max_size=dim + 1).map(
+            lambda vs: Simplex(dim, tuple(vs)))
+
+    any_simplex = simplices(d, st.one_of(st.sampled_from(pts), st.tuples(*[coord] * d)))
+    member = any_simplex.filter(lambda t: simplex_volume(t) != 0)
+    if draw(st.booleans()):
+        wrong = [e for e in (d - 1, d + 1) if e >= 1]
+        member = st.one_of(
+            member, member, member, any_simplex,
+            st.sampled_from(wrong).flatmap(lambda e: simplices(e, st.tuples(*[coord] * e))),
+        )
+    return PointSet(d, pts), draw(st.lists(member, min_size=1, max_size=12))
+
+
+def _hexed(v):
+    """A scalar as a comparable key; floats by their hex form, so NaN,
+    -0.0 and every last bit count."""
+    return v.hex() if isinstance(v, float) else (type(v), v)
+
+
+def _kernel_fields(k):
+    return (
+        k.mode, _hexed(k.den), _hexed(k.scale),
+        [[_hexed(v) for v in row] for row in k.values.tolist()],
+        [[_hexed(v) for v in p] for p in k.scaled_vertices],
+        [[_hexed(v) for v in r] for r in k.inverse],
+    )
+
+
+def _dilation_fields(r):
+    return (_hexed(r.lam), r.sign, [_hexed(v) for v in r.translate], r.binding,
+            [_hexed(v) for v in r.lp_translate])
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # every error must match, whatever its type
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_batches())
+def test_batched_kernels_equal_one_kernel_at_a_time(batch):
+    x, simplices = batch
+    with np.errstate(all="ignore"):  # 1e160 coordinates overflow in float
+        alone = [_outcome(reference_slab_kernel, t, x) for t in simplices]
+        failed = [a for a in alone if isinstance(a, tuple)]
+        got = _outcome(slab_kernels, x, simplices)
+        if failed:
+            # The first member that fails raises what it raises alone.
+            assert got == failed[0]
+            return
+        assert [_kernel_fields(k) for k in got] == [_kernel_fields(k) for k in alone]
+        assert all(k.values.base is got[0].values.base is not None for k in got)  # one stack
+        for sign in DilationSign:
+            batched = _outcome(min_dilations, x, simplices, sign)
+            one_by_one = [_outcome(min_dilation, t, x, sign) for t in simplices]
+            failed = [r for r in one_by_one if isinstance(r, tuple)]
+            if failed:
+                assert batched == failed[0]
+                continue
+            assert [_dilation_fields(r) for r in batched] == [
+                _dilation_fields(r) for r in one_by_one]
+            if x.mode is ScalarMode.EXACT:
+                assert [_dilation_fields(r) for r in batched] == [
+                    _dilation_fields(fraction_min_dilation(t, x, sign)) for t in simplices]
 
 
 @pytest.mark.parametrize("row", [0, -1], ids=["first-row", "last-row"])

@@ -138,6 +138,14 @@ def test_csv_bad_entry_reports_line_number():
         parse_points_csv("1,2\nfoo,4\n", ScalarMode.EXACT)
 
 
+def test_csv_oversized_quoted_field_reports_line_number():
+    # A quoted field past csv.field_size_limit() stops csv.reader.
+    text = "1,2\n" + '"' + "1" * (csv.field_size_limit() + 1) + '",2\n'
+    for mode in ScalarMode:
+        with pytest.raises(InputFormatError, match="^line 2: field larger than field limit"):
+            parse_points_csv(text, mode)
+
+
 def test_csv_empty_is_an_error():
     with pytest.raises(InputFormatError, match="no points"):
         parse_points_csv("\n\n", ScalarMode.FLOAT)
