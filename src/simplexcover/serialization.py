@@ -5,6 +5,10 @@ when the denominator is 1), floats as decimal strings with 17 significant
 digits, so both round-trip losslessly.  Python ints pass through as JSON
 integers.
 
+Report conversion: ``to_jsonable`` looks up the converter of each object's
+exact type in one table; ``_converter`` fills a type's entry the first time
+it is seen, by ``isinstance`` rules in a fixed order.
+
 Report writer contract: ``dumps_report(r)`` returns the same bytes as
 ``json.dumps(to_jsonable(r), sort_keys=True, indent=2) + "\n"`` for every
 tree ``to_jsonable`` makes of the package's results: keys sorted, two
@@ -23,7 +27,7 @@ import itertools
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -33,44 +37,34 @@ from .geometry import PointSet
 from .scalars import Scalar, ScalarMode, float_batch, parse_scalar, scalar_to_str
 
 
-# Field names of each dataclass type that ``to_jsonable`` has converted.
-_DATACLASS_FIELDS: Dict[type, Tuple[str, ...]] = {}
+# The converter of each type that ``to_jsonable`` has seen.
+_CONVERTERS: Dict[type, Callable[[Any], Any]] = {}
 
 
 def to_jsonable(obj: Any) -> Any:
     """Recursively convert results (dataclasses, scalars, enums) to JSON types."""
-    # The exact types that fill the package's reports first, because
-    # isinstance against Fraction's abstract base class is slow; everything
-    # else (numpy scalars, enums, subclasses) takes the chain below.
     cls = type(obj)
-    if cls is str or cls is int or cls is bool or obj is None:
-        return obj
-    if cls is float or cls is Fraction:
-        return scalar_to_str(obj)
-    if cls is list or cls is tuple:
-        return [to_jsonable(v) for v in obj]
-    if cls is dict:
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    names = _DATACLASS_FIELDS.get(cls)
-    if names is not None:
-        return {name: to_jsonable(getattr(obj, name)) for name in names}
-    if isinstance(obj, (bool, str)):
-        return obj
-    if isinstance(obj, int):
-        return obj
-    if isinstance(obj, (float, Fraction)):
-        return scalar_to_str(obj)
-    if isinstance(obj, enum.Enum):
-        return obj.value
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        names = tuple(f.name for f in dataclasses.fields(obj))
-        _DATACLASS_FIELDS[cls] = names
-        return {name: to_jsonable(getattr(obj, name)) for name in names}
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    convert = _CONVERTERS.get(cls) or _CONVERTERS.setdefault(cls, _converter(cls))
+    return convert(obj)
+
+
+def _converter(cls: type) -> Callable[[Any], Any]:
+    """How ``to_jsonable`` converts an instance of ``cls``: by the first
+    rule that holds, so an IntEnum stays an int; a TypeError if none does."""
+    if cls is type(None) or issubclass(cls, (bool, str, int)):
+        return lambda obj: obj
+    if issubclass(cls, (float, Fraction)):
+        return scalar_to_str
+    if issubclass(cls, enum.Enum):
+        return lambda obj: obj.value
+    if dataclasses.is_dataclass(cls) and not issubclass(cls, type):
+        names = tuple(f.name for f in dataclasses.fields(cls))
+        return lambda obj: {name: to_jsonable(getattr(obj, name)) for name in names}
+    if issubclass(cls, dict):
+        return lambda obj: {str(k): to_jsonable(v) for k, v in obj.items()}
+    if issubclass(cls, (list, tuple)):
+        return lambda obj: [to_jsonable(v) for v in obj]
+    raise TypeError(f"cannot serialize {cls.__name__}")
 
 
 def dumps_report(report: Dict[str, Any]) -> str:
@@ -138,9 +132,11 @@ def parse_points_csv(text: str, mode: ScalarMode) -> PointSet:
     records = csv.reader(lines) if quoted else (line.split(",") for line in lines)
     rows: List[List[str]] = []
     linenos: List[int] = []
-    dim, stop = None, None
+    dim, stop, next_line = None, None, 1
     try:
-        for lineno, fields in enumerate(records, start=1):
+        for fields in records:
+            # A record starts on the line after the previous one ended.
+            lineno, next_line = next_line, (records.line_num if quoted else next_line) + 1
             if len(fields) < 2 and not "".join(fields).strip():
                 continue  # a blank line
             if dim is None:

@@ -25,17 +25,22 @@ oracle for each kernel of the batched ``slab_kernels``.
 ``reference_farthest_pair`` scans every pair of rows, the oracle for the
 pruned pair scan.  ``reference_parse_points_csv`` reads a CSV text through
 ``csv.reader`` and ``parse_scalar`` one field at a time, the oracle for the
-batched float reader.
+batched float reader; it numbers each record by the physical line it
+starts on.  ``reference_to_jsonable`` is the report converter as it was
+before conversion went through one table of converters per type: an
+exact-type fast path in front of an ``isinstance`` chain.
 """
 from __future__ import annotations
 
 import csv
+import dataclasses
+import enum
 import itertools
 import json
 import math
 import random
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -607,11 +612,15 @@ def fraction_parse_scalar(text: str, mode: ScalarMode) -> Scalar:
 
 
 def _csv_records(text: str):
-    """``csv.reader``'s records of ``text``, a ``csv.Error`` raised as an
+    """``csv.reader``'s records of ``text``, each with the physical line it
+    starts on (a quoted field may span lines), a ``csv.Error`` raised as an
     input error on the line it stopped at."""
     reader = csv.reader(text.splitlines())
+    start = 1
     try:
-        yield from reader
+        for fields in reader:
+            yield start, fields
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise InputFormatError(f"line {reader.line_num}: {exc}") from exc
 
@@ -623,7 +632,7 @@ def reference_parse_points_csv(text: str, mode: ScalarMode) -> List[Tuple[Scalar
     and ``PointSet``."""
     rows: List[Tuple[Scalar, ...]] = []
     dim = None
-    for lineno, fields in enumerate(_csv_records(text), start=1):
+    for lineno, fields in _csv_records(text):
         fields = [f.strip() for f in fields]
         if not fields or fields == [""]:
             continue
@@ -643,6 +652,46 @@ def reference_parse_points_csv(text: str, mode: ScalarMode) -> List[Tuple[Scalar
         if any(isinstance(v, float) and not math.isfinite(v) for v in p):
             raise InputFormatError(f"point {k} has a non-finite coordinate: {p}")
     return rows
+
+
+# Field names of each dataclass type that ``reference_to_jsonable`` has converted.
+_REFERENCE_DATACLASS_FIELDS: Dict[type, Tuple[str, ...]] = {}
+
+
+def reference_to_jsonable(obj: Any) -> Any:
+    """Recursively convert results (dataclasses, scalars, enums) to JSON types."""
+    # The exact types that fill the package's reports first, because
+    # isinstance against Fraction's abstract base class is slow; everything
+    # else (numpy scalars, enums, subclasses) takes the chain below.
+    cls = type(obj)
+    if cls is str or cls is int or cls is bool or obj is None:
+        return obj
+    if cls is float or cls is Fraction:
+        return scalar_to_str(obj)
+    if cls is list or cls is tuple:
+        return [reference_to_jsonable(v) for v in obj]
+    if cls is dict:
+        return {str(k): reference_to_jsonable(v) for k, v in obj.items()}
+    names = _REFERENCE_DATACLASS_FIELDS.get(cls)
+    if names is not None:
+        return {name: reference_to_jsonable(getattr(obj, name)) for name in names}
+    if isinstance(obj, (bool, str)):
+        return obj
+    if isinstance(obj, int):
+        return obj
+    if isinstance(obj, (float, Fraction)):
+        return scalar_to_str(obj)
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        names = tuple(f.name for f in dataclasses.fields(obj))
+        _REFERENCE_DATACLASS_FIELDS[cls] = names
+        return {name: reference_to_jsonable(getattr(obj, name)) for name in names}
+    if isinstance(obj, dict):
+        return {str(k): reference_to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_to_jsonable(v) for v in obj]
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def json_oracle(report) -> str:

@@ -1,5 +1,6 @@
 """Minimal-dilation covers and the two-sided covering guarantee."""
 import dataclasses
+import itertools
 import random
 import warnings
 from fractions import Fraction
@@ -31,6 +32,7 @@ from simplexcover import (
     john_positive_cover,
     make_simplex,
     min_dilation,
+    min_dilations,
     mvs_exact,
     sample_body,
     simplex_volume,
@@ -437,3 +439,62 @@ def test_random_float_matches_exact():
             exact = min_dilation(t, x, sign)
             approx = min_dilation(tf, xf, sign)
             assert approx.lam == pytest.approx(float(exact.lam), abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Exact anchors beyond the paper's bounds
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_max_volume_simplex_of_d_plus_2_points_attains_one_plus_half_d(d):
+    """For d+2 points, a maximum-volume simplex has lambda+ <= 1 + floor(d/2),
+    and the standard simplex plus one point attains it.
+
+    Proof of the bound.  Let T be a maximum-volume simplex of X and p the
+    point of X outside T, with barycentric coordinates beta_i(p) in T.
+    Replacing vertex i by p scales the volume by |beta_i(p)|, so maximality
+    gives |beta_i(p)| <= 1 for every i, and sum_i beta_i(p) = 1.  Then
+    lambda+ = 1 + sum of the |beta_i(p)| that are negative.  With k negative
+    coordinates, that sum is at most k, and at most d - k, since the
+    positive ones, at most d + 1 - k of them and each at most 1, sum to
+    1 plus it.  So lambda+ <= 1 + min(k, d - k) <= 1 + floor(d/2).
+
+    Attained by beta = (-1 x floor(d/2), 1 x (floor(d/2) + 1), 0, ...)
+    against T = (0, e_1, ..., e_d): every swap keeps the volume or drops it
+    to 0, so T is maximal and is the lexicographically first maximum.
+    """
+    half = d // 2
+    beta = [-1] * half + [1] * (half + 1) + [0] * (d - 2 * half)
+    standard = [tuple(F(int(q == i)) for q in range(d)) for i in range(-1, d)]
+    x = PointSet(d, standard + [tuple(F(b) for b in beta[1:])])
+    rep = john_positive_cover(x)
+    assert rep.mvs.simplex.vertex_indices == tuple(range(d + 1))
+    assert rep.positive.lam == 1 + half
+    assert rep.sandwich.ok and rep.bounds_ok
+
+
+# Seven points of R^3 on which every tetrahedron needs lambda+ > 3 = d.
+SEVEN_IN_R3 = """\
+-1.469,1.723,1.08
+-2.834,1.192,0.007
+1.719,-0.287,-1.507
+2.57,0.353,-0.035
+-0.369,-1.434,1.381
+0.858,-1.687,-0.071
+0.155,2.506,-1.203
+"""
+
+
+def test_seven_points_in_r3_need_a_positive_dilation_above_d():
+    # d is not the best lower bound for lambda+ in R^3 either: the smallest
+    # lambda+ over all 35 tetrahedra with vertices in X exceeds 3.
+    x = parse_points_csv(SEVEN_IN_R3, ScalarMode.EXACT)
+    tetrahedra = [
+        make_simplex([x.points[i] for i in idx], idx)
+        for idx in itertools.combinations(range(len(x)), 4)
+    ]
+    assert len(tetrahedra) == 35
+    results = min_dilations(x, tetrahedra, DilationSign.POSITIVE)
+    best = min(range(35), key=lambda k: results[k].lam)
+    assert results[best].lam == F(65313830658, 21582302635) > 3
+    assert tetrahedra[best].vertex_indices == (0, 1, 5, 6)

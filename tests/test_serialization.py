@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import json_oracle, reference_parse_points_csv
+from helpers import json_oracle, reference_parse_points_csv, reference_to_jsonable
 from simplexcover import (
     InputFormatError,
     PointSet,
@@ -113,6 +113,81 @@ def test_dumps_report_matches_json_oracle(tree):
     assert dumps_report(tree) == json_oracle(tree)
 
 
+class Suit(str, enum.Enum):
+    SPADES = "spades"
+
+
+class Opaque:
+    pass
+
+
+@dataclass(init=False)
+class DataclassMeta(type):
+    """A metaclass that is a dataclass: its classes are not converted."""
+    tag: int = 0
+
+
+class Tagged(metaclass=DataclassMeta):
+    pass
+
+
+_ANY_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64),
+    st.fractions(),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, float("nan")]),
+    st.floats().map(np.float64),
+    st.sampled_from([Color.RED, Rank.FIRST, Suit.SPADES]),
+    st.text(max_size=5),
+    # No converter takes these; one branch, so that most trees convert.
+    st.one_of(
+        st.integers(-(2**63), 2**63 - 1).map(np.int64),
+        st.sampled_from([Pair, Opaque, Tagged]),
+        st.builds(Opaque),
+    ),
+)
+
+_ANY_TREES = st.recursive(
+    _ANY_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.integers(), st.text(max_size=5)), children, max_size=4),
+        st.builds(Pair, children, children),
+    ),
+    max_leaves=25,
+)
+
+
+def _converted(convert, tree):
+    """The converted tree with the type of every node, or the error."""
+    try:
+        out = convert(tree)
+    except TypeError as exc:
+        return "TypeError", str(exc)
+
+    def typed(node):
+        if isinstance(node, dict):
+            return dict, [(typed(k), typed(v)) for k, v in node.items()]
+        if isinstance(node, list):
+            return list, [typed(v) for v in node]
+        return type(node), node
+
+    return typed(out)
+
+
+@settings(max_examples=300)
+@given(_ANY_TREES)
+@example(Pair(Rank.FIRST, {1: Suit.SPADES, "1": [np.float64("nan")]}))
+@example([F(1, 3), (2**70, -0.0), np.int64(3)])
+@example({"meta": Tagged})
+def test_to_jsonable_matches_reference_converter(tree):
+    assert _converted(to_jsonable, tree) == _converted(reference_to_jsonable, tree)
+
+
 # ---------------------------------------------------------------------------
 # CSV points
 # ---------------------------------------------------------------------------
@@ -136,6 +211,16 @@ def test_csv_ragged_row_reports_line_number():
 def test_csv_bad_entry_reports_line_number():
     with pytest.raises(InputFormatError, match="line 2"):
         parse_points_csv("1,2\nfoo,4\n", ScalarMode.EXACT)
+
+
+@pytest.mark.parametrize("last", ["6,x", "6"])
+def test_csv_line_numbers_after_a_field_spanning_two_lines(last):
+    # The quoted field joins lines 1 and 2 into one record, so the last
+    # record starts on line 4, not on the reader's third record.
+    text = '"1\n2",3\n4,5\n' + last + "\n"
+    for mode in ScalarMode:
+        with pytest.raises(InputFormatError, match="^line 4: "):
+            parse_points_csv(text, mode)
 
 
 def test_csv_oversized_quoted_field_reports_line_number():
@@ -202,6 +287,7 @@ def _read(parse, text, mode):
 @example("0." + "3" * 5000 + ",1\n", ScalarMode.FLOAT)  # float reads it, Fraction rejects it
 @example("-0.0,1\r\n\n-1e-400,2\f0e5,1e400\n", ScalarMode.FLOAT)
 @example('"1.5",2\n3,nan\n1_0,\u0661\u0662\n', ScalarMode.FLOAT)
+@example('"1\n2",3\n4,5\n6,x\n', ScalarMode.EXACT)  # a field spanning two lines
 def test_csv_reader_matches_field_by_field_parse(text, mode):
     assert _read(lambda t, m: parse_points_csv(t, m).points, text, mode) == _read(
         reference_parse_points_csv, text, mode
