@@ -5,6 +5,10 @@ when the denominator is 1), floats as decimal strings with 17 significant
 digits, so both round-trip losslessly.  Python ints pass through as JSON
 integers.
 
+Point files: CSV lines and JSON rows share one field parser and float
+mode's one ``float_batch``.  Files are read as ``utf-8-sig`` (a leading
+byte-order mark is dropped); a quoted CSV field may span lines.
+
 Report conversion: ``to_jsonable`` looks up the converter of each object's
 exact type in one table; ``_converter`` fills a type's entry the first time
 it is seen, by ``isinstance`` rules in a fixed order.
@@ -27,7 +31,7 @@ import itertools
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Dict, List, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -122,13 +126,11 @@ def _write_json(obj: Any, newline: str, out: List[str]) -> None:
 def parse_points_csv(text: str, mode: ScalarMode) -> PointSet:
     """One point per line, comma-separated; "p/q" and decimal entries accepted.
 
-    Each field is read as ``parse_scalar`` reads it (which strips it), and
-    the first error in file order is raised.  Lines are split on commas,
-    except that a text holding a double quote or a NUL is read by
-    ``csv.reader``: only those characters make its fields differ.
-    """
-    lines = text.splitlines()
+    Lines are split on commas, except that a text holding a double quote or
+    a NUL is read by ``csv.reader`` (line ends included, so a quoted field
+    keeps its line breaks): only those characters make its fields differ."""
     quoted = '"' in text or "\0" in text
+    lines = text.splitlines(keepends=quoted)
     records = csv.reader(lines) if quoted else (line.split(",") for line in lines)
     rows: List[List[str]] = []
     linenos: List[int] = []
@@ -151,39 +153,39 @@ def parse_points_csv(text: str, mode: ScalarMode) -> PointSet:
         stop = exc  # raised once the rows before it have parsed
     except csv.Error as exc:  # only csv.reader raises it
         stop = InputFormatError(f"line {records.line_num}: {exc}")
-    if rows:
-        points = _parse_fields(rows, linenos, mode)
-    if stop is not None:
-        raise stop
-    if not rows:
-        raise InputFormatError("no points found")
-    return PointSet(dim, points)
+    return _point_set(rows, dim, lambda k: f"line {linenos[k]}", stop, mode)
 
 
-def _parse_fields(rows: List[List[str]], linenos: List[int], mode: ScalarMode):
-    """The points of ``rows``, found on lines ``linenos``, each field as
-    ``parse_scalar`` reads it; in float mode an (n, d) array.
-
-    Float mode converts every field in one ``float_batch`` and gives
-    ``parse_scalar`` only the fields whose value that leaves open, or every
-    field if ``float`` rejects one.
-    """
-    dim = len(rows[0])
+def _point_set(rows: List[List[str]], dim: Optional[int], name: Callable[[int], str],
+               stop: Optional[InputFormatError], mode: ScalarMode) -> PointSet:
+    """The points of ``rows`` of ``dim`` fields, each as ``parse_scalar``
+    reads it.  Raised in order: the first field that does not parse, after
+    ``name(k)`` of its row k; then ``stop``, the error that ended the rows
+    (the last row may then be short); then "no points found".  Float mode
+    converts every field in one ``float_batch`` and gives ``parse_scalar``
+    only the fields whose value that leaves open, or all if ``float``
+    rejects one."""
     fields = list(itertools.chain.from_iterable(rows))
+    if not fields:
+        raise stop or InputFormatError("no points found")
 
     def parse(i: int) -> Scalar:
         try:
             return parse_scalar(fields[i], mode)
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputFormatError(f"line {linenos[i // dim]}: {exc}") from exc
+            raise InputFormatError(f"{name(i // dim)}: {exc}") from exc
 
     array = float_batch(fields) if mode is ScalarMode.FLOAT else None
     if array is not None:
         for i in np.flatnonzero(np.isnan(array)).tolist():
             array[i] = parse(i)
-        return array.reshape(len(rows), dim)
-    values = [parse(i) for i in range(len(fields))]
-    return list(zip(*[iter(values)] * dim))
+    else:
+        values = [parse(i) for i in range(len(fields))]
+    if stop is not None:
+        raise stop
+    if array is not None:
+        return PointSet(dim, array.reshape(len(rows), dim))
+    return PointSet(dim, list(zip(*[iter(values)] * dim)))
 
 
 def parse_points_json(text: str, mode: ScalarMode) -> PointSet:
@@ -201,29 +203,27 @@ def parse_points_json(text: str, mode: ScalarMode) -> PointSet:
         raise InputFormatError('"dim" must be a positive integer')
     if not isinstance(points, list):
         raise InputFormatError('"points" must be a list of points')
-    pts = []
+    rows, stop = [], None
     for i, row in enumerate(points):
         if not isinstance(row, list) or len(row) != dim:
-            raise InputFormatError(f"point {i}: expected {dim} coordinates")
-        coords = []
-        for v in row:
+            stop = InputFormatError(f"point {i}: expected {dim} coordinates")
+            break
+        for j, v in enumerate(row):
             if isinstance(v, bool) or not isinstance(v, (int, str)):
-                raise InputFormatError(f"point {i}: unsupported entry {v!r}")
-            try:
-                coords.append(parse_scalar(str(v), mode))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise InputFormatError(f"point {i}: {exc}") from exc
-        pts.append(tuple(coords))
-    if not pts:
-        raise InputFormatError("no points found")
-    return PointSet(dim, tuple(pts))
+                stop = InputFormatError(f"point {i}: unsupported entry {v!r}")
+                row = row[:j]  # a short last row, parsed before ``stop``
+                break
+        rows.append(list(map(str, row)))
+        if stop is not None:
+            break
+    return _point_set(rows, dim, "point {}".format, stop, mode)
 
 
 def parse_points_file(path: str, fmt: str, mode: ScalarMode) -> PointSet:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     if fmt == "json" or (fmt == "auto" and path.endswith(".json")):
         return parse_points_json(text, mode)

@@ -26,9 +26,13 @@ oracle for each kernel of the batched ``slab_kernels``.
 pruned pair scan.  ``reference_parse_points_csv`` reads a CSV text through
 ``csv.reader`` and ``parse_scalar`` one field at a time, the oracle for the
 batched float reader; it numbers each record by the physical line it
-starts on.  ``reference_to_jsonable`` is the report converter as it was
-before conversion went through one table of converters per type: an
-exact-type fast path in front of an ``isinstance`` chain.
+starts on, and a quoted field keeps its line breaks.
+``reference_parse_points_json`` reads a JSON point file one entry at a
+time through ``parse_scalar``, as the JSON reader did before its rows
+took the CSV field parser.  ``reference_to_jsonable`` is the report
+converter as it was before conversion went through one table of
+converters per type: an exact-type fast path in front of an
+``isinstance`` chain.
 """
 from __future__ import annotations
 
@@ -614,8 +618,9 @@ def fraction_parse_scalar(text: str, mode: ScalarMode) -> Scalar:
 def _csv_records(text: str):
     """``csv.reader``'s records of ``text``, each with the physical line it
     starts on (a quoted field may span lines), a ``csv.Error`` raised as an
-    input error on the line it stopped at."""
-    reader = csv.reader(text.splitlines())
+    input error on the line it stopped at.  The reader gets each line with
+    its line end, so a quoted field that spans lines keeps the break."""
+    reader = csv.reader(text.splitlines(keepends=True))
     start = 1
     try:
         for fields in reader:
@@ -652,6 +657,37 @@ def reference_parse_points_csv(text: str, mode: ScalarMode) -> List[Tuple[Scalar
         if any(isinstance(v, float) and not math.isfinite(v) for v in p):
             raise InputFormatError(f"point {k} has a non-finite coordinate: {p}")
     return rows
+
+
+def reference_parse_points_json(text: str, mode: ScalarMode) -> PointSet:
+    """{"dim": d, "points": [[...], ...]}; entries may be numbers or strings."""
+    try:
+        data = json.loads(text, parse_float=str)
+    except (ValueError, RecursionError) as exc:
+        raise InputFormatError(f"invalid JSON: {exc}") from exc
+    if not isinstance(data, dict) or "dim" not in data or "points" not in data:
+        raise InputFormatError('expected an object with "dim" and "points"')
+    dim, points = data["dim"], data["points"]
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise InputFormatError('"dim" must be a positive integer')
+    if not isinstance(points, list):
+        raise InputFormatError('"points" must be a list of points')
+    pts = []
+    for i, row in enumerate(points):
+        if not isinstance(row, list) or len(row) != dim:
+            raise InputFormatError(f"point {i}: expected {dim} coordinates")
+        coords = []
+        for v in row:
+            if isinstance(v, bool) or not isinstance(v, (int, str)):
+                raise InputFormatError(f"point {i}: unsupported entry {v!r}")
+            try:
+                coords.append(parse_scalar(str(v), mode))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise InputFormatError(f"point {i}: {exc}") from exc
+        pts.append(tuple(coords))
+    if not pts:
+        raise InputFormatError("no points found")
+    return PointSet(dim, tuple(pts))
 
 
 # Field names of each dataclass type that ``reference_to_jsonable`` has converted.

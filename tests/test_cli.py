@@ -347,6 +347,36 @@ def test_json_past_the_parser_limits_is_an_input_error(tmp_path, capsys, text):
     assert rep["error"].startswith("invalid JSON")
 
 
+@pytest.mark.parametrize("flag", ["--input", "--simplex"])
+def test_non_utf8_point_file_is_an_input_error(tmp_path, capsys, flag):
+    # A Latin-1 byte is not UTF-8: one input-error report, not a traceback.
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes(b"0,0\n1,\xe9\n0,1\n")
+    files = {"--input": write(tmp_path, "pts.csv", CORNERS_CSV),
+             "--simplex": write(tmp_path, "tri.csv", RIGHT_CSV), flag: str(latin)}
+    assert main(["dilation", "--input", files["--input"], "--simplex", files["--simplex"]]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["error_kind"] == "input-error"
+    assert rep["error"].startswith(f"cannot read {latin}: 'utf-8' codec can't decode byte 0xe9")
+
+
+@pytest.mark.parametrize(
+    "name,text",
+    [("pts.csv", CORNERS_CSV + "1/2,1/3\n"),
+     ("pts.json", '{"dim": 2, "points": [[0, 0], [1, 0], [1, 1], [0, 1], ["1/2", "1/3"]]}')],
+)
+def test_byte_order_mark_gives_the_plain_files_report(tmp_path, capsys, name, text):
+    reports = []
+    for sub, prefix in (("plain", ""), ("bom", "\ufeff")):
+        (tmp_path / sub).mkdir()
+        assert main(["john", "--input", write(tmp_path / sub, name, prefix + text)]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        rep.pop("timings")
+        rep["config"].pop("input")
+        reports.append(rep)
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("name", sorted(revisiting_float_inputs()))
 def test_float_search_that_revisits_a_simplex_is_an_input_error(tmp_path, name):
     x = revisiting_float_inputs()[name]

@@ -2,6 +2,7 @@
 import csv
 import enum
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
@@ -10,7 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import json_oracle, reference_parse_points_csv, reference_to_jsonable
+from helpers import (
+    json_oracle,
+    reference_parse_points_csv,
+    reference_parse_points_json,
+    reference_to_jsonable,
+)
 from simplexcover import (
     InputFormatError,
     PointSet,
@@ -217,10 +223,17 @@ def test_csv_bad_entry_reports_line_number():
 def test_csv_line_numbers_after_a_field_spanning_two_lines(last):
     # The quoted field joins lines 1 and 2 into one record, so the last
     # record starts on line 4, not on the reader's third record.
-    text = '"1\n2",3\n4,5\n' + last + "\n"
+    text = '"1\n",3\n4,5\n' + last + "\n"
     for mode in ScalarMode:
         with pytest.raises(InputFormatError, match="^line 4: "):
             parse_points_csv(text, mode)
+
+
+def test_csv_quoted_field_keeps_its_line_break():
+    # "1\n2" is one field holding a line break, not the number 12.
+    for mode in ScalarMode:
+        with pytest.raises(InputFormatError, match=re.escape("line 1: cannot parse scalar '1\\n2'")):
+            parse_points_csv('"1\n2",3\n4,5\n', mode)
 
 
 def test_csv_oversized_quoted_field_reports_line_number():
@@ -331,11 +344,90 @@ def test_json_float_literals_survive_exact_mode():
         ('{"dim": 1, "points": [["x"]]}', "point 0"),
         ('{"dim": 1, "points": []}', "no points"),
         ("{nope", "invalid JSON"),
+        # The first error in entry order, whatever its kind.
+        ('{"dim": 2, "points": [[1, "x"], [1]]}', "^point 0: cannot parse scalar 'x'"),
+        ('{"dim": 2, "points": [[1, 2], ["x", null]]}', "^point 1: cannot parse scalar 'x'"),
+        ('{"dim": 2, "points": [[1, 2], [null, "x"]]}', "^point 1: unsupported entry None$"),
+        ('{"dim": 2, "points": [["1/0", 2], [true, 1]]}', "^point 0: cannot parse scalar '1/0'"),
+        ('{"dim": 2, "points": [[1, 2], [3, 4], 5]}', "^point 2: expected 2 coordinates$"),
     ],
 )
 def test_json_rejections(text, msg):
     with pytest.raises(InputFormatError, match=msg):
         parse_points_json(text, ScalarMode.EXACT)
+
+
+def _read_point_set(parse, text, mode):
+    """The points (floats by hex form), mode, scale and array of the parsed
+    point set, or the error."""
+    try:
+        x = parse(text, mode)
+    except InputFormatError as exc:
+        return type(exc), str(exc)
+    a = x.array
+    values = a.tobytes() if a.dtype == np.float64 else a.tolist()
+    return _read(lambda t, m: x.points, text, mode), x.mode, x.scale, a.dtype, a.shape, values
+
+
+# Entry texts that parse in both modes: ints, decimals with exponents kept
+# within 400 (exact mode builds 10**|exponent|), p/q and float reprs.
+_GOOD_TEXT = st.one_of(
+    st.integers(-10**30, 10**30).map(str),
+    st.builds("{}e{}".format, st.integers(-10**20, 10**20), st.integers(-400, 400)),
+    st.builds("{}/{}".format, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+_JSON_ENTRY = st.one_of(
+    st.integers(-10**30, 10**30),
+    _GOOD_TEXT,
+    st.floats(allow_nan=False, allow_infinity=False),  # a JSON literal, read as its text
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(-2, 2)),  # q may be 0 or < 0
+    st.sampled_from(_ODD_FIELDS),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(0, 9), max_size=2),
+)
+
+
+@st.composite
+def _json_texts(draw):
+    dim = draw(st.integers(1, 3))
+    points = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["short", "long", "scalar"]))
+        if kind == "scalar":
+            points.append(draw(_JSON_ENTRY))
+            continue
+        width = dim + {"row": 0, "short": -1, "long": 1}[kind]
+        points.append([draw(_JSON_ENTRY) for _ in range(width)])
+    return json.dumps({"dim": dim, "points": points})
+
+
+@settings(deadline=None, max_examples=300)
+@given(_json_texts(), st.sampled_from(list(ScalarMode)))
+@example('{"dim": 2, "points": [[1, "x"], [1]]}', ScalarMode.FLOAT)
+@example('{"dim": 2, "points": [["0.5", "x"], [null, 1]]}', ScalarMode.FLOAT)
+@example('{"dim": 1, "points": [["-0.0"], ["1e400"], [7]]}', ScalarMode.FLOAT)
+def test_json_reader_matches_entry_by_entry_parse(text, mode):
+    assert _read_point_set(parse_points_json, text, mode) == _read_point_set(
+        reference_parse_points_json, text, mode
+    )
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda d: st.lists(st.lists(_GOOD_TEXT, min_size=d, max_size=d), min_size=1, max_size=6)
+    ),
+    st.sampled_from(list(ScalarMode)),
+)
+def test_csv_and_json_twins_give_equal_point_sets(rows, mode):
+    csv_text = "".join(",".join(row) + "\n" for row in rows)
+    # Integer texts go into the JSON file as JSON integers.
+    entries = [[int(t) if t.lstrip("-").isdigit() else t for t in row] for row in rows]
+    json_text = json.dumps({"dim": len(rows[0]), "points": entries})
+    csv_set = _read_point_set(parse_points_csv, csv_text, mode)
+    assert csv_set == _read_point_set(parse_points_json, json_text, mode)
 
 
 def test_parse_points_file_sniffs_json(tmp_path):
