@@ -327,13 +327,21 @@ def run(cfg: RunConfig) -> Tuple[int, Dict[str, Any]]:
     return code, envelope
 
 
+class _UsageError(SystemExit):
+    """A usage error: exit 1, keeping argparse's message for the report."""
+
+    def __init__(self, message: str):
+        super().__init__(1)
+        self.message = message
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse maps usage errors to exit 2; the report contract wants 1."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+        raise _UsageError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -444,7 +452,13 @@ def parse_argv(argv: Sequence[str]) -> RunConfig:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    cfg = parse_argv(sys.argv[1:] if argv is None else argv)
+    try:
+        cfg = parse_argv(sys.argv[1:] if argv is None else argv)
+    except _UsageError as exc:  # the usage text is already on stderr
+        report = {"schema_version": SCHEMA_VERSION, "error": exc.message,
+                  "error_kind": "input-error"}
+        sys.stdout.write(dumps_report(report))
+        return 1
     code, report = run(cfg)
     text = dumps_report(report)
     if cfg.output is not None and cfg.command != "render":

@@ -35,18 +35,15 @@ RationalLike = Union[int, str, Fraction]
 
 POINT_LABELS = "ABCDE"
 
-# Canonical triangle order: grouped by symmetry class, mirror partner second.
-TRIANGLE_LABELS: Tuple[str, ...] = (
-    "CDE", "ABE", "ACD", "BCD", "ABC", "ABD", "ACE", "BDE", "ADE", "BCE",
+# The ten triangles with their symmetry class, in canonical order: grouped
+# by class, mirror partner second.
+_TRIANGLES: Tuple[Tuple[str, int], ...] = (
+    ("CDE", 1), ("ABE", 2), ("ACD", 3), ("BCD", 3), ("ABC", 4),
+    ("ABD", 4), ("ACE", 5), ("BDE", 5), ("ADE", 6), ("BCE", 6),
 )
-
-CASE_OF_LABEL: Dict[str, int] = {
-    "CDE": 1, "ABE": 2,
-    "ACD": 3, "BCD": 3,
-    "ABC": 4, "ABD": 4,
-    "ACE": 5, "BDE": 5,
-    "ADE": 6, "BCE": 6,
-}
+TRIANGLE_LABELS: Tuple[str, ...] = tuple(label for label, _ in _TRIANGLES)
+CASE_OF_LABEL: Dict[str, int] = dict(_TRIANGLES)
+_VERTEX_INDICES = tuple(tuple(map(POINT_LABELS.index, lb)) for lb in TRIANGLE_LABELS)
 
 _MIRROR_CHAR = {"A": "B", "B": "A", "C": "D", "D": "C", "E": "E"}
 
@@ -100,8 +97,7 @@ def enumerate_triangles(x: PointSet) -> List[Simplex]:
         raise ValueError("expected the five-point planar family")
     p = x.array.tolist()  # the points times x.scale
     out = []
-    for label in TRIANGLE_LABELS:
-        idx = tuple(POINT_LABELS.index(ch) for ch in label)
+    for label, idx in zip(TRIANGLE_LABELS, _VERTEX_INDICES):
         (ax, ay), (bx, by), (cx, cy) = (p[i] for i in idx)
         if (bx - ax) * (cy - ay) == (by - ay) * (cx - ax):  # zero cross product
             raise DegenerateSimplexError(f"triangle {label} is degenerate")
@@ -115,7 +111,7 @@ class TriangleCaseReport:
     vertex_indices: Tuple[int, ...]
     lambda_star: Fraction
     exceeds_two: bool
-    matched_case: Optional[int]
+    matched_case: int
     dilation: DilationResult
 
 
@@ -130,19 +126,14 @@ def min_dilation_all(
     """
     x = build_points(cfg)
     triangles = enumerate_triangles(x)
-    reports = []
-    for tri, res in zip(triangles, min_dilations(x, triangles, DilationSign.POSITIVE)):
-        label = "".join(POINT_LABELS[i] for i in tri.vertex_indices)
-        reports.append(
-            TriangleCaseReport(
-                label=label,
-                vertex_indices=tri.vertex_indices,
-                lambda_star=res.lam,
-                exceeds_two=res.lam > 2,
-                matched_case=CASE_OF_LABEL.get(label),
-                dilation=res,
-            )
+    results = min_dilations(x, triangles, DilationSign.POSITIVE)
+    reports = [
+        TriangleCaseReport(
+            label=label, vertex_indices=tri.vertex_indices, lambda_star=res.lam,
+            exceeds_two=res.lam > 2, matched_case=case, dilation=res,
         )
+        for (label, case), tri, res in zip(_TRIANGLES, triangles, results)
+    ]
     return reports, min(r.lambda_star for r in reports)
 
 
@@ -196,33 +187,6 @@ def analytic_case_bounds(cfg: CounterexampleConfig) -> CaseBounds:
         case6_intercept=2 - s * (1 + 2 * e - e * e) / (r * q),
         feasible=cfg.feasible,
     )
-
-
-# Required lengths per class: the segment each case argument must cover at
-# factor 2 (AB for cases 1, 3, 5, 6; the C-to-E vertical span for case 2;
-# CD for case 4).
-def _required_lengths(cfg: CounterexampleConfig) -> Dict[int, Fraction]:
-    e = cfg.epsilon
-    s = cfg.epsilon + cfg.delta
-    return {
-        1: Fraction(2),
-        2: 2 - e,
-        3: Fraction(2),
-        4: 2 * s,
-        5: Fraction(2),
-        6: Fraction(2),
-    }
-
-
-def _case_bound_values(bounds: CaseBounds) -> Dict[int, Fraction]:
-    return {
-        1: bounds.case1_intercept,
-        2: bounds.case2_intercept,
-        3: bounds.case1_intercept,  # the third class repeats the first bound
-        4: bounds.case4_intercept,
-        5: bounds.case5_intercept,
-        6: bounds.case6_intercept,
-    }
 
 
 @dataclass
@@ -324,21 +288,24 @@ def verify_counterexample(cfg: CounterexampleConfig) -> CounterexampleReport:
         for t in triangles
     )
     bounds = analytic_case_bounds(cfg)
-    geometry = case6_geometry(cfg)
-    required = _required_lengths(cfg)
-    bound_vals = _case_bound_values(bounds)
-    implications = []
-    for case in range(1, 7):
-        members = [t for t in triangles if t.matched_case == case]
-        implications.append(
-            CaseImplication(
-                case=case,
-                bound=bound_vals[case],
-                required=required[case],
-                certifies=bound_vals[case] < required[case],
-                lp_confirms=all(t.exceeds_two for t in members),
-            )
+    # Per class, the longest chord at factor 2 and the length it would have
+    # to cover: AB for classes 1, 3, 5 and 6, the C-to-E vertical span for
+    # class 2, CD for class 4.  The third class repeats the first bound.
+    chords = (
+        (bounds.case1_intercept, Fraction(2)),
+        (bounds.case2_intercept, 2 - cfg.epsilon),
+        (bounds.case1_intercept, Fraction(2)),
+        (bounds.case4_intercept, 2 * (cfg.epsilon + cfg.delta)),
+        (bounds.case5_intercept, Fraction(2)),
+        (bounds.case6_intercept, Fraction(2)),
+    )
+    implications = [
+        CaseImplication(
+            case=case, bound=bound, required=required, certifies=bound < required,
+            lp_confirms=all(t.exceeds_two for t in triangles if t.matched_case == case),
         )
+        for case, (bound, required) in enumerate(chords, 1)
+    ]
     implications_ok = all((not im.certifies) or im.lp_confirms for im in implications)
     all_exceed = all(t.exceeds_two for t in triangles)
     return CounterexampleReport(
@@ -349,7 +316,7 @@ def verify_counterexample(cfg: CounterexampleConfig) -> CounterexampleReport:
         all_exceed_two=all_exceed,
         mirror_symmetric=mirror_ok,
         bounds=bounds,
-        geometry=geometry,
+        geometry=case6_geometry(cfg),
         implications=implications,
         implications_ok=implications_ok,
         verified=(all_exceed and mirror_ok and implications_ok) if cfg.feasible else None,

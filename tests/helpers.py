@@ -32,7 +32,9 @@ time through ``parse_scalar``, as the JSON reader did before its rows
 took the CSV field parser.  ``reference_to_jsonable`` is the report
 converter as it was before conversion went through one table of
 converters per type: an exact-type fast path in front of an
-``isinstance`` chain.
+``isinstance`` chain.  ``unimodular_witness`` builds point sets whose first
+maximum-volume simplex needs lambda+ = d+2, from ``UNIMODULAR_BLOCKS`` and
+their ``block_sum``.
 """
 from __future__ import annotations
 
@@ -136,6 +138,52 @@ def revisiting_float_inputs() -> dict:
 # seed vertices positive volume scores until the Gram matrix of the seed's
 # basis is singular.
 FLOAT_LINE = PointSet(4, [tuple(0.7 * k * c for c in (1, 2, 3, 4)) for k in range(1, 9)])
+
+
+# Six points of the plane whose first maximum-area triangle (0, 1, 2) needs
+# lambda+ = 9/4, and on which every triangle needs lambda+ >= 13/6 > 2.
+SIX_PLANAR_POINTS = tuple(
+    (Fraction(x), Fraction(y))
+    for x, y in ((0, 0), (1, 0), (0, 1), ("1/2", 1), ("-1/12", "5/6"), ("2/3", "-2/3"))
+)
+
+# Totally unimodular {0, ±1} blocks with row sums 1 and a -1 in every
+# column, keyed by their column count d + 1.  An exhaustive search found
+# none with 3 or 4 columns.
+UNIMODULAR_BLOCKS = {
+    5: ((-1, 0, 0, 1, 1), (0, -1, 1, 0, 1), (0, 1, -1, 1, 0), (1, 0, 1, -1, 0),
+        (1, 1, 0, 0, -1)),
+    6: ((-1, -1, 0, 1, 1, 1), (0, 0, -1, 0, 1, 1), (1, 1, 0, -1, 0, 0),
+        (1, 1, 1, 0, -1, -1)),
+    7: ((-1, -1, -1, 1, 1, 1, 1), (1, 1, 1, -1, -1, 0, 0), (1, 1, 1, -1, 0, -1, 0),
+        (1, 1, 1, 0, -1, 0, -1)),
+    8: ((-1, -1, -1, 0, 1, 1, 1, 1), (-1, -1, 0, -1, 1, 1, 1, 1),
+        (1, 1, 0, 1, -1, -1, 0, 0), (1, 1, 1, 0, 0, 0, -1, -1)),
+    9: ((-1, -1, -1, -1, 1, 1, 1, 1, 1), (1, 1, 1, 1, -1, -1, -1, 0, 0),
+        (1, 1, 1, 1, -1, -1, 0, -1, 0), (1, 1, 1, 1, -1, 0, -1, 0, -1)),
+}
+
+
+def block_sum(*blocks: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
+    """The block-diagonal matrix diag(blocks[0], blocks[1], ...), as rows."""
+    width = sum(len(b[0]) for b in blocks)
+    rows, left = [], 0
+    for b in blocks:
+        rows += [(0,) * left + tuple(r) + (0,) * (width - left - len(r)) for r in b]
+        left += len(b[0])
+    return tuple(rows)
+
+
+def unimodular_witness(*widths: int) -> List[Tuple[Fraction, ...]]:
+    """The standard simplex (0, e_1, ..., e_d), then one point per row of
+    the block sum of ``UNIMODULAR_BLOCKS[w]`` for w in ``widths``, where
+    d + 1 = sum(widths).  A row (b_0, ..., b_d) is the point (b_1, ..., b_d),
+    whose barycentric coordinates in the standard simplex are the row.
+    """
+    rows = block_sum(*(UNIMODULAR_BLOCKS[w] for w in widths))
+    d = len(rows[0]) - 1
+    standard = [tuple(Fraction(int(q == i)) for q in range(d)) for i in range(-1, d)]
+    return standard + [tuple(Fraction(b) for b in r[1:]) for r in rows]
 
 
 # Float inputs on which rounding alone used to fail a check, as CSV text.

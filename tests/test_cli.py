@@ -113,6 +113,39 @@ def test_usage_error_after_a_parse_exits_1(capsys):
     assert "error: unrecognized arguments: --bogus" in err
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        # argparse reads "-1/3" as an option, not as the value of --epsilon.
+        (["counterexample", "--epsilon", "-1/3"], "argument --epsilon: expected one argument"),
+        (["dilation", "--input", "p.csv", "--simplex", "t.csv", "--sign", "neg"],
+         "argument --sign: invalid choice: 'neg'"),
+    ],
+)
+def test_main_usage_error_prints_an_input_error_report(capsys, argv, error):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    rep = json.loads(captured.out)
+    assert rep["schema_version"] == 2 and rep["error_kind"] == "input-error"
+    assert rep["error"].startswith(error)
+    assert captured.err.startswith("usage: simplexcover")
+    assert f"error: {rep['error']}" in captured.err
+
+
+def test_main_epsilon_with_equals_reaches_the_range_check(capsys):
+    assert main(["counterexample", "--epsilon=-1/3"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["error_kind"] == "input-error"
+    assert rep["error"].endswith("epsilon and delta must lie strictly between 0 and 1")
+
+
+def test_main_help_prints_no_report(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: simplexcover")
+
+
 def test_build_parser_returns_a_new_parser():
     assert build_parser() is not build_parser()
 

@@ -1,6 +1,7 @@
 """Minimal-dilation covers and the two-sided covering guarantee."""
 import dataclasses
 import itertools
+import json
 import random
 import warnings
 from fractions import Fraction
@@ -9,12 +10,16 @@ import pytest
 
 from helpers import (
     ROUNDING_CSV,
+    SIX_PLANAR_POINTS,
+    UNIMODULAR_BLOCKS,
+    block_sum,
     contains,
     dense_dual,
     halfspace_dilation_lp,
     point_in_simplex,
     rational_points,
     reflect_vertex,
+    unimodular_witness,
 )
 from simplexcover import (
     CoverReport,
@@ -38,6 +43,7 @@ from simplexcover import (
     simplex_volume,
     verify_sandwich,
 )
+from simplexcover import cli
 from simplexcover.errors import LPInternalError, NumericalBreakdownError
 from simplexcover.geometry import slab_kernel
 from simplexcover.mvs import MvsResult
@@ -498,3 +504,87 @@ def test_seven_points_in_r3_need_a_positive_dilation_above_d():
     best = min(range(35), key=lambda k: results[k].lam)
     assert results[best].lam == F(65313830658, 21582302635) > 3
     assert tetrahedra[best].vertex_indices == (0, 1, 5, 6)
+
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_max_volume_segment_needs_no_dilation(seed):
+    # In R^1 the longest segment on X runs from min X to max X, so it holds
+    # X: lambda+ = 1 for every X, and c(1) = 1.
+    x = rational_points(12, 1, seed)
+    assert john_positive_cover(x).positive.lam == 1
+
+
+def _d3_family(a: Fraction):
+    """The standard tetrahedron plus (-b, 1, -a), (-a, 1, -b), (1, -a, 1) and
+    (1, -b, 1), b = 1 - a: lambda+ = 1 + 4a while the tetrahedron stays a
+    maximum, which it is at a = 39/50; the supremum over a is sqrt(17)."""
+    b = 1 - a
+    standard = [tuple(F(int(q == i)) for q in range(3)) for i in range(-1, 3)]
+    return standard + [(-b, F(1), -a), (-a, F(1), -b), (F(1), -a, F(1)), (F(1), -b, F(1))]
+
+
+# Point sets whose first maximum-volume simplex T = (0, 1, ..., d) needs a
+# large lambda+: (points, lambda+, lambda-).
+MAX_VOLUME_WITNESSES = {
+    "d2-six-points": (SIX_PLANAR_POINTS, F(9, 4), 2),
+    "d3-a=39/50": (_d3_family(F(39, 50)), F(103, 25), 3),
+    **{
+        f"d{w - 1}-unimodular": (unimodular_witness(w), w + 1, w - 1)
+        for w in sorted(UNIMODULAR_BLOCKS)
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(MAX_VOLUME_WITNESSES))
+def test_max_volume_witness_through_john(name, tmp_path, capsys):
+    """Exact ``john`` reports T = (0, ..., d) with the tabled lambda+ and lambda-.
+
+    Setting.  Let T be the standard simplex (0, e_1, ..., e_d) and add points
+    whose barycentric rows (b_0, ..., b_d) in T form a matrix P; the point
+    is (b_1, ..., b_d).  The barycentric rows of X are then [I; P], and the
+    volume of a simplex on d+1 points of X, relative to T's, is |det| of
+    their d+1 rows.  Expanding along the rows taken from I leaves, up to
+    sign, the square minor of P on the rows taken from P and the columns
+    not taken from I, and every square minor of P arises so.  Hence T is a
+    maximum-volume simplex iff every square minor of P lies in [-1, 1], and
+    then it is the lexicographically first maximum, which ``john`` reports.
+    The homothets z + lam T are the sets {beta_i >= m_i for all i} with
+    lam = 1 - sum_i m_i, and the homothets z - lam T are {beta_i <= M_i}
+    with lam = sum_i M_i - 1.  Since X holds T's vertices,
+    lambda+ = 1 - sum_i min(0, min_j P_ji) and
+    lambda- = sum_i max(1, max_j P_ji) - 1.  A totally unimodular P with
+    {0, ±1} entries, row sums 1 and a -1 in every column therefore gives
+    lambda+ = 1 + (d+1) = d+2 and lambda- = d: both bounds of the theorem
+    are attained by a maximum-volume simplex.
+
+    Block step.  A square submatrix of diag(P1, P2) that takes r rows and
+    c != r columns of P1 is singular, and otherwise its determinant is a
+    product of a minor of P1 and one of P2; so diag(P1, P2) is totally
+    unimodular, and it keeps row sums 1 and a -1 in every column.  Blocks
+    with 5..9 columns sum to every d+1 >= 5, so lambda+ = d+2 is attained
+    for every d >= 4.  Sums are not run here: the smallest, d = 9 (n = 20),
+    takes seconds in the exact enumeration.
+    """
+    points, lam_pos, lam_neg = MAX_VOLUME_WITNESSES[name]
+    path = tmp_path / "x.csv"
+    path.write_text("".join(",".join(map(str, p)) + "\n" for p in points), encoding="utf-8")
+    assert cli.main(["john", "--input", str(path)]) == 0
+    cover = json.loads(capsys.readouterr().out)["result"]["cover"]
+    d = len(points[0])
+    assert cover["mvs"]["simplex"]["vertex_indices"] == list(range(d + 1))
+    assert cover["positive"]["lam"] == str(lam_pos)
+    assert cover["negative"]["lam"] == str(lam_neg)
+
+
+def test_block_sums_keep_the_unimodular_shape():
+    # diag(P1, P2): row sums 1 and a -1 in every column, as the block step
+    # needs; on the d = 9 sum the standard simplex needs lambda+ = 11.
+    rows = block_sum(UNIMODULAR_BLOCKS[5], UNIMODULAR_BLOCKS[5])
+    assert len(rows) == 10 and all(len(r) == 10 and sum(r) == 1 for r in rows)
+    assert all(min(col) == -1 for col in zip(*rows))
+    points = unimodular_witness(5, 5)
+    x = PointSet(9, points)
+    t = make_simplex(points[:10])
+    assert min_dilation(t, x, DilationSign.POSITIVE).lam == 11
+    assert min_dilation(t, x, DilationSign.NEGATIVE).lam == 9
