@@ -16,9 +16,9 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .counterexample import (
     CounterexampleConfig,
@@ -120,9 +120,7 @@ def _cmd_dilation(cfg: RunConfig) -> Tuple[Dict[str, Any], List[str]]:
             f"--simplex must hold exactly {x.dim + 1} points of dimension {x.dim}"
         )
     t = make_simplex(t_pts.points)
-    sign = DilationSign(cfg.sign)
-    res = min_dilation(t, x, sign)
-    return {"dilation": res}, []
+    return {"dilation": min_dilation(t, x, DilationSign(cfg.sign))}, []
 
 
 def _cmd_john(cfg: RunConfig) -> Tuple[Dict[str, Any], List[str]]:
@@ -274,35 +272,16 @@ def _cmd_render(cfg: RunConfig) -> Tuple[Dict[str, Any], List[str]]:
     }, []
 
 
-_DISPATCH = {
-    "mvs": _cmd_mvs,
-    "dilation": _cmd_dilation,
-    "john": _cmd_john,
-    "counterexample": _cmd_counterexample,
-    "sweep": _cmd_sweep,
-    "random-trials": _cmd_random_trials,
-    "render": _cmd_render,
-}
-
-
-def _config_echo(cfg: RunConfig) -> Dict[str, Any]:
-    out = {}
-    for f in fields(cfg):
-        v = getattr(cfg, f.name)
-        out[f.name] = v.value if isinstance(v, ScalarMode) else v
-    return out
-
-
 def run(cfg: RunConfig) -> Tuple[int, Dict[str, Any]]:
     """Execute one command; returns (exit code, JSON-ready report)."""
     t0 = time.perf_counter()
     envelope: Dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "command": cfg.command,
-        "config": _config_echo(cfg),
+        "config": {**vars(cfg), "mode": cfg.mode.value},
     }
     try:
-        result, violations = _DISPATCH[cfg.command](cfg)
+        result, violations = _COMMANDS[cfg.command].handler(cfg)
     except (TheoremViolationError, LPInternalError) as exc:
         envelope["error"] = str(exc)
         envelope["error_kind"] = "theorem-violation"
@@ -344,78 +323,77 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# Each flag's add_argument keywords.  None has a default: a flag left out of
+# argv stays out of the namespace, so RunConfig's default applies.
+_FLAGS: Dict[str, Dict[str, Any]] = {
+    "--mode": dict(choices=tuple(m.value for m in ScalarMode)),
+    "--seed": dict(type=int),
+    "--output": dict(help="also write the JSON report here (SVG path for render)"),
+    "--input": dict(help="point file (CSV or JSON)"),
+    "--format": dict(dest="fmt", choices=("auto", "csv", "json")),
+    "--sample": dict(dest="body", choices=BODIES),
+    "--n": dict(type=int), "--dim": dict(type=int),
+    "--tol": dict(type=float, help="float-mode tolerance of the swap-local slab check"),
+    "--enum-cap": dict(type=int),
+    "--local": dict(action="store_true",
+                    help="use swap local search instead of exact enumeration"),
+    "--simplex": dict(required=True, help="file with the d+1 vertices"),
+    "--sign": dict(choices=tuple(s.value for s in DilationSign)),
+    "--epsilon": {}, "--delta": {},
+    "--epsilons": dict(required=True, help="comma-separated rationals"),
+    "--deltas": dict(required=True, help="comma-separated rationals"),
+    "--csv": dict(help="write a CSV table here"),
+    "--trials": dict(type=int), "--jobs": dict(type=int),
+}
+
+_POINTS = ("--input", "--format", "--sample", "--n", "--dim")
+
+
+class _Command(NamedTuple):
+    handler: Callable[[RunConfig], Tuple[Dict[str, Any], List[str]]]
+    help: str
+    flags: Tuple[str, ...]
+    # Keywords that replace or extend a flag's _FLAGS entry for this command.
+    overrides: Dict[str, Dict[str, Any]] = {}
+
+
+_COMMANDS: Dict[str, _Command] = {
+    "mvs": _Command(_cmd_mvs, "maximum-volume simplex", (
+        "--mode", "--seed", "--output", *_POINTS, "--tol", "--enum-cap", "--local")),
+    "dilation": _Command(_cmd_dilation, "minimal covering dilation of a simplex", (
+        "--mode", "--output", "--input", "--format", "--simplex", "--sign")),
+    "john": _Command(_cmd_john, "full covering report for a point set", (
+        "--mode", "--seed", "--output", *_POINTS, "--enum-cap")),
+    "counterexample": _Command(
+        _cmd_counterexample, "exact check of the five-point family",
+        ("--output", "--epsilon", "--delta"),
+        {"--epsilon": dict(default="1/5"), "--delta": dict(default="1/5")}),
+    "sweep": _Command(_cmd_sweep, "grid scan of the five-point family", (
+        "--output", "--epsilons", "--deltas", "--csv")),
+    "random-trials": _Command(
+        _cmd_random_trials, "batch covering checks on samples",
+        ("--mode", "--seed", "--output", "--sample", "--n", "--dim", "--trials", "--jobs",
+         "--enum-cap"),
+        {flag: dict(required=True) for flag in ("--sample", "--n", "--dim")}),
+    "render": _Command(
+        _cmd_render, "SVG scene for a planar input",
+        ("--mode", "--seed", "--output", *_POINTS, "--enum-cap", "--local", "--epsilon",
+         "--delta"),
+        {"--local": dict(help=None),
+         "--epsilon": dict(help="render the five-point scene instead of --input")}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(
         prog="simplexcover",
         description="Maximum-volume simplices and simplex covering bounds.",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--mode", default="exact", choices=("float", "exact"))
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--output", default=None,
-                       help="also write the JSON report here (SVG path for render)")
-
-    def inputs(p, sampling=True):
-        p.add_argument("--input", default=None, help="point file (CSV or JSON)")
-        p.add_argument("--format", dest="fmt", default="auto",
-                       choices=("auto", "csv", "json"))
-        if sampling:
-            p.add_argument("--sample", dest="body", default=None, choices=BODIES)
-            p.add_argument("--n", type=int, default=None)
-            p.add_argument("--dim", type=int, default=None)
-
-    p = sub.add_parser("mvs", parents=[], help="maximum-volume simplex")
-    common(p)
-    inputs(p)
-    p.add_argument("--tol", type=float, default=None,
-                   help="float-mode tolerance of the swap-local slab check")
-    p.add_argument("--enum-cap", dest="enum_cap", type=int, default=DEFAULT_ENUM_CAP)
-    p.add_argument("--local", action="store_true",
-                   help="use swap local search instead of exact enumeration")
-
-    p = sub.add_parser("dilation", help="minimal covering dilation of a simplex")
-    common(p)
-    inputs(p, sampling=False)
-    p.add_argument("--simplex", required=True, help="file with the d+1 vertices")
-    p.add_argument("--sign", default="positive", choices=("positive", "negative"))
-
-    p = sub.add_parser("john", help="full covering report for a point set")
-    common(p)
-    inputs(p)
-    p.add_argument("--enum-cap", dest="enum_cap", type=int, default=DEFAULT_ENUM_CAP)
-
-    p = sub.add_parser("counterexample",
-                       help="exact check of the five-point family")
-    common(p)
-    p.add_argument("--epsilon", default="1/5")
-    p.add_argument("--delta", default="1/5")
-
-    p = sub.add_parser("sweep", help="grid scan of the five-point family")
-    common(p)
-    p.add_argument("--epsilons", required=True, help="comma-separated rationals")
-    p.add_argument("--deltas", required=True, help="comma-separated rationals")
-    p.add_argument("--csv", default=None, help="write a CSV table here")
-
-    p = sub.add_parser("random-trials", help="batch covering checks on samples")
-    common(p)
-    p.add_argument("--sample", dest="body", required=True, choices=BODIES)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--enum-cap", dest="enum_cap", type=int, default=DEFAULT_ENUM_CAP)
-
-    p = sub.add_parser("render", help="SVG scene for a planar input")
-    common(p)
-    inputs(p)
-    p.add_argument("--enum-cap", dest="enum_cap", type=int, default=DEFAULT_ENUM_CAP)
-    p.add_argument("--local", action="store_true")
-    p.add_argument("--epsilon", default=None,
-                   help="render the five-point scene instead of --input")
-    p.add_argument("--delta", default=None)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
+        for flag in command.flags:
+            p.add_argument(flag, **{**_FLAGS[flag], **command.overrides.get(flag, {})})
     return top
 
 
@@ -431,24 +409,19 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 def parse_argv(argv: Sequence[str]) -> RunConfig:
     parser = _shared_parser()
-    ns = parser.parse_args(list(argv))
-    mode = ScalarMode.from_str(ns.mode)
-    tol = getattr(ns, "tol", None)
-    if tol is not None and not (math.isfinite(tol) and tol >= 0):
-        parser.error(f"--tol must be finite and >= 0, got {tol}")
-    if tol is not None and mode is ScalarMode.EXACT:
+    ns = vars(parser.parse_args(list(argv)))
+    if "mode" in ns:
+        ns["mode"] = ScalarMode(ns["mode"])
+    cfg = RunConfig(**ns)
+    if cfg.tol is not None and not (math.isfinite(cfg.tol) and cfg.tol >= 0):
+        parser.error(f"--tol must be finite and >= 0, got {cfg.tol}")
+    if cfg.tol is not None and cfg.mode is ScalarMode.EXACT:
         parser.error("--tol applies to float mode only")
-    enum_cap = getattr(ns, "enum_cap", None)
-    if enum_cap is not None and enum_cap < 0:
-        parser.error(f"--enum-cap must be >= 0, got {enum_cap}")
-    if mode is ScalarMode.FLOAT and ns.command in ("counterexample", "sweep"):
-        parser.error(f"{ns.command} is exact-only; float mode is not accepted")
-    if getattr(ns, "input", None) is not None and getattr(ns, "body", None) is not None:
+    if cfg.enum_cap < 0:
+        parser.error(f"--enum-cap must be >= 0, got {cfg.enum_cap}")
+    if cfg.input is not None and cfg.body is not None:
         parser.error("--input and --sample are mutually exclusive")
-    known = {f.name for f in fields(RunConfig)}
-    kwargs = {k: v for k, v in vars(ns).items() if k in known and v is not None}
-    kwargs["mode"] = mode
-    return RunConfig(**kwargs)
+    return cfg
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

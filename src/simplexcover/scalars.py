@@ -52,15 +52,6 @@ class ScalarMode(enum.Enum):
     FLOAT = "float"
     EXACT = "exact"
 
-    @classmethod
-    def from_str(cls, text: str) -> "ScalarMode":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            raise InputFormatError(
-                f"unknown scalar mode {text!r}; expected 'float' or 'exact'"
-            ) from None
-
 
 def default_tol(mode: ScalarMode) -> Scalar:
     """Zero in exact mode, the package-wide float tolerance otherwise."""

@@ -1,5 +1,6 @@
 """Command line interface: parsing, exit codes, report envelopes."""
 import concurrent.futures
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,8 +12,9 @@ import pytest
 
 from helpers import FLOAT_LINE, ROUNDING_CSV, revisiting_float_inputs
 import simplexcover
-from simplexcover import ScalarMode, TheoremViolationError
+from simplexcover import ScalarMode, TheoremViolationError, sample_body
 from simplexcover.cli import RunConfig, build_parser, main, parse_argv, run
+from simplexcover.mvs import mvs_exact, mvs_local_search
 from simplexcover.serialization import dumps_report
 import simplexcover.cli as cli
 
@@ -120,6 +122,12 @@ def test_usage_error_after_a_parse_exits_1(capsys):
         (["counterexample", "--epsilon", "-1/3"], "argument --epsilon: expected one argument"),
         (["dilation", "--input", "p.csv", "--simplex", "t.csv", "--sign", "neg"],
          "argument --sign: invalid choice: 'neg'"),
+        # Only the commands that read --mode or --seed accept them.
+        (["counterexample", "--mode", "exact"], "unrecognized arguments: --mode exact"),
+        (["sweep", "--seed", "1", "--epsilons", "1/5", "--deltas", "1/5"],
+         "unrecognized arguments: --seed 1"),
+        (["dilation", "--input", "p.csv", "--simplex", "t.csv", "--seed", "1"],
+         "unrecognized arguments: --seed 1"),
     ],
 )
 def test_main_usage_error_prints_an_input_error_report(capsys, argv, error):
@@ -198,7 +206,8 @@ def test_sample_needs_n_and_dim():
 
 
 def test_violations_exit_2(monkeypatch):
-    monkeypatch.setitem(cli._DISPATCH, "john", lambda cfg: ({"stub": 1}, ["boom"]))
+    stub = cli._COMMANDS["john"]._replace(handler=lambda cfg: ({"stub": 1}, ["boom"]))
+    monkeypatch.setitem(cli._COMMANDS, "john", stub)
     code, rep = run(RunConfig(command="john"))
     assert code == 2
     assert rep["violations"] == ["boom"]
@@ -209,10 +218,64 @@ def test_theorem_violation_exit_2(monkeypatch):
     def bad(cfg):
         raise TheoremViolationError("bound broke")
 
-    monkeypatch.setitem(cli._DISPATCH, "john", bad)
+    monkeypatch.setitem(cli._COMMANDS, "john", cli._COMMANDS["john"]._replace(handler=bad))
     code, rep = run(RunConfig(command="john"))
     assert code == 2
     assert rep["error_kind"] == "theorem-violation"
+
+
+JOHN_VIOLATIONS = {
+    "sandwich": "maximum simplex fails the swap-local slab check",
+    "centered": "points escape the centered (d+2)-dilation",
+    "bounds": "a dilation optimum exceeds its guaranteed bound",
+}
+
+
+@pytest.mark.parametrize("broken", [("sandwich",), ("centered",), ("bounds",),
+                                    ("sandwich", "centered", "bounds")])
+def test_john_violation_report(monkeypatch, broken):
+    real = cli.john_positive_cover
+
+    def flipped(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        return dataclasses.replace(
+            rep, sandwich=dataclasses.replace(rep.sandwich, ok="sandwich" not in broken),
+            centered_containment_ok="centered" not in broken,
+            bounds_ok="bounds" not in broken)
+
+    monkeypatch.setattr(cli, "john_positive_cover", flipped)
+    code, rep = run(RunConfig(command="john", body="square", n=8, dim=2))
+    assert code == 2
+    assert rep["violations"] == [JOHN_VIOLATIONS[k] for k in broken]
+    assert "error_kind" not in rep and "error" not in rep
+
+
+COUNTEREXAMPLE_VIOLATIONS = {
+    "all_exceed_two": "some triangle covers at dilation 2 or below",
+    "mirror_symmetric": "mirror-symmetric triangles disagree",
+    "implications_ok": "an analytic chord bound contradicts the LP",
+}
+
+
+@pytest.mark.parametrize("feasible, broken", [
+    (True, ("all_exceed_two",)), (True, ("mirror_symmetric",)), (True, ("implications_ok",)),
+    (True, tuple(COUNTEREXAMPLE_VIOLATIONS)),
+    # An infeasible (epsilon, delta) proves nothing, so it violates nothing.
+    (False, tuple(COUNTEREXAMPLE_VIOLATIONS)),
+])
+def test_counterexample_violation_report(monkeypatch, feasible, broken):
+    real = cli.verify_counterexample
+
+    def flipped(ccfg):
+        return dataclasses.replace(real(ccfg), feasible=feasible,
+                                   **{flag: False for flag in broken})
+
+    monkeypatch.setattr(cli, "verify_counterexample", flipped)
+    code, rep = run(RunConfig(command="counterexample"))
+    want = [COUNTEREXAMPLE_VIOLATIONS[k] for k in broken] if feasible else []
+    assert code == (2 if want else 0)
+    assert rep["violations"] == want
+    assert "error_kind" not in rep and "error" not in rep
 
 
 @pytest.mark.parametrize("exc", [TypeError, ValueError])
@@ -227,21 +290,33 @@ def test_internal_errors_are_not_input_errors(monkeypatch, exc):
 
 
 @pytest.mark.parametrize(
-    "cfg",
+    "cfg, error",
     [
-        RunConfig(command="john", body="annulus", n=9, dim=3),
-        RunConfig(command="john", body="square", n=2, dim=2),
-        RunConfig(command="john", body="regular-simplex", n=5, dim=2),
-        RunConfig(command="random-trials", body="square", n=5, dim=0),
-        RunConfig(command="render", body="square", n=5, dim=3, output="unused.svg"),
-        RunConfig(command="sweep", epsilons="2", deltas="1/5"),
+        (RunConfig(command="john", body="annulus", n=9, dim=3),
+         "annulus sampling is only defined for d = 2"),
+        (RunConfig(command="john", body="square", n=2, dim=2),
+         "need at least d+1 = 3 points, got 2"),
+        (RunConfig(command="john", body="regular-simplex", n=5, dim=2),
+         "regular-simplex has no exact rational realization in dimension 2"),
+        (RunConfig(command="random-trials", body="square", n=5, dim=0),
+         "dimension must be at least 1"),
+        (RunConfig(command="render", body="square", n=5, dim=3, output="unused.svg"),
+         "rendering needs d = 2 input, got d = 3"),
+        (RunConfig(command="sweep", epsilons="2", deltas="1/5"),
+         "epsilon and delta must lie strictly between 0 and 1"),
+        # The parser requires these flags; run() checks them for library callers.
+        (RunConfig(command="dilation", body="square", n=5, dim=2),
+         "dilation needs --simplex FILE with d+1 vertices"),
+        (RunConfig(command="random-trials", n=5, dim=2),
+         "random-trials needs --sample, --n and --dim"),
     ],
-    ids=["annulus-d3", "too-few", "inexact-simplex", "dim-0", "render-3d", "sweep-range"],
+    ids=["annulus-d3", "too-few", "inexact-simplex", "dim-0", "render-3d", "sweep-range",
+         "dilation-no-simplex", "trials-no-sample"],
 )
-def test_bad_input_deep_in_the_library_is_an_input_error(cfg):
+def test_bad_input_deep_in_the_library_is_an_input_error(cfg, error):
     code, rep = run(cfg)
     assert code == 1
-    assert rep["error_kind"] == "input-error"
+    assert (rep["error_kind"], rep["error"]) == ("input-error", error)
 
 
 # ---------------------------------------------------------------------------
@@ -614,6 +689,22 @@ def test_main_render_john_scene(tmp_path):
     assert len(root.findall(f"{NS}circle")) == 10
     polys = root.findall(f"{NS}polygon")
     assert [p.find(f"{NS}title").text for p in polys] == ["T", "T'", "T~"]
+
+
+def test_main_render_local_draws_the_local_search_simplex(tmp_path):
+    # On these points local search stops at another triangle than the
+    # exact maximum, so T shows which search ran.
+    svg_path = tmp_path / "local.svg"
+    assert main(["render", "--sample", "square", "--n", "12", "--dim", "2", "--seed", "9",
+                 "--local", "--output", str(svg_path)]) == 0
+    x = sample_body("square", 12, 2, 9, ScalarMode.EXACT)
+    local = mvs_local_search(x, seed=9).simplex
+    assert set(local.vertex_indices) != set(mvs_exact(x).simplex.vertex_indices)
+    t = ET.fromstring(svg_path.read_text(encoding="utf-8")).findall(f"{NS}polygon")[0]
+    assert t.find(f"{NS}title").text == "T"
+    drawn = [float(v) for pair in t.get("points").split() for v in pair.split(",")]
+    assert drawn == pytest.approx([s * float(v) for p in local.vertices
+                                   for s, v in zip((1, -1), p)], rel=1e-5)
 
 
 def test_render_needs_output():

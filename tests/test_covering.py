@@ -130,6 +130,13 @@ def test_reflected_vertex_needs_positive_two():
     assert_covers(res, TETRA, x)
 
 
+@pytest.mark.parametrize("sign", list(DilationSign), ids=lambda s: s.value)
+@pytest.mark.parametrize("points", [RIGHT.vertices, [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]],
+                         ids=["exact", "float"])
+def test_min_dilations_of_no_simplices_is_empty(sign, points):
+    assert min_dilations(PointSet(2, points), [], sign) == []
+
+
 def test_dilation_lp_shape():
     x = PointSet(2, ((F(0), F(0)), (F(2), F(1)), (F(1), F(3))))
     lp = dilation_lp(RIGHT, x, DilationSign.POSITIVE)

@@ -83,6 +83,12 @@ def test_pointset_reports_the_first_bad_point(dim, points, error):
     assert str(exc.value) == error[1]
 
 
+@pytest.mark.parametrize("points", [[], (), np.empty((0, 2))], ids=["list", "tuple", "array"])
+def test_pointset_needs_a_point(points):
+    with pytest.raises(ValueError, match="^a PointSet needs at least one point$"):
+        PointSet(2, points)
+
+
 def test_pointset_takes_a_float_array():
     a = np.array([[0.5, -0.0], [3.0, 0.25]])
     x = PointSet(2, a)
@@ -127,6 +133,18 @@ def test_pointset_numeric_form(points, mode, scale, array):
 def test_simplex_requires_d_plus_1_vertices():
     with pytest.raises(ValueError):
         Simplex(2, ((F(0), F(0)), (F(1), F(0))))
+
+
+@pytest.mark.parametrize("dim, vertices, indices, error", [
+    (0, ((),), None, "dimension must be >= 1, got 0"),
+    (2, ((F(0), F(0)), (F(1),), (F(0), F(1))), None, "vertex 1 has 1 coordinates, expected 2"),
+    (2, ((F(0), F(0)), (F(1), F(0)), (F(0), F(1))), (0, 1),
+     "vertex_indices length must be dim + 1"),
+], ids=["dim-0", "short-vertex", "short-indices"])
+def test_simplex_checks_its_shape(dim, vertices, indices, error):
+    with pytest.raises(DimensionMismatchError) as exc:
+        Simplex(dim, vertices, indices)
+    assert str(exc.value) == error
 
 
 def test_make_simplex_rejects_degenerate():

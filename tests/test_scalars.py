@@ -18,13 +18,6 @@ from simplexcover.scalars import (
 )
 
 
-def test_mode_from_str():
-    assert ScalarMode.from_str("exact") is ScalarMode.EXACT
-    assert ScalarMode.from_str(" Float ") is ScalarMode.FLOAT
-    with pytest.raises(ValueError):
-        ScalarMode.from_str("decimal")
-
-
 def test_default_tol():
     assert default_tol(ScalarMode.EXACT) == 0
     assert default_tol(ScalarMode.FLOAT) == DEFAULT_FLOAT_TOL
