@@ -99,6 +99,16 @@ def _load_points(cfg: RunConfig) -> PointSet:
     raise InputFormatError("no input: pass --input FILE or --sample BODY")
 
 
+def _violations(slab_ok: bool, cover=None) -> List[str]:
+    """The messages of the failed checks: the swap-local slab check, then a
+    cover report's centered containment and dilation bounds."""
+    checks = [(slab_ok, "maximum simplex fails the swap-local slab check")]
+    if cover is not None:
+        checks += [(cover.centered_containment_ok, "points escape the centered (d+2)-dilation"),
+                   (cover.bounds_ok, "a dilation optimum exceeds its guaranteed bound")]
+    return [message for ok, message in checks if not ok]
+
+
 def _cmd_mvs(cfg: RunConfig) -> Tuple[Dict[str, Any], List[str]]:
     x = _load_points(cfg)
     if cfg.local:
@@ -106,8 +116,7 @@ def _cmd_mvs(cfg: RunConfig) -> Tuple[Dict[str, Any], List[str]]:
     else:
         res = mvs_exact(x, enum_cap=cfg.enum_cap)
     lm = verify_local_maximality(res.simplex, x, tol=cfg.check_tol)
-    violations = [] if lm.ok else ["maximum simplex fails the swap-local slab check"]
-    return {"mvs": res, "local_maximality": lm}, violations
+    return {"mvs": res, "local_maximality": lm}, _violations(lm.ok)
 
 
 def _cmd_dilation(cfg: RunConfig) -> Tuple[Dict[str, Any], List[str]]:
@@ -126,21 +135,13 @@ def _cmd_dilation(cfg: RunConfig) -> Tuple[Dict[str, Any], List[str]]:
 def _cmd_john(cfg: RunConfig) -> Tuple[Dict[str, Any], List[str]]:
     x = _load_points(cfg)
     report = john_positive_cover(x, enum_cap=cfg.enum_cap, seed=cfg.seed)
-    violations = []
-    if not report.sandwich.ok:
-        violations.append("maximum simplex fails the swap-local slab check")
-    if not report.centered_containment_ok:
-        violations.append("points escape the centered (d+2)-dilation")
-    if not report.bounds_ok:
-        violations.append("a dilation optimum exceeds its guaranteed bound")
-    return {"cover": report}, violations
+    return {"cover": report}, _violations(report.sandwich.ok, report)
 
 
 def _counterexample_config(cfg: RunConfig) -> CounterexampleConfig:
     try:
-        return CounterexampleConfig(
-            Fraction(cfg.epsilon or "1/5"), Fraction(cfg.delta or "1/5")
-        )
+        eps, delta = ("1/5" if v is None else v for v in (cfg.epsilon, cfg.delta))
+        return CounterexampleConfig(Fraction(eps), Fraction(delta))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputFormatError(f"bad epsilon/delta: {exc}") from exc
 
@@ -185,7 +186,7 @@ def _trial_worker(args: Tuple[str, int, int, int, str, int]) -> Dict[str, Any]:
     body, n, dim, seed, mode_value, enum_cap = args
     x = sample_body(body, n, dim, seed, ScalarMode(mode_value))
     rep = john_positive_cover(x, enum_cap=enum_cap, seed=seed)
-    ok = rep.bounds_ok and rep.sandwich.ok and rep.centered_containment_ok
+    ok = not _violations(rep.sandwich.ok, rep)
     return {
         "seed": seed,
         "mvs_method": rep.mvs.method,
@@ -421,6 +422,11 @@ def parse_argv(argv: Sequence[str]) -> RunConfig:
         parser.error(f"--enum-cap must be >= 0, got {cfg.enum_cap}")
     if cfg.input is not None and cfg.body is not None:
         parser.error("--input and --sample are mutually exclusive")
+    # Of the commands that take --epsilon/--delta, only render takes these.
+    ignored = [f for f in (*_POINTS, "--seed", "--local", "--mode", "--enum-cap")
+               if _FLAGS[f].get("dest", f[2:].replace("-", "_")) in ns]
+    if ignored and ("epsilon" in ns or "delta" in ns):
+        parser.error(f"the five-point scene of --epsilon/--delta takes no {', '.join(ignored)}")
     return cfg
 
 

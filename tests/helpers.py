@@ -34,7 +34,7 @@ converter as it was before conversion went through one table of
 converters per type: an exact-type fast path in front of an
 ``isinstance`` chain.  ``unimodular_witness`` builds point sets whose first
 maximum-volume simplex needs lambda+ = d+2, from ``UNIMODULAR_BLOCKS`` and
-their ``block_sum``.
+their ``block_sum``, on the ``standard_simplex``.
 """
 from __future__ import annotations
 
@@ -174,6 +174,11 @@ def block_sum(*blocks: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
     return tuple(rows)
 
 
+def standard_simplex(d: int) -> List[Tuple[Fraction, ...]]:
+    """The vertices 0, e_1, ..., e_d of the standard simplex in R^d."""
+    return [tuple(Fraction(int(q == i)) for q in range(d)) for i in range(-1, d)]
+
+
 def unimodular_witness(*widths: int) -> List[Tuple[Fraction, ...]]:
     """The standard simplex (0, e_1, ..., e_d), then one point per row of
     the block sum of ``UNIMODULAR_BLOCKS[w]`` for w in ``widths``, where
@@ -181,9 +186,7 @@ def unimodular_witness(*widths: int) -> List[Tuple[Fraction, ...]]:
     whose barycentric coordinates in the standard simplex are the row.
     """
     rows = block_sum(*(UNIMODULAR_BLOCKS[w] for w in widths))
-    d = len(rows[0]) - 1
-    standard = [tuple(Fraction(int(q == i)) for q in range(d)) for i in range(-1, d)]
-    return standard + [tuple(Fraction(b) for b in r[1:]) for r in rows]
+    return standard_simplex(len(rows[0]) - 1) + [tuple(Fraction(b) for b in r[1:]) for r in rows]
 
 
 # Float inputs on which rounding alone used to fail a check, as CSV text.

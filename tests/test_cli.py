@@ -115,6 +115,13 @@ def test_usage_error_after_a_parse_exits_1(capsys):
     assert "error: unrecognized arguments: --bogus" in err
 
 
+# The flags that render's five-point scene would ignore, with a value each.
+SCENE_IGNORES = [
+    ["--input", "x.csv"], ["--format", "csv"], ["--sample", "square"], ["--n", "12"],
+    ["--dim", "2"], ["--seed", "3"], ["--local"], ["--mode", "float"], ["--enum-cap", "10"],
+]
+
+
 @pytest.mark.parametrize(
     "argv, error",
     [
@@ -128,6 +135,15 @@ def test_usage_error_after_a_parse_exits_1(capsys):
          "unrecognized arguments: --seed 1"),
         (["dilation", "--input", "p.csv", "--simplex", "t.csv", "--seed", "1"],
          "unrecognized arguments: --seed 1"),
+        # render's five-point scene reads no points.  The --output directory
+        # does not exist, so a scene that is drawn fails with another error.
+        *[(["render", scene, "1/5", *flag, "--output", "no-such-dir/x.svg"],
+           f"the five-point scene of --epsilon/--delta takes no {flag[0]}")
+          for scene in ("--epsilon", "--delta") for flag in SCENE_IGNORES],
+        (["render", "--epsilon", "1/5", "--sample", "square", "--n", "12", "--dim", "2",
+          "--seed", "3", "--mode", "float", "--output", "no-such-dir/x.svg"],
+         "the five-point scene of --epsilon/--delta takes no --sample, --n, --dim, --seed, "
+         "--mode"),
     ],
 )
 def test_main_usage_error_prints_an_input_error_report(capsys, argv, error):
@@ -231,9 +247,8 @@ JOHN_VIOLATIONS = {
 }
 
 
-@pytest.mark.parametrize("broken", [("sandwich",), ("centered",), ("bounds",),
-                                    ("sandwich", "centered", "bounds")])
-def test_john_violation_report(monkeypatch, broken):
+def break_cover_checks(monkeypatch, broken):
+    """Make every cover report that the CLI builds fail the checks in ``broken``."""
     real = cli.john_positive_cover
 
     def flipped(*args, **kwargs):
@@ -244,10 +259,37 @@ def test_john_violation_report(monkeypatch, broken):
             bounds_ok="bounds" not in broken)
 
     monkeypatch.setattr(cli, "john_positive_cover", flipped)
+
+
+@pytest.mark.parametrize("broken", [("sandwich",), ("centered",), ("bounds",),
+                                    ("sandwich", "centered", "bounds")])
+def test_john_violation_report(monkeypatch, broken):
+    break_cover_checks(monkeypatch, broken)
     code, rep = run(RunConfig(command="john", body="square", n=8, dim=2))
     assert code == 2
     assert rep["violations"] == [JOHN_VIOLATIONS[k] for k in broken]
     assert "error_kind" not in rep and "error" not in rep
+
+
+@pytest.mark.parametrize("broken", ["sandwich", "centered", "bounds"])
+def test_random_trials_fails_a_trial_on_each_cover_check(monkeypatch, broken):
+    # A trial is ok exactly when john would report no violation.
+    break_cover_checks(monkeypatch, (broken,))
+    code, rep = run(RunConfig(command="random-trials", body="square", n=8, dim=2, trials=2))
+    assert code == 2
+    assert [r["ok"] for r in rep["result"]["results"]] == [False, False]
+    assert rep["result"]["ok_count"] == 0
+    assert rep["violations"] == ["covering bounds failed on 2 trial(s): seeds [0, 1]"]
+
+
+def test_mvs_slab_violation_report(monkeypatch):
+    real = cli.verify_local_maximality
+    monkeypatch.setattr(cli, "verify_local_maximality",
+                        lambda *args, **kwargs: dataclasses.replace(real(*args, **kwargs), ok=False))
+    code, rep = run(RunConfig(command="mvs", body="square", n=8, dim=2))
+    assert code == 2
+    assert rep["violations"] == [JOHN_VIOLATIONS["sandwich"]]
+    assert rep["result"]["local_maximality"]["ok"] is False
 
 
 COUNTEREXAMPLE_VIOLATIONS = {
@@ -390,8 +432,15 @@ def test_sweep_needs_grids():
          "--trials must be positive"),
         (["sweep", "--epsilons", ",", "--deltas", "1/5"], "--epsilons: empty list"),
         (["sweep", "--epsilons", "1/0", "--deltas", "1/5"], "--epsilons: Fraction(1, 0)"),
+        # Only a flag left out falls back to 1/5.
+        (["counterexample", "--epsilon", "", "--delta", ""],
+         "bad epsilon/delta: Invalid literal for Fraction: ''"),
+        (["counterexample", "--delta", ""], "bad epsilon/delta: Invalid literal for Fraction: ''"),
+        (["render", "--delta", "", "--output", "no-such-dir/x.svg"],
+         "bad epsilon/delta: Invalid literal for Fraction: ''"),
     ],
-    ids=["john-no-input", "zero-trials", "empty-epsilons", "zero-denominator"],
+    ids=["john-no-input", "zero-trials", "empty-epsilons", "zero-denominator",
+         "empty-epsilon-delta", "empty-delta", "render-empty-delta"],
 )
 def test_cli_input_errors(argv, error):
     code, rep = run(parse_argv(argv))

@@ -1,10 +1,9 @@
 """The five-point family whose every triangle needs dilation above 2."""
-import itertools
 from fractions import Fraction
 
 import pytest
 
-from helpers import SIX_PLANAR_POINTS, dense_dual, halfspace_dilation_lp
+from helpers import dense_dual, halfspace_dilation_lp
 from simplexcover import (
     CounterexampleConfig,
     DegenerateSimplexError,
@@ -15,8 +14,6 @@ from simplexcover import (
     build_points,
     check_certificate,
     enumerate_triangles,
-    make_simplex,
-    min_dilations,
     sweep,
     verify_counterexample,
 )
@@ -268,21 +265,6 @@ def test_infeasible_config_reports_none():
     assert not rep.bounds.feasible
     # the data is still there, it just certifies nothing
     assert len(rep.triangles) == 10
-
-
-def test_six_planar_points_defeat_factor_two_over_all_their_triangles():
-    # A second planar set that no triangle with vertices in X covers at
-    # factor 2.  Triangles anywhere in conv X are not covered by this claim.
-    x = PointSet(2, SIX_PLANAR_POINTS)
-    triangles = [
-        make_simplex([x.points[i] for i in idx], idx)
-        for idx in itertools.combinations(range(6), 3)
-    ]
-    assert len(triangles) == 20
-    results = min_dilations(x, triangles, DilationSign.POSITIVE)
-    best = min(range(20), key=lambda k: results[k].lam)
-    assert results[best].lam == F(13, 6) > 2
-    assert triangles[best].vertex_indices == (0, 1, 3)
 
 
 # ---------------------------------------------------------------------------

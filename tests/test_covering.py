@@ -1,7 +1,5 @@
 """Minimal-dilation covers and the two-sided covering guarantee."""
 import dataclasses
-import itertools
-import json
 import random
 import warnings
 from fractions import Fraction
@@ -10,7 +8,6 @@ import pytest
 
 from helpers import (
     ROUNDING_CSV,
-    SIX_PLANAR_POINTS,
     UNIMODULAR_BLOCKS,
     block_sum,
     contains,
@@ -455,64 +452,9 @@ def test_random_float_matches_exact():
 
 
 # ---------------------------------------------------------------------------
-# Exact anchors beyond the paper's bounds
+# Exact anchors beyond the paper's bounds (the witnesses are in
+# tests/test_witnesses.py)
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-def test_max_volume_simplex_of_d_plus_2_points_attains_one_plus_half_d(d):
-    """For d+2 points, a maximum-volume simplex has lambda+ <= 1 + floor(d/2),
-    and the standard simplex plus one point attains it.
-
-    Proof of the bound.  Let T be a maximum-volume simplex of X and p the
-    point of X outside T, with barycentric coordinates beta_i(p) in T.
-    Replacing vertex i by p scales the volume by |beta_i(p)|, so maximality
-    gives |beta_i(p)| <= 1 for every i, and sum_i beta_i(p) = 1.  Then
-    lambda+ = 1 + sum of the |beta_i(p)| that are negative.  With k negative
-    coordinates, that sum is at most k, and at most d - k, since the
-    positive ones, at most d + 1 - k of them and each at most 1, sum to
-    1 plus it.  So lambda+ <= 1 + min(k, d - k) <= 1 + floor(d/2).
-
-    Attained by beta = (-1 x floor(d/2), 1 x (floor(d/2) + 1), 0, ...)
-    against T = (0, e_1, ..., e_d): every swap keeps the volume or drops it
-    to 0, so T is maximal and is the lexicographically first maximum.
-    """
-    half = d // 2
-    beta = [-1] * half + [1] * (half + 1) + [0] * (d - 2 * half)
-    standard = [tuple(F(int(q == i)) for q in range(d)) for i in range(-1, d)]
-    x = PointSet(d, standard + [tuple(F(b) for b in beta[1:])])
-    rep = john_positive_cover(x)
-    assert rep.mvs.simplex.vertex_indices == tuple(range(d + 1))
-    assert rep.positive.lam == 1 + half
-    assert rep.sandwich.ok and rep.bounds_ok
-
-
-# Seven points of R^3 on which every tetrahedron needs lambda+ > 3 = d.
-SEVEN_IN_R3 = """\
--1.469,1.723,1.08
--2.834,1.192,0.007
-1.719,-0.287,-1.507
-2.57,0.353,-0.035
--0.369,-1.434,1.381
-0.858,-1.687,-0.071
-0.155,2.506,-1.203
-"""
-
-
-def test_seven_points_in_r3_need_a_positive_dilation_above_d():
-    # d is not the best lower bound for lambda+ in R^3 either: the smallest
-    # lambda+ over all 35 tetrahedra with vertices in X exceeds 3.
-    x = parse_points_csv(SEVEN_IN_R3, ScalarMode.EXACT)
-    tetrahedra = [
-        make_simplex([x.points[i] for i in idx], idx)
-        for idx in itertools.combinations(range(len(x)), 4)
-    ]
-    assert len(tetrahedra) == 35
-    results = min_dilations(x, tetrahedra, DilationSign.POSITIVE)
-    best = min(range(35), key=lambda k: results[k].lam)
-    assert results[best].lam == F(65313830658, 21582302635) > 3
-    assert tetrahedra[best].vertex_indices == (0, 1, 5, 6)
-
-
 
 @pytest.mark.parametrize("seed", range(5))
 def test_max_volume_segment_needs_no_dilation(seed):
@@ -520,68 +462,6 @@ def test_max_volume_segment_needs_no_dilation(seed):
     # X: lambda+ = 1 for every X, and c(1) = 1.
     x = rational_points(12, 1, seed)
     assert john_positive_cover(x).positive.lam == 1
-
-
-def _d3_family(a: Fraction):
-    """The standard tetrahedron plus (-b, 1, -a), (-a, 1, -b), (1, -a, 1) and
-    (1, -b, 1), b = 1 - a: lambda+ = 1 + 4a while the tetrahedron stays a
-    maximum, which it is at a = 39/50; the supremum over a is sqrt(17)."""
-    b = 1 - a
-    standard = [tuple(F(int(q == i)) for q in range(3)) for i in range(-1, 3)]
-    return standard + [(-b, F(1), -a), (-a, F(1), -b), (F(1), -a, F(1)), (F(1), -b, F(1))]
-
-
-# Point sets whose first maximum-volume simplex T = (0, 1, ..., d) needs a
-# large lambda+: (points, lambda+, lambda-).
-MAX_VOLUME_WITNESSES = {
-    "d2-six-points": (SIX_PLANAR_POINTS, F(9, 4), 2),
-    "d3-a=39/50": (_d3_family(F(39, 50)), F(103, 25), 3),
-    **{
-        f"d{w - 1}-unimodular": (unimodular_witness(w), w + 1, w - 1)
-        for w in sorted(UNIMODULAR_BLOCKS)
-    },
-}
-
-
-@pytest.mark.parametrize("name", list(MAX_VOLUME_WITNESSES))
-def test_max_volume_witness_through_john(name, tmp_path, capsys):
-    """Exact ``john`` reports T = (0, ..., d) with the tabled lambda+ and lambda-.
-
-    Setting.  Let T be the standard simplex (0, e_1, ..., e_d) and add points
-    whose barycentric rows (b_0, ..., b_d) in T form a matrix P; the point
-    is (b_1, ..., b_d).  The barycentric rows of X are then [I; P], and the
-    volume of a simplex on d+1 points of X, relative to T's, is |det| of
-    their d+1 rows.  Expanding along the rows taken from I leaves, up to
-    sign, the square minor of P on the rows taken from P and the columns
-    not taken from I, and every square minor of P arises so.  Hence T is a
-    maximum-volume simplex iff every square minor of P lies in [-1, 1], and
-    then it is the lexicographically first maximum, which ``john`` reports.
-    The homothets z + lam T are the sets {beta_i >= m_i for all i} with
-    lam = 1 - sum_i m_i, and the homothets z - lam T are {beta_i <= M_i}
-    with lam = sum_i M_i - 1.  Since X holds T's vertices,
-    lambda+ = 1 - sum_i min(0, min_j P_ji) and
-    lambda- = sum_i max(1, max_j P_ji) - 1.  A totally unimodular P with
-    {0, ±1} entries, row sums 1 and a -1 in every column therefore gives
-    lambda+ = 1 + (d+1) = d+2 and lambda- = d: both bounds of the theorem
-    are attained by a maximum-volume simplex.
-
-    Block step.  A square submatrix of diag(P1, P2) that takes r rows and
-    c != r columns of P1 is singular, and otherwise its determinant is a
-    product of a minor of P1 and one of P2; so diag(P1, P2) is totally
-    unimodular, and it keeps row sums 1 and a -1 in every column.  Blocks
-    with 5..9 columns sum to every d+1 >= 5, so lambda+ = d+2 is attained
-    for every d >= 4.  Sums are not run here: the smallest, d = 9 (n = 20),
-    takes seconds in the exact enumeration.
-    """
-    points, lam_pos, lam_neg = MAX_VOLUME_WITNESSES[name]
-    path = tmp_path / "x.csv"
-    path.write_text("".join(",".join(map(str, p)) + "\n" for p in points), encoding="utf-8")
-    assert cli.main(["john", "--input", str(path)]) == 0
-    cover = json.loads(capsys.readouterr().out)["result"]["cover"]
-    d = len(points[0])
-    assert cover["mvs"]["simplex"]["vertex_indices"] == list(range(d + 1))
-    assert cover["positive"]["lam"] == str(lam_pos)
-    assert cover["negative"]["lam"] == str(lam_neg)
 
 
 def test_block_sums_keep_the_unimodular_shape():
