@@ -350,6 +350,11 @@ _FLAGS: Dict[str, Dict[str, Any]] = {
 _POINTS = ("--input", "--format", "--sample", "--n", "--dim")
 
 
+def _dest(flag: str) -> str:
+    """The RunConfig field that ``flag`` sets."""
+    return _FLAGS[flag].get("dest", flag[2:].replace("-", "_"))
+
+
 class _Command(NamedTuple):
     handler: Callable[[RunConfig], Tuple[Dict[str, Any], List[str]]]
     help: str
@@ -424,9 +429,16 @@ def parse_argv(argv: Sequence[str]) -> RunConfig:
         parser.error("--input and --sample are mutually exclusive")
     # Of the commands that take --epsilon/--delta, only render takes these.
     ignored = [f for f in (*_POINTS, "--seed", "--local", "--mode", "--enum-cap")
-               if _FLAGS[f].get("dest", f[2:].replace("-", "_")) in ns]
+               if _dest(f) in ns]
     if ignored and ("epsilon" in ns or "delta" in ns):
         parser.error(f"the five-point scene of --epsilon/--delta takes no {', '.join(ignored)}")
+    # A point flag that nothing reads is a usage error too, not ignored.
+    unread = [f for f, reader in (("--n", cfg.body), ("--dim", cfg.body),
+                                  ("--format", cfg.input or cfg.simplex))
+              if _dest(f) in ns and reader is None]
+    if unread:
+        parser.error(f"{', '.join(unread)} would be ignored: "
+                     "--n and --dim need --sample, --format needs --input")
     return cfg
 
 

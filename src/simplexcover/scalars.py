@@ -77,6 +77,10 @@ def infer_mode(values: Iterable[Scalar]) -> ScalarMode:
 def parse_scalar(text: str, mode: ScalarMode) -> Scalar:
     """Parse 'p/q', integer, or decimal notation in the requested mode.
 
+    A text with an underscore ('1_0') is an input error in both modes, with
+    the message ``Fraction`` gives on Python 3.10, although ``float`` reads
+    digit separators and ``Fraction`` does too from Python 3.11 on.
+
     Exact mode returns ``Fraction(text)``, which builds 10**|exponent|, so
     '1e-3000000' is slow to read exactly.  In float mode a decimal or
     integer text goes straight to ``float``, which rounds correctly and so
@@ -94,17 +98,18 @@ def parse_scalar(text: str, mode: ScalarMode) -> Scalar:
 
     * 'p/q' and any other text ``float`` rejects;
     * the words 'nan', 'inf' and 'infinity', which are input errors;
-    * text with an underscore (``Fraction`` rejects it on Python 3.10) or a
-      non-ASCII character;
+    * text with a non-ASCII character;
     * text with a run of digits past the interpreter's limit on integer
       string conversion, which ``Fraction`` rejects.  Only texts longer than
       ``_FLOAT_FAST_MAX_LEN`` are scanned for one; the scan builds no number.
     """
     text = text.strip()
+    if "_" in text:
+        raise InputFormatError(
+            f"cannot parse scalar {text!r}: Invalid literal for Fraction: {text!r}")
     if (
         mode is ScalarMode.FLOAT
         and text.isascii()
-        and "_" not in text
         and (len(text) <= _FLOAT_FAST_MAX_LEN or _within_int_str_limit(text))
     ):
         try:

@@ -652,9 +652,13 @@ def reference_local_search(x: PointSet, seed: int = 0):
 
 
 def fraction_parse_scalar(text: str, mode: ScalarMode) -> Scalar:
-    """``parse_scalar`` with every text read exactly by ``Fraction`` first."""
+    """``parse_scalar`` with every text read exactly by ``Fraction`` first,
+    and a text with an underscore rejected as Python 3.10's ``Fraction``
+    rejects it."""
     text = text.strip()
     try:
+        if "_" in text:
+            raise ValueError(f"Invalid literal for Fraction: {text!r}")
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputFormatError(f"cannot parse scalar {text!r}: {exc}") from None

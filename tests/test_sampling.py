@@ -6,7 +6,6 @@ import pytest
 
 from helpers import point_in_simplex
 from simplexcover import InputFormatError, ScalarMode, make_simplex, sample_body
-from simplexcover.cli import parse_argv, run
 import simplexcover.sampling as sampling
 from simplexcover.sampling import BODIES, _GRID
 
@@ -114,15 +113,6 @@ def test_rejection_miss_is_an_input_error(monkeypatch):
     monkeypatch.setattr(sampling, "_MAX_REJECT", 20)
     with pytest.raises(InputFormatError, match="disk in dimension 30"):
         sample_body("disk", 40, 30, seed=0)
-
-
-def test_rejection_miss_reports_through_the_cli(monkeypatch):
-    monkeypatch.setattr(sampling, "_MAX_REJECT", 20)
-    argv = ["john", "--mode", "float", "--sample", "disk", "--n", "40", "--dim", "30"]
-    code, rep = run(parse_argv(argv))
-    assert code == 1
-    assert rep["error_kind"] == "input-error"
-    assert "disk in dimension 30" in rep["error"]
 
 
 def test_bodies_tuple_is_the_public_contract():

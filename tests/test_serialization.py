@@ -299,7 +299,7 @@ def _read(parse, text, mode):
 @given(_csv_texts(), st.sampled_from(list(ScalarMode)))
 @example("0." + "3" * 5000 + ",1\n", ScalarMode.FLOAT)  # float reads it, Fraction rejects it
 @example("-0.0,1\r\n\n-1e-400,2\f0e5,1e400\n", ScalarMode.FLOAT)
-@example('"1.5",2\n3,nan\n1_0,\u0661\u0662\n', ScalarMode.FLOAT)
+@example('"1.5",2\n1_0,\u0661\u0662\n3,nan\n', ScalarMode.FLOAT)  # "1_0" fails on every Python
 @example('"1\n2",3\n4,5\n6,x\n', ScalarMode.EXACT)  # a field spanning two lines
 def test_csv_reader_matches_field_by_field_parse(text, mode):
     assert _read(lambda t, m: parse_points_csv(t, m).points, text, mode) == _read(
