@@ -555,6 +555,21 @@ def test_reports_are_deterministic_apart_from_timings():
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def test_missing_file_exits_1():
+    code, rep = run(RunConfig(command="mvs", input="/definitely/not/here.csv"))
+    assert code == 1
+    assert rep["error_kind"] == "input-error"
+    assert "result" not in rep
+
+
+def test_main_error_goes_to_stderr(capsys):
+    code = main(["mvs", "--input", "/absent.csv"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "simplexcover:" in captured.err
+    assert json.loads(captured.out)["error_kind"] == "input-error"
+
+
 def test_violations_exit_2(monkeypatch):
     stub = cli._COMMANDS["john"]._replace(handler=lambda cfg: ({"stub": 1}, ["boom"]))
     monkeypatch.setitem(cli._COMMANDS, "john", stub)
