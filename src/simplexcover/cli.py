@@ -26,12 +26,7 @@ from .counterexample import (
     sweep,
     verify_counterexample,
 )
-from .covering import (
-    DilationSign,
-    _auto_mvs,
-    john_positive_cover,
-    min_dilation,
-)
+from .covering import DilationSign, john_positive_cover, min_dilation
 from .errors import (
     DegeneratePointSetError,
     DegenerateSimplexError,
@@ -43,10 +38,11 @@ from .errors import (
     TheoremViolationError,
 )
 from .geometry import PointSet, dilate_about_center, make_simplex
-from .mvs import DEFAULT_ENUM_CAP, mvs_exact, mvs_local_search, verify_local_maximality
+from .mvs import DEFAULT_ENUM_CAP, max_volume_simplex, mvs_exact, mvs_local_search
+from .mvs import verify_local_maximality
 from .render import SimplexStyle, render_scene_2d
 from .sampling import BODIES, sample_body
-from .scalars import DEFAULT_FLOAT_TOL, ScalarMode, scalar_to_str
+from .scalars import ScalarMode, default_tol, scalar_to_str
 from .serialization import (
     dumps_report,
     parse_points_file,
@@ -83,10 +79,10 @@ class RunConfig:
 
     @property
     def check_tol(self) -> float:
-        """Tolerance for CLI-level verification; 0 in exact mode."""
-        if self.mode is ScalarMode.EXACT:
-            return 0
-        return self.tol if self.tol is not None else DEFAULT_FLOAT_TOL
+        """CLI-level check tolerance: ``default_tol``, or --tol in float mode."""
+        if self.tol is None or self.mode is ScalarMode.EXACT:
+            return default_tol(self.mode)
+        return self.tol
 
 
 def _load_points(cfg: RunConfig) -> PointSet:
@@ -239,7 +235,7 @@ def _john_scene(cfg: RunConfig, x: PointSet):
     if cfg.local:
         m = mvs_local_search(x, seed=cfg.seed)
     else:
-        m = _auto_mvs(x, cfg.enum_cap, cfg.seed)
+        m = max_volume_simplex(x, enum_cap=cfg.enum_cap, seed=cfg.seed)
     t = m.simplex
     return [
         (t, SimplexStyle(stroke="#d62728", label="T")),

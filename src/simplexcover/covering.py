@@ -38,7 +38,12 @@ all scalings positive, so that its point is the closed form's numerators
 and its dual is (1, ..., 1) (proof at ``_exact_dilation``).
 ``check_certificate`` then runs at tolerance 0 on Python ints alone, and
 Fractions are built only for the reported values.  Float kernels take the
-same steps in floats, checked at the float tolerance.
+same steps in floats: the certificate is checked at
+``FLOAT_CERTIFICATE_TOL`` and containment at ``default_tol``.
+
+``john_positive_cover`` takes its simplex from ``max_volume_simplex`` and
+reads its slab check (``kernel_local_maximality``) and both dilations from
+that simplex's one kernel.
 
 The two covering guarantees for a swap-locally-maximal simplex T follow
 from the slab property of its facet functionals:
@@ -52,7 +57,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -70,23 +74,16 @@ from .geometry import (
     vec_add,
     vec_scale,
 )
-from .linprog import (
-    _FLOAT_CHECK_TOL,
-    LinearProgram,
-    LPSolution,
-    LPStatus,
-    check_certificate,
-)
+from .linprog import LinearProgram, LPSolution, LPStatus, check_certificate
 from .mvs import (
     DEFAULT_ENUM_CAP,
     LocalMaximalityReport,
     MvsResult,
-    _local_maximality,
-    mvs_exact,
-    mvs_local_search,
+    kernel_local_maximality,
+    max_volume_simplex,
     verify_local_maximality,
 )
-from .scalars import Scalar, ScalarMode, default_tol
+from .scalars import FLOAT_CERTIFICATE_TOL, Scalar, ScalarMode, default_tol
 
 
 class DilationSign(enum.Enum):
@@ -165,7 +162,7 @@ def dilation_lp(t: Simplex, x: PointSet, sign: DilationSign) -> LinearProgram:
 
 def min_dilation(t: Simplex, x: PointSet, sign: DilationSign) -> DilationResult:
     """Minimal lambda and translate covering x by a dilate of +/-t."""
-    return _kernel_dilation(slab_kernel(t, x), sign)
+    return _kernel_dilations([slab_kernel(t, x)], sign)[0]
 
 
 def min_dilations(
@@ -176,14 +173,10 @@ def min_dilations(
     return _kernel_dilations(slab_kernels(x, simplices), sign)
 
 
-def _kernel_dilation(k: SlabKernel, sign: DilationSign) -> DilationResult:
-    """``min_dilation`` on a kernel that is already built."""
-    return _kernel_dilations([k], sign)[0]
-
-
 def _kernel_dilations(ks: Sequence[SlabKernel], sign: DilationSign) -> List[DilationResult]:
-    """``_kernel_dilation`` of each kernel (all with d+1 rows), with the row
-    argmax and row maxima of all their facets in one numpy call each."""
+    """``min_dilation`` on each kernel already built (all with d+1 rows),
+    with the row argmax and row maxima of all their facets in one numpy
+    call each."""
     if not ks:
         return []
     # The body's facet i has normal s * a_i, so its slab values are s * u_i.
@@ -218,7 +211,7 @@ def _float_dilation(
     certificate = LPSolution(
         status=LPStatus.OPTIMAL, z=z + (lam,), value=lam, dual=(k.ratio(1, d + 1),) * (d + 1)
     )
-    if not check_certificate(reduced, certificate, tol=_FLOAT_CHECK_TOL):
+    if not check_certificate(reduced, certificate, tol=FLOAT_CERTIFICATE_TOL):
         raise NumericalBreakdownError(
             "dilation certificate failed in float mode; rerun in exact mode"
         )
@@ -312,33 +305,27 @@ def _exact_dilation(
     )
 
 
-def _auto_mvs(x: PointSet, enum_cap: int, seed: int) -> MvsResult:
-    if comb(len(x), x.dim + 1) <= enum_cap:
-        return mvs_exact(x, enum_cap=enum_cap)
-    return mvs_local_search(x, seed=seed)
-
-
 def john_positive_cover(
     x: PointSet, *, enum_cap: int = DEFAULT_ENUM_CAP, seed: int = 0
 ) -> CoverReport:
     """Full covering report: constructive (d+2)-dilation plus both LP optima.
 
-    Exact input is checked at zero tolerance, float input at the float
-    tolerance.  A local-search simplex that fails a check is reported as it
-    is.  An enumerated simplex that fails one raises
-    ``TheoremViolationError`` for exact input.  Float input is enumerated
-    exactly on the binary rationals it denotes, so there the float slab
-    kernel's rounding is to blame, and it raises ``NumericalBreakdownError``.
+    Exact input is checked at tolerance 0, float input at ``DEFAULT_FLOAT_TOL``.
+    A local-search simplex that fails a check is reported as it is.  An
+    enumerated simplex that fails one raises ``TheoremViolationError`` for
+    exact input.  Float input is enumerated exactly on the binary rationals
+    it denotes, so there the float slab kernel's rounding is to blame, and
+    it raises ``NumericalBreakdownError``.
     """
     d = x.dim
     tol = default_tol(x.mode)
-    m = _auto_mvs(x, enum_cap, seed)
+    m = max_volume_simplex(x, enum_cap=enum_cap, seed=seed)
     t = m.simplex
     k = slab_kernel(t, x)
-    sandwich = _sandwich(_local_maximality(k, t, x, tol), d)
+    sandwich = _sandwich(kernel_local_maximality(k, t, x, tol), d)
     centered_ok = all(hi <= d + 2 + tol for _, hi in sandwich.local_maximality.slab)
-    negative = _kernel_dilation(k, DilationSign.NEGATIVE)
-    positive = _kernel_dilation(k, DilationSign.POSITIVE)
+    negative = _kernel_dilations([k], DilationSign.NEGATIVE)[0]
+    positive = _kernel_dilations([k], DilationSign.POSITIVE)[0]
     bounds_ok = negative.lam <= d + tol and positive.lam <= d + 2 + tol
     if m.method == "exact" and not (sandwich.ok and centered_ok and bounds_ok):
         checks = f"sandwich={sandwich.ok} centered={centered_ok} bounds={bounds_ok}"

@@ -19,7 +19,8 @@ certificate: dual multipliers for OPTIMAL, a Farkas vector y >= 0 with
 y.G = 0 and y.h < 0 for INFEASIBLE (``check_farkas``), a feasible point
 and a ray r with G r <= 0 and c . r < 0 for UNBOUNDED.  Float mode pivots
 with magnitude guards, and a float status that fails its own certificate
-at a loose tolerance becomes NUMERICAL_BREAKDOWN.
+at ``scalars.FLOAT_CERTIFICATE_TOL``, the tolerance every float dilation
+certificate is checked at too, becomes NUMERICAL_BREAKDOWN.
 """
 from __future__ import annotations
 
@@ -29,16 +30,12 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import LPInternalError
-from .scalars import Scalar, ScalarMode, infer_mode
+from .scalars import FLOAT_CERTIFICATE_TOL, Scalar, ScalarMode, infer_mode
 
 # Float-mode guards.  Exact mode compares against literal zero.
 _FLOAT_COST_TOL = 1e-12
 _FLOAT_PIVOT_TOL = 1e-11
 _FLOAT_FEAS_TOL = 1e-9
-# Every float status must survive its own certificate at this (loose)
-# tolerance or it is downgraded to NUMERICAL_BREAKDOWN; honest solves sit
-# near 1e-12, catastrophic pivot skips near 1e+2.
-_FLOAT_CHECK_TOL = 1e-6
 _MAX_ITERS = 100_000
 
 
@@ -287,7 +284,7 @@ def solve_lp(lp: LinearProgram, mode: Optional[ScalarMode] = None) -> LPSolution
             if mode is ScalarMode.EXACT:
                 if not check_farkas(lp, farkas):
                     raise LPInternalError("exact-mode Farkas vector failed its check")
-            elif not check_farkas(lp, farkas, tol=_FLOAT_CHECK_TOL):
+            elif not check_farkas(lp, farkas, tol=FLOAT_CERTIFICATE_TOL):
                 return LPSolution(
                     status=LPStatus.NUMERICAL_BREAKDOWN, iterations=tab.iterations
                 )
@@ -336,7 +333,7 @@ def solve_lp(lp: LinearProgram, mode: Optional[ScalarMode] = None) -> LPSolution
                 raise LPInternalError("unbounded ray fails G r <= 0, c . r < 0")
         else:
             scale = max(1.0, max(abs(v) for v in ray))
-            if recede > _FLOAT_CHECK_TOL * scale or improve >= 0:
+            if recede > FLOAT_CERTIFICATE_TOL * scale or improve >= 0:
                 return LPSolution(
                     status=LPStatus.NUMERICAL_BREAKDOWN, iterations=tab.iterations
                 )
@@ -364,7 +361,7 @@ def solve_lp(lp: LinearProgram, mode: Optional[ScalarMode] = None) -> LPSolution
     if mode is ScalarMode.EXACT:
         if not check_certificate(lp, sol, tol=0):
             raise LPInternalError("exact-mode optimum failed its own certificate")
-    elif not check_certificate(lp, sol, tol=_FLOAT_CHECK_TOL):
+    elif not check_certificate(lp, sol, tol=FLOAT_CERTIFICATE_TOL):
         return LPSolution(status=LPStatus.NUMERICAL_BREAKDOWN, iterations=tab.iterations)
     return sol
 

@@ -1,6 +1,8 @@
 """Maximum-volume simplex (MVS) search over a finite point set.
 
-Two entry points:
+Two searches, and ``max_volume_simplex``, the rule that picks one: enumerate
+when C(n, d+1) is at most ``enum_cap``, the cap ``mvs_exact`` enforces,
+else search locally.
 
 * ``mvs_exact``: exhaustive enumeration of all C(n, d+1) vertex subsets, ties
   to the lexicographically smallest index tuple.  Float input is enumerated
@@ -15,15 +17,16 @@ Two entry points:
   extended one vertex at a time by the point with the largest bordered
   Gram determinant; all candidates are scored at once.  Each swap step
   reads one ``slab_kernel`` of the current simplex and takes the first
-  (facet, point) pair with the largest |u - 1|.  The result is swap-locally maximal: no single vertex
-  replacement by a point of X increases the volume (beyond relative 1e-12
-  in float mode).
+  (facet, point) pair with the largest |u - 1|.  The result is
+  swap-locally maximal: no single vertex replacement by a point of X
+  increases the volume (beyond ``FLOAT_SWAP_MARGIN`` in float mode).
 
 Both report ``simplex_volume`` of their simplex, so a float volume is the
 exact volume of the binary rationals rounded once, whichever search ran.
 
 Swap-local maximality is exactly the slab property checked by
-``verify_local_maximality``: replacing vertex i by x scales the volume by
+``verify_local_maximality``, or ``kernel_local_maximality`` on a kernel
+already built: replacing vertex i by x scales the volume by
 |a_i . (x - c) - 1| / (d + 1), so maximality of a simplex with unit facet
 offsets is equivalent to -d <= a_i . (x - c) <= d + 2 for all facets i and
 points x.
@@ -45,7 +48,7 @@ from . import linalg
 from .errors import DegeneratePointSetError, EnumerationCapError, NumericalBreakdownError
 from .errors import SingularMatrixError
 from .geometry import PointSet, Simplex, SlabKernel, dot, simplex_volume, slab_kernel
-from .scalars import Scalar, ScalarMode
+from .scalars import FLOAT_SWAP_MARGIN, Scalar, ScalarMode
 
 DEFAULT_ENUM_CAP = 2_000_000
 _CHUNK = 65_536
@@ -225,6 +228,14 @@ def mvs_exact(x: PointSet, *, enum_cap: int = DEFAULT_ENUM_CAP) -> MvsResult:
     return MvsResult(simplex=simplex, volume=simplex_volume(simplex), method="exact")
 
 
+def max_volume_simplex(x: PointSet, *, enum_cap: int, seed: int) -> MvsResult:
+    """``mvs_exact`` when its C(n, d+1) subsets fit ``enum_cap``, else
+    ``mvs_local_search`` with ``seed``."""
+    if comb(len(x), x.dim + 1) <= enum_cap:
+        return mvs_exact(x, enum_cap=enum_cap)
+    return mvs_local_search(x, seed=seed)
+
+
 # ---------------------------------------------------------------------------
 # local search
 # ---------------------------------------------------------------------------
@@ -353,7 +364,9 @@ def mvs_local_search(x: PointSet, seed: int = 0) -> MvsResult:
     random.Random(seed).shuffle(order)
     chosen = [order[i] for i in _greedy_seed(x.array[order])]
 
-    threshold: Scalar = d + 1 if x.mode is ScalarMode.EXACT else (d + 1) * (1.0 + 1e-12)
+    threshold: Scalar = (
+        d + 1 if x.mode is ScalarMode.EXACT else (d + 1) * (1.0 + FLOAT_SWAP_MARGIN)
+    )
     swaps = 0
     # Exact swaps strictly increase the volume; only a float kernel that has
     # lost precision can lead back to a simplex already seen, and from there
@@ -395,10 +408,10 @@ def verify_local_maximality(
     rationals the floats denote, so rounding alone never fails it; that
     report carries the exact values rounded to float.
     """
-    return _local_maximality(slab_kernel(t, x), t, x, tol)
+    return kernel_local_maximality(slab_kernel(t, x), t, x, tol)
 
 
-def _local_maximality(
+def kernel_local_maximality(
     k: SlabKernel, t: Simplex, x: PointSet, tol: Scalar
 ) -> LocalMaximalityReport:
     """``verify_local_maximality`` on the kernel ``slab_kernel(t, x)``."""

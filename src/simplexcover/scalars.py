@@ -5,8 +5,9 @@ and the scalar family of the input chooses the mode (``infer_mode``):
 
 * EXACT: coordinates are ``fractions.Fraction`` (or int) and every comparison
   is exact.  Nothing is ever rounded.
-* FLOAT: coordinates are binary doubles and comparisons use a small relative
-  tolerance (1e-9 unless overridden).
+* FLOAT: coordinates are binary doubles, and the runtime's float checks
+  read the three tolerances named below (``solve_lp``'s own pivot guards
+  stay in ``linprog``).
 
 Mixed expressions stay honest because ``Fraction`` arithmetic promotes to
 float only when a float operand is present, so exact constants such as
@@ -27,7 +28,12 @@ from .errors import InputFormatError
 
 Scalar = Union[int, float, Fraction]
 
+# Slack of float slab, containment and bound checks (``default_tol``).
 DEFAULT_FLOAT_TOL = 1e-9
+# Residual of a float dual certificate: honest ones near 1e-12, broken near 1e+2.
+FLOAT_CERTIFICATE_TOL = 1e-6
+# Float local search swaps only for a relative volume gain above rounding's.
+FLOAT_SWAP_MARGIN = 1e-12
 
 # Every nonzero limit that ``sys.set_int_max_str_digits`` accepts is at least
 # 640 digits, so ``Fraction`` never rejects a text this short for its length.

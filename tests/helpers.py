@@ -79,13 +79,13 @@ from simplexcover.geometry import (
 from simplexcover.linalg import _pivot_row
 from simplexcover.linalg import solve as linear_solve
 from simplexcover.linprog import (
-    _FLOAT_CHECK_TOL,
     LinearProgram,
     LPSolution,
     LPStatus,
     check_certificate,
 )
 from simplexcover.scalars import (
+    FLOAT_CERTIFICATE_TOL,
     Scalar,
     ScalarMode,
     default_tol,
@@ -349,7 +349,7 @@ def fraction_min_dilation(t: Simplex, x: PointSet, sign: DilationSign) -> Dilati
     if k.mode is ScalarMode.EXACT:
         if not check_certificate(reduced, certificate, tol=0):
             raise LPInternalError("closed-form dilation failed its dual certificate")
-    elif not check_certificate(reduced, certificate, tol=_FLOAT_CHECK_TOL):
+    elif not check_certificate(reduced, certificate, tol=FLOAT_CERTIFICATE_TOL):
         raise NumericalBreakdownError(
             "dilation certificate failed in float mode; rerun in exact mode"
         )

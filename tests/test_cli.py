@@ -5,6 +5,7 @@ report once; ``test_contract`` runs every row through ``cli.main`` and
 ``test_contract_entry_point`` runs one row per outcome as
 ``python -m simplexcover.cli``.
 """
+import ast
 import concurrent.futures
 import dataclasses
 import functools
@@ -807,10 +808,15 @@ def test_random_trials_clamps_jobs(monkeypatch, jobs, trials, cpus, expected):
 
 
 def test_cli_import_leaves_out_the_process_pool():
-    # Only random-trials runs a process pool, so it imports one itself.
-    code = "import sys, simplexcover.cli; sys.exit('concurrent.futures.process' in sys.modules)"
+    # Only random-trials --jobs runs a process pool, so it imports one
+    # itself; every other command's start-up skips both packages.
+    code = "import simplexcover.cli; import sys; print(sorted(sys.modules))"
     env = dict(os.environ, PYTHONPATH=SRC)
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    modules = set(ast.literal_eval(done.stdout))
+    assert "simplexcover.cli" in modules
+    assert not modules & {"concurrent.futures", "multiprocessing"}
 
 
 @pytest.mark.parametrize("jobs", [0, -3])

@@ -292,7 +292,7 @@ def test_escalation_from_bad_local_simplex(monkeypatch):
     corners = PointSet(2, ((F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1))))
     small = make_simplex([(F(0), F(0)), (F(1, 4), F(0)), (F(0), F(1, 4))])
     bad = MvsResult(simplex=small, volume=simplex_volume(small), method="local-search")
-    monkeypatch.setattr(covering, "_auto_mvs", lambda x, cap, seed: bad)
+    monkeypatch.setattr(covering, "max_volume_simplex", lambda x, **kw: bad)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = john_positive_cover(corners)
@@ -310,7 +310,7 @@ def test_exactly_maximal_failure_is_a_theorem_violation(monkeypatch):
     corners = PointSet(2, ((F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1))))
     small = make_simplex([(F(0), F(0)), (F(1, 4), F(0)), (F(0), F(1, 4))])
     bad = MvsResult(simplex=small, volume=simplex_volume(small), method="exact")
-    monkeypatch.setattr(covering, "_auto_mvs", lambda x, cap, seed: bad)
+    monkeypatch.setattr(covering, "max_volume_simplex", lambda x, **kw: bad)
     with pytest.raises(TheoremViolationError):
         john_positive_cover(corners)
 
@@ -322,7 +322,7 @@ def test_float_failure_of_an_enumerated_simplex_is_a_breakdown(monkeypatch):
     corners = PointSet(2, ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
     small = make_simplex([(0.0, 0.0), (0.25, 0.0), (0.0, 0.25)])
     bad = MvsResult(simplex=small, volume=simplex_volume(small), method="exact")
-    monkeypatch.setattr(covering, "_auto_mvs", lambda x, cap, seed: bad)
+    monkeypatch.setattr(covering, "max_volume_simplex", lambda x, **kw: bad)
     with pytest.raises(NumericalBreakdownError, match="rerun in exact mode$"):
         john_positive_cover(corners)
 
@@ -341,7 +341,7 @@ def test_failed_containment_check(monkeypatch, mode):
         k = dataclasses.replace(k, scaled_vertices=((v[0][0] + 1,) + v[0][1:],) + v[1:])
         with pytest.raises(LPInternalError,
                            match="^closed-form dilation failed its dual certificate$"):
-            covering._kernel_dilation(k, DilationSign.POSITIVE)
+            covering._kernel_dilations([k], DilationSign.POSITIVE)
         return
     # Shift the translate's term so that no point is contained any more.
     monkeypatch.setattr(covering, "dot", lambda a, b: -1000)

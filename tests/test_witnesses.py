@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import pytest
 
 from helpers import SIX_PLANAR_POINTS, UNIMODULAR_BLOCKS, standard_simplex, unimodular_witness
-from simplexcover import DilationSign, PointSet, cli, make_simplex, min_dilations
+from simplexcover import DilationSign, PointSet, cli, linalg, make_simplex, min_dilations
 
 F = Fraction
 
@@ -151,6 +151,40 @@ def test_witness(name, tmp_path, capsys):
         best = min(range(len(simplices)), key=lambda k: results[k].lam)
         assert results[best].lam == w.lam_pos > d
         assert simplices[best].vertex_indices == w.vertices
+
+
+# Per unimodular witness: the maximum-volume subsets among all (d+1)-subsets,
+# the least lambda+ over them and the first subset to attain it.
+TIES = {
+    "d4-unimodular": (162, 252, 3, (0, 1, 2, 8, 9)),
+    "d5-unimodular": (105, 210, 3, (0, 1, 4, 5, 7, 8)),
+    "d6-unimodular": (153, 330, 4, (0, 1, 3, 4, 5, 6, 7)),
+    "d7-unimodular": (217, 495, 4, (0, 1, 2, 4, 5, 6, 9, 11)),
+    "d8-unimodular": (225, 715, 5, (0, 1, 2, 4, 5, 6, 7, 8, 9)),
+}
+
+
+@pytest.mark.parametrize("name", list(TIES))
+def test_every_tied_maximum_obeys_the_theorem(name):
+    """The theorem holds for every maximum-volume simplex, not only the
+    first one that ``john`` reports.  On the unimodular witnesses many
+    subsets tie at the maximum: all of them have lambda- = d, while lambda+
+    runs from the pinned least value up to d+2, which the first attains."""
+    ties, total, least, first = TIES[name]
+    x = PointSet(len(WITNESSES[name].points[0]), WITNESSES[name].points)
+    d = x.dim
+    ints, _ = linalg.clear_denominators(x.points)
+    subsets = list(itertools.combinations(range(len(x)), d + 1))
+    dets = [linalg.simplex_det([ints[i] for i in s]) for s in subsets]
+    best = max(dets)
+    tied = [s for s, det in zip(subsets, dets) if det == best]
+    assert (len(tied), len(subsets)) == (ties, total)
+    simplices = [make_simplex([x.points[i] for i in s], s) for s in tied]
+    pos = [r.lam for r in min_dilations(x, simplices, DilationSign.POSITIVE)]
+    neg = [r.lam for r in min_dilations(x, simplices, DilationSign.NEGATIVE)]
+    assert set(neg) == {d}
+    assert (min(pos), max(pos), pos[0]) == (least, d + 2, d + 2)
+    assert tied[pos.index(least)] == first
 
 
 def _cited_values(w: Witness):
