@@ -28,7 +28,8 @@ Every dilation is read from a slab kernel: the slab values over one
 positive denominator D, and the vertices times S and the inverse times D
 that they came from, Python ints in exact mode.  ``min_dilations`` reads
 the kernels of many simplices as one batch (``slab_kernels``), with one
-row maximum over all their facets, and certifies each simplex on its own.
+row maximum over all their facets, and certifies each simplex on its own;
+``min_dilation`` is its one-simplex case.
 ``_frame`` derives the centroid and the normals from a kernel for the
 float path and for ``dilation_lp``; the exact path needs neither.  Exact
 ``min_dilation`` computes the closed form over the one denominator
@@ -162,7 +163,7 @@ def dilation_lp(t: Simplex, x: PointSet, sign: DilationSign) -> LinearProgram:
 
 def min_dilation(t: Simplex, x: PointSet, sign: DilationSign) -> DilationResult:
     """Minimal lambda and translate covering x by a dilate of +/-t."""
-    return _kernel_dilations([slab_kernel(t, x)], sign)[0]
+    return min_dilations(x, [t], sign)[0]
 
 
 def min_dilations(

@@ -1,4 +1,4 @@
-"""Certificate checks, and a dense reference solver, for inequality-form LPs.
+"""Certificate checks, and an exact reference solver, for inequality-form LPs.
 
     minimize    c . z
     subject to  G z <= h        (z free)
@@ -9,41 +9,37 @@ y.G = -c and y.h = -value.  ``solve_lp`` is the tests' reference solver.
 Nothing at runtime calls it; it stays in the package because the
 benchmark's span tracer looks it up by name (ROADMAP.md, item 2).
 
-``solve_lp`` is a two-phase primal simplex on the standard-form tableau.
-Free variables are split as z = u - w with u, w >= 0, every row gets a
-slack, and rows with negative right-hand side get a phase-1 artificial.
-Bland's anti-cycling rule (smallest eligible column; ratio ties broken by
-smallest basic column) makes termination unconditional in exact
-arithmetic.  Exact mode runs in Fractions, and every outcome carries a
-certificate: dual multipliers for OPTIMAL, a Farkas vector y >= 0 with
-y.G = 0 and y.h < 0 for INFEASIBLE (``check_farkas``), a feasible point
-and a ray r with G r <= 0 and c . r < 0 for UNBOUNDED.  Float mode pivots
-with magnitude guards, and a float status that fails its own certificate
-at ``scalars.FLOAT_CERTIFICATE_TOL``, the tolerance every float dilation
-certificate is checked at too, becomes NUMERICAL_BREAKDOWN.
+``solve_lp`` is a two-phase primal simplex on the standard-form tableau,
+in Fractions only.  Free variables are split as z = u - w with u, w >= 0,
+every row gets a slack, and rows with negative right-hand side get a
+phase-1 artificial.  Bland's anti-cycling rule (smallest eligible column;
+ratio ties broken by smallest basic column) makes termination
+unconditional.  Every outcome carries a certificate, checked at tolerance
+0: dual multipliers for OPTIMAL, a Farkas vector y >= 0 with y.G = 0 and
+y.h < 0 for INFEASIBLE (``check_farkas``), a feasible point and a ray r
+with G r <= 0 and c . r < 0 for UNBOUNDED.  A float coefficient is the
+exact binary rational it denotes, so an LP with one is solved on its exact
+twin and each scalar of the result is rounded once to float.
 """
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import LPInternalError
-from .scalars import FLOAT_CERTIFICATE_TOL, Scalar, ScalarMode, infer_mode
+from .scalars import Scalar, ScalarMode, infer_mode
 
-# Float-mode guards.  Exact mode compares against literal zero.
-_FLOAT_COST_TOL = 1e-12
-_FLOAT_PIVOT_TOL = 1e-11
-_FLOAT_FEAS_TOL = 1e-9
 _MAX_ITERS = 100_000
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class LPStatus(enum.Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
-    NUMERICAL_BREAKDOWN = "numerical-breakdown"
 
 
 @dataclass(frozen=True)
@@ -90,284 +86,154 @@ class LPSolution:
 
 
 class _Tableau:
-    """Dense simplex tableau over one scalar family."""
+    """Dense simplex tableau in Fractions.  Columns: u (m), w (m), one slack
+    per row (K), then one artificial per row with negative right-hand side;
+    the last entry of each row is its right-hand side."""
 
-    def __init__(self, lp: LinearProgram, mode: ScalarMode):
-        self.mode = mode
-        conv = (lambda x: Fraction(x)) if mode is ScalarMode.EXACT else float
-        self.zero: Scalar = conv(0)
-        self.one: Scalar = conv(1)
-        self.m = lp.num_vars
-        self.K = len(lp.rows)
-        self.G = [[conv(x) for x in row] for row in lp.rows]
-        self.h = [conv(x) for x in lp.rhs]
-        self.c = [conv(x) for x in lp.objective]
-
-        m, K = self.m, self.K
-        self.col_u = list(range(0, m))
-        self.col_w = list(range(m, 2 * m))
-        self.col_s = list(range(2 * m, 2 * m + K))
-        art_rows = [k for k in range(K) if self.h[k] < 0]
-        self.col_a = {k: 2 * m + K + i for i, k in enumerate(art_rows)}
-        self.ncols = 2 * m + K + len(art_rows)
-        self.n_real = 2 * m + K
-
-        self.rows: List[List[Scalar]] = []
+    def __init__(self, lp: LinearProgram):
+        m = self.m = lp.num_vars
+        self.n_real = 2 * m + len(lp.rows)
+        self.ncols = self.n_real + sum(h < 0 for h in lp.rhs)
+        self.artificials = range(self.n_real, self.ncols)
+        self.rows: List[List[Fraction]] = []
         self.basis: List[int] = []
-        self.row_origin: List[int] = []
-        for k in range(K):
-            sigma = -1 if self.h[k] < 0 else 1
-            row = [self.zero] * (self.ncols + 1)
-            for j in range(m):
-                g = self.G[k][j]
-                row[self.col_u[j]] = sigma * g
-                row[self.col_w[j]] = -sigma * g
-            row[self.col_s[k]] = self.one if sigma == 1 else -self.one
-            if sigma == -1:
-                row[self.col_a[k]] = self.one
-            row[self.ncols] = sigma * self.h[k]
+        arts = iter(self.artificials)
+        for k, (g, h) in enumerate(zip(lp.rows, lp.rhs)):
+            sigma = -1 if h < 0 else 1
+            row = [sigma * v for v in g] + [-sigma * v for v in g]
+            row += [_ZERO] * (self.ncols - 2 * m) + [sigma * h]
+            row[2 * m + k] = Fraction(sigma)
+            self.basis.append(2 * m + k if sigma == 1 else next(arts))
+            row[self.basis[-1]] = _ONE
             self.rows.append(row)
-            self.basis.append(self.col_s[k] if sigma == 1 else self.col_a[k])
-            self.row_origin.append(k)
         self.iterations = 0
 
-    # -- pivoting ---------------------------------------------------------
-
-    def _pivot(self, r: int, j: int, costrow: List[Scalar]) -> bool:
-        """Pivot on (r, j).  Returns False on float breakdown."""
-        piv = self.rows[r][j]
-        if self.mode is ScalarMode.FLOAT and abs(piv) < _FLOAT_PIVOT_TOL:
-            return False
+    def _pivot(self, r: int, j: int, costrow: List[Fraction]) -> None:
         prow = self.rows[r]
-        inv = self.one / piv
-        for col in range(self.ncols + 1):
-            prow[col] = prow[col] * inv
-        prow[j] = self.one
-        for rr, row in enumerate(self.rows):
-            if rr == r:
-                continue
+        inv = _ONE / prow[j]
+        prow[:] = [v * inv for v in prow]
+        for row in self.rows + [costrow]:
             f = row[j]
-            if f == 0:
-                continue
-            for col in range(self.ncols + 1):
-                row[col] = row[col] - f * prow[col]
-            row[j] = self.zero
-        f = costrow[j]
-        if f != 0:
-            for col in range(self.ncols + 1):
-                costrow[col] = costrow[col] - f * prow[col]
-            costrow[j] = self.zero
+            if row is not prow and f != 0:
+                row[:] = [a - f * b for a, b in zip(row, prow)]
         self.basis[r] = j
-        if self.mode is ScalarMode.FLOAT:
-            if not all(_finite(v) for v in prow) or not _finite(costrow[self.ncols]):
-                return False
-        return True
-
-    def _cost_row(self, cost: Sequence[Scalar]) -> List[Scalar]:
-        """Reduced costs for ``cost`` relative to the current basis."""
-        row = list(cost) + [self.zero] * (self.ncols + 1 - len(cost))
-        for r, b in enumerate(self.basis):
-            cb = cost[b] if b < len(cost) else self.zero
-            if cb != 0:
-                trow = self.rows[r]
-                for col in range(self.ncols + 1):
-                    row[col] = row[col] - cb * trow[col]
-        return row
-
-    def _entering(self, costrow: List[Scalar], allowed: Sequence[int]) -> Optional[int]:
-        tol = self.zero if self.mode is ScalarMode.EXACT else _FLOAT_COST_TOL
-        for j in allowed:
-            if costrow[j] < -tol:
-                return j
-        return None
 
     def _leaving(self, j: int) -> Optional[int]:
         """Bland ratio test; None means the column is unbounded."""
-        tol = self.zero if self.mode is ScalarMode.EXACT else _FLOAT_PIVOT_TOL
         best_r = None
         best_ratio = None
         for r, row in enumerate(self.rows):
             a = row[j]
-            if a <= tol:
+            if a <= 0:
                 continue
-            ratio = row[self.ncols] / a
+            ratio = row[-1] / a
             if best_ratio is None or ratio < best_ratio or (
                 ratio == best_ratio and self.basis[r] < self.basis[best_r]
             ):
                 best_r, best_ratio = r, ratio
         return best_r
 
-    def run(self, cost: Sequence[Scalar], allowed: Sequence[int]):
-        """Iterate to optimality of ``cost``.  Returns (costrow, status_str)."""
-        costrow = self._cost_row(cost)
+    def run(self, cost: Sequence[Fraction]):
+        """Iterate to optimality of ``cost`` (one entry per column); the
+        artificials never (re-)enter.  Returns (reduced cost row, unbounded
+        column or None)."""
+        costrow = list(cost) + [_ZERO]
+        for b, row in zip(self.basis, self.rows):
+            if cost[b] != 0:
+                costrow = [a - cost[b] * v for a, v in zip(costrow, row)]
         while True:
-            j = self._entering(costrow, allowed)
+            j = next((j for j in range(self.n_real) if costrow[j] < 0), None)
             if j is None:
-                return costrow, "optimal"
+                return costrow, None
             r = self._leaving(j)
             if r is None:
-                # Entries in (0, pivot tol] are unusable but rule out a true
-                # ray; calling that unbounded would be a silent wrong answer.
-                if self.mode is ScalarMode.FLOAT and any(
-                    row[j] > 0 for row in self.rows
-                ):
-                    return costrow, "breakdown"
-                return costrow, ("unbounded", j)
+                return costrow, j
             self.iterations += 1
             if self.iterations > _MAX_ITERS:
-                if self.mode is ScalarMode.FLOAT:
-                    return costrow, "breakdown"
-                raise LPInternalError("simplex iteration cap exceeded in exact mode")
-            if not self._pivot(r, j, costrow):
-                return costrow, "breakdown"
+                raise LPInternalError("simplex iteration cap exceeded")
+            self._pivot(r, j, costrow)
 
-    # -- extraction -------------------------------------------------------
+    def point(self) -> Tuple[Fraction, ...]:
+        value = dict(zip(self.basis, (row[-1] for row in self.rows)))
+        m = self.m
+        return tuple(value.get(j, _ZERO) - value.get(m + j, _ZERO) for j in range(m))
 
-    def column_value(self, col: int) -> Scalar:
-        for r, b in enumerate(self.basis):
-            if b == col:
-                return self.rows[r][self.ncols]
-        return self.zero
+    def dual_from(self, costrow: List[Fraction]) -> Tuple[Fraction, ...]:
+        return tuple(costrow[2 * self.m:self.n_real])
 
-    def point(self) -> Tuple[Scalar, ...]:
-        return tuple(
-            self.column_value(self.col_u[j]) - self.column_value(self.col_w[j])
-            for j in range(self.m)
-        )
-
-    def dual_from(self, costrow: List[Scalar]) -> Tuple[Scalar, ...]:
-        return tuple(costrow[self.col_s[k]] for k in range(self.K))
-
-    def ray(self, j: int) -> Tuple[Scalar, ...]:
+    def ray(self, j: int) -> Tuple[Fraction, ...]:
         """Improving ray for entering column j (no blocking row)."""
-        delta = [self.zero] * self.ncols
-        delta[j] = self.one
-        for r, b in enumerate(self.basis):
-            delta[b] = -self.rows[r][j]
-        return tuple(
-            delta[self.col_u[v]] - delta[self.col_w[v]] for v in range(self.m)
-        )
+        delta = dict(zip(self.basis, (-row[j] for row in self.rows)))
+        delta[j] = _ONE
+        m = self.m
+        return tuple(delta.get(v, _ZERO) - delta.get(m + v, _ZERO) for v in range(m))
 
 
-def _finite(x: Scalar) -> bool:
-    return not isinstance(x, float) or (x == x and abs(x) != float("inf"))
+def solve_lp(lp: LinearProgram) -> LPSolution:
+    """Solve the inequality-form LP exactly.
 
-
-def solve_lp(lp: LinearProgram, mode: Optional[ScalarMode] = None) -> LPSolution:
-    """Solve the inequality-form LP in the requested scalar mode.
-
-    mode=None infers EXACT when every coefficient is rational, FLOAT otherwise.
+    An LP with a float coefficient is solved on its exact twin, and each
+    scalar of the result is rounded once to float.
     """
-    if mode is None:
-        mode = infer_mode(
-            list(lp.objective) + [x for r in lp.rows for x in r] + list(lp.rhs)
-        )
-    tab = _Tableau(lp, mode)
-    allowed = list(range(tab.n_real))  # artificials never (re-)enter
+    sol = _solve_exact(LinearProgram(lp.num_vars, map(Fraction, lp.objective),
+                                     (map(Fraction, r) for r in lp.rows), map(Fraction, lp.rhs)))
+    if infer_mode(list(lp.objective) + [x for r in lp.rows for x in r] + list(lp.rhs)) \
+            is ScalarMode.EXACT:
+        return sol
 
+    def rounded(v):
+        return None if v is None else tuple(map(float, v))
+
+    return dataclasses.replace(
+        sol, z=rounded(sol.z), dual=rounded(sol.dual), farkas=rounded(sol.farkas),
+        ray=rounded(sol.ray), value=None if sol.value is None else float(sol.value),
+    )
+
+
+def _solve_exact(lp: LinearProgram) -> LPSolution:
+    tab = _Tableau(lp)
+    m = lp.num_vars
     # Phase 1: drive artificials to zero when any row started infeasible.
-    if tab.col_a:
-        cost1 = [tab.zero] * tab.ncols
-        for col in tab.col_a.values():
-            cost1[col] = tab.one
-        costrow, outcome = tab.run(cost1, allowed)
-        if outcome == "breakdown":
-            return LPSolution(status=LPStatus.NUMERICAL_BREAKDOWN, iterations=tab.iterations)
-        if isinstance(outcome, tuple):
-            raise LPInternalError("phase-1 objective is bounded below by zero")
-        phase1 = -costrow[tab.ncols]
-        feas_tol = tab.zero if mode is ScalarMode.EXACT else _FLOAT_FEAS_TOL * (
-            1.0 + max(abs(v) for v in tab.h)
-        )
-        if phase1 > feas_tol:
+    if tab.artificials:
+        costrow, _ = tab.run([_ZERO] * tab.n_real + [_ONE] * len(tab.artificials))
+        if -costrow[-1] > 0:  # the artificials' least sum
             farkas = tab.dual_from(costrow)
-            if mode is ScalarMode.EXACT:
-                if not check_farkas(lp, farkas):
-                    raise LPInternalError("exact-mode Farkas vector failed its check")
-            elif not check_farkas(lp, farkas, tol=FLOAT_CERTIFICATE_TOL):
-                return LPSolution(
-                    status=LPStatus.NUMERICAL_BREAKDOWN, iterations=tab.iterations
-                )
-            return LPSolution(
-                status=LPStatus.INFEASIBLE, farkas=farkas, iterations=tab.iterations
-            )
-        # Remove lingering artificials from the basis (degenerate rows).
-        drop: List[int] = []
+            if not check_farkas(lp, farkas):
+                raise LPInternalError("Farkas vector failed its check")
+            return LPSolution(LPStatus.INFEASIBLE, farkas=farkas, iterations=tab.iterations)
+        # Pivot lingering artificials out of the basis; a row with no other
+        # nonzero entry is a redundant constraint and goes.
+        redundant = []
         for r in range(len(tab.rows)):
-            if tab.basis[r] in tab.col_a.values():
-                pivot_col = None
-                for j in range(tab.n_real):
-                    a = tab.rows[r][j]
-                    big = a != 0 if mode is ScalarMode.EXACT else abs(a) > _FLOAT_PIVOT_TOL
-                    if big:
-                        pivot_col = j
-                        break
-                if pivot_col is None:
-                    drop.append(r)  # redundant constraint
+            if tab.basis[r] in tab.artificials:
+                j = next((j for j in range(tab.n_real) if tab.rows[r][j] != 0), None)
+                if j is None:
+                    redundant.append(r)
                 else:
-                    if not tab._pivot(r, pivot_col, costrow):
-                        return LPSolution(
-                            status=LPStatus.NUMERICAL_BREAKDOWN, iterations=tab.iterations
-                        )
-        for r in sorted(drop, reverse=True):
-            del tab.rows[r]
-            del tab.basis[r]
-            del tab.row_origin[r]
+                    tab._pivot(r, j, costrow)
+        for r in reversed(redundant):
+            del tab.rows[r], tab.basis[r]
 
     # Phase 2 on the real objective.
-    cost2 = [tab.zero] * tab.ncols
-    for j in range(tab.m):
-        cost2[tab.col_u[j]] = tab.c[j]
-        cost2[tab.col_w[j]] = -tab.c[j]
-    costrow, outcome = tab.run(cost2, allowed)
-    if outcome == "breakdown":
-        return LPSolution(status=LPStatus.NUMERICAL_BREAKDOWN, iterations=tab.iterations)
-    if isinstance(outcome, tuple):
-        _, j = outcome
-        point = tab.point()
-        ray = tab.ray(j)
-        recede = max(sum(g * rv for g, rv in zip(row, ray)) for row in tab.G)
-        improve = sum(cv * rv for cv, rv in zip(tab.c, ray))
-        if mode is ScalarMode.EXACT:
-            if recede > 0 or improve >= 0:
-                raise LPInternalError("unbounded ray fails G r <= 0, c . r < 0")
-        else:
-            scale = max(1.0, max(abs(v) for v in ray))
-            if recede > FLOAT_CERTIFICATE_TOL * scale or improve >= 0:
-                return LPSolution(
-                    status=LPStatus.NUMERICAL_BREAKDOWN, iterations=tab.iterations
-                )
-        return LPSolution(
-            status=LPStatus.UNBOUNDED, z=point, ray=ray, iterations=tab.iterations
-        )
-
+    c = list(lp.objective)
+    costrow, unbounded = tab.run(c + [-v for v in c] + [_ZERO] * (tab.ncols - 2 * m))
     z = tab.point()
-    value = sum(cv * zv for cv, zv in zip(tab.c, z))
-    y = list(tab.dual_from(costrow))
-    tol = tab.zero if mode is ScalarMode.EXACT else _FLOAT_FEAS_TOL
-    active = tuple(
-        k
-        for k in range(tab.K)
-        if abs(tab.h[k] - sum(g * zv for g, zv in zip(tab.G[k], z))) <= tol * _scale(tab.h[k])
-    )
+    if unbounded is not None:
+        ray = tab.ray(unbounded)
+        if max(sum(g * v for g, v in zip(row, ray)) for row in lp.rows) > 0 or sum(
+                v * cv for v, cv in zip(ray, c)) >= 0:
+            raise LPInternalError("unbounded ray fails G r <= 0, c . r < 0")
+        return LPSolution(LPStatus.UNBOUNDED, z=z, ray=ray, iterations=tab.iterations)
+
     sol = LPSolution(
-        status=LPStatus.OPTIMAL,
-        z=z,
-        value=value,
-        dual=tuple(y),
-        active=active,
-        iterations=tab.iterations,
+        LPStatus.OPTIMAL, z=z, value=sum(cv * v for cv, v in zip(c, z)),
+        dual=tab.dual_from(costrow), iterations=tab.iterations,
+        active=tuple(k for k, (g, h) in enumerate(zip(lp.rows, lp.rhs))
+                     if sum(a * v for a, v in zip(g, z)) == h),
     )
-    if mode is ScalarMode.EXACT:
-        if not check_certificate(lp, sol, tol=0):
-            raise LPInternalError("exact-mode optimum failed its own certificate")
-    elif not check_certificate(lp, sol, tol=FLOAT_CERTIFICATE_TOL):
-        return LPSolution(status=LPStatus.NUMERICAL_BREAKDOWN, iterations=tab.iterations)
+    if not check_certificate(lp, sol, tol=0):
+        raise LPInternalError("optimum failed its own certificate")
     return sol
-
-
-def _scale(x: Scalar) -> Scalar:
-    return max(1, abs(x)) if isinstance(x, float) else 1
 
 
 def check_certificate(lp: LinearProgram, sol: LPSolution, tol: Scalar) -> bool:
@@ -408,17 +274,13 @@ def check_certificate(lp: LinearProgram, sol: LPSolution, tol: Scalar) -> bool:
     return True
 
 
-def check_farkas(lp: LinearProgram, farkas: Sequence[Scalar], tol: Scalar = 0) -> bool:
-    """y >= 0, y . G = 0, y . h < 0 certifies that no z satisfies G z <= h.
-
-    tol > 0 relaxes the sign and combination tests for float certificates.
-    """
+def check_farkas(lp: LinearProgram, farkas: Sequence[Scalar]) -> bool:
+    """y >= 0, y . G = 0, y . h < 0 certifies that no z satisfies G z <= h."""
     if farkas is None or len(farkas) != len(lp.rows):
         return False
-    scale = max([1] + [abs(v) for v in farkas])
-    if any(v < -tol * scale for v in farkas):
+    if any(v < 0 for v in farkas):
         return False
     for j in range(lp.num_vars):
-        if abs(sum(farkas[k] * lp.rows[k][j] for k in range(len(lp.rows)))) > tol * scale:
+        if sum(farkas[k] * lp.rows[k][j] for k in range(len(lp.rows))) != 0:
             return False
-    return sum(y * h for y, h in zip(farkas, lp.rhs)) < -tol * scale
+    return sum(y * h for y, h in zip(farkas, lp.rhs)) < 0

@@ -7,6 +7,7 @@ is drawn higher, matching mathematical convention.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -29,6 +30,18 @@ def _fmt(x: float) -> str:
     return "0" if s == "-0" else s
 
 
+def _floats(rows: Sequence[Sequence], what: str) -> List[Tuple[float, ...]]:
+    """``rows`` as floats; an input error names ``what`` when a value is
+    not a finite float (an exact one past the float range, or an infinity)."""
+    try:
+        out = [tuple(map(float, r)) for r in rows]
+    except OverflowError:
+        out = [(math.inf,)]
+    if not all(math.isfinite(v) for r in out for v in r):
+        raise InputFormatError(f"cannot render: {what} is not a finite float")
+    return out
+
+
 def render_scene_2d(
     x: PointSet,
     simplices: Sequence[Tuple[Simplex, SimplexStyle]] = (),
@@ -45,11 +58,10 @@ def render_scene_2d(
         if s.dim != 2:
             raise InputFormatError("all rendered simplices must be planar")
 
-    xs = [float(p[0]) for p in x.points]
-    ys = [float(p[1]) for p in x.points]
-    for s, _ in simplices:
-        xs.extend(float(v[0]) for v in s.vertices)
-        ys.extend(float(v[1]) for v in s.vertices)
+    points = _floats(x.points, "a point coordinate")
+    corners = [_floats(s.vertices, "a simplex coordinate") for s, _ in simplices]
+    xs = [p[0] for p in points] + [v[0] for vs in corners for v in vs]
+    ys = [p[1] for p in points] + [v[1] for vs in corners for v in vs]
     xmin, xmax = min(xs), max(xs)
     ymin, ymax = min(ys), max(ys)
     span = max(xmax - xmin, ymax - ymin, 1e-9)
@@ -61,6 +73,8 @@ def render_scene_2d(
 
     # Flip y by emitting -y and shifting the viewBox accordingly.
     vb = (xmin, -ymax, xmax - xmin, ymax - ymin)
+    if not all(map(math.isfinite, (span, *vb, _SVG_WIDTH * vb[3] / vb[2]))):
+        raise InputFormatError("cannot render: the scene's span is not a finite float")
     height = round(_SVG_WIDTH * vb[3] / vb[2])
     radius = 0.012 * span
     stroke_scale = span
@@ -70,19 +84,17 @@ def render_scene_2d(
         f'height="{height}" viewBox="{_fmt(vb[0])} {_fmt(vb[1])} '
         f'{_fmt(vb[2])} {_fmt(vb[3])}">',
     ]
-    for s, style in simplices:
-        pts = " ".join(
-            f"{_fmt(float(v[0]))},{_fmt(-float(v[1]))}" for v in s.vertices
-        )
+    for vs, (_, style) in zip(corners, simplices):
+        pts = " ".join(f"{_fmt(v[0])},{_fmt(-v[1])}" for v in vs)
         label = f"><title>{style.label}</title></polygon>" if style.label else "/>"
         lines.append(
             f'<polygon points="{pts}" fill="{style.fill}" '
             f'stroke="{style.stroke}" '
             f'stroke-width="{_fmt(style.stroke_width * stroke_scale)}"{label}'
         )
-    for p in x.points:
+    for p in points:
         lines.append(
-            f'<circle cx="{_fmt(float(p[0]))}" cy="{_fmt(-float(p[1]))}" '
+            f'<circle cx="{_fmt(p[0])}" cy="{_fmt(-p[1])}" '
             f'r="{_fmt(radius)}" fill="{point_color}"/>'
         )
     lines.append("</svg>")

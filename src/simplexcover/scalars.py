@@ -6,8 +6,7 @@ and the scalar family of the input chooses the mode (``infer_mode``):
 * EXACT: coordinates are ``fractions.Fraction`` (or int) and every comparison
   is exact.  Nothing is ever rounded.
 * FLOAT: coordinates are binary doubles, and the runtime's float checks
-  read the three tolerances named below (``solve_lp``'s own pivot guards
-  stay in ``linprog``).
+  read the three tolerances named below.
 
 Mixed expressions stay honest because ``Fraction`` arithmetic promotes to
 float only when a float operand is present, so exact constants such as

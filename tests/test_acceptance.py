@@ -29,7 +29,6 @@ from simplexcover import (
     LPSolution,
     LPStatus,
     PointSet,
-    ScalarMode,
     Simplex,
     build_points,
     check_certificate,
@@ -137,7 +136,7 @@ def test_criterion_6_lp_solver_matches_vertex_enumeration():
     for _ in range(200):
         lp = random_boxed_lp(rng, exact=True)
         oracle = lp_vertex_minimum(lp)
-        sol = solve_lp(lp, ScalarMode.EXACT)
+        sol = solve_lp(lp)
         if oracle is None:
             infeasible += 1
             assert sol.status is LPStatus.INFEASIBLE
@@ -151,12 +150,12 @@ def test_criterion_6_lp_solver_matches_vertex_enumeration():
             tuple(tuple(float(g) for g in r) for r in lp.rows),
             tuple(float(h) for h in lp.rhs),
         )
-        fsol = solve_lp(twin, ScalarMode.FLOAT)
+        fsol = solve_lp(twin)
         if oracle is None:
             assert fsol.status is LPStatus.INFEASIBLE
         else:
             assert fsol.status is LPStatus.OPTIMAL
-            assert abs(fsol.value - float(oracle)) <= 1e-7 * max(1.0, abs(float(oracle)))
+            assert fsol.value == float(oracle)
     # the generator must exercise both outcomes for this to mean anything
     assert optimal >= 20 and infeasible >= 5
 

@@ -408,6 +408,16 @@ CONTRACT: Dict[str, Row] = {
     # render writes the SVG to --output and the report to stdout.
     "render-local": Row("render --sample square --n 12 --dim 2 --local --output scene.svg",
                         file=("scene.svg", b"<svg")),
+    # An SVG holds floats: an exact coordinate past their range, or a
+    # scene whose (d+2)-dilate leaves it, is an input error, not a traceback.
+    "render-1e400": Row("render --input h.csv --output h.svg", 1, "input-error",
+                        {"h.csv": "0,0\n1e400,0\n0,1\n"},
+                        error="cannot render: a point coordinate is not a finite float"),
+    **{f"render-1e308-{mode}": Row(f"render --mode {mode} --input w.csv --output w.svg", 1,
+                                   "input-error", {"w.csv": "1e308,0\n-1e308,0\n0,1\n"},
+                                   error="cannot render: a simplex coordinate is not a finite "
+                                         "float")
+       for mode in ("exact", "float")},
     # Two worker processes run the trials in a real process pool.
     "trials-jobs-2": Row("random-trials --sample square --n 8 --dim 2 --trials 3 --jobs 2",
                          field=("result.ok_count", 3)),

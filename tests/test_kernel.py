@@ -324,7 +324,7 @@ def test_tampered_kernel_integers_fail_the_integer_certificate(monkeypatch, row,
         inverse[row][0] += 1
         return dataclasses.replace(k, inverse=tuple(map(tuple, inverse)))
 
-    monkeypatch.setattr(covering, "slab_kernel", tampered)
+    monkeypatch.setattr(covering, "slab_kernels", lambda x, ts: [tampered(t, x) for t in ts])
     t, x = random_instance(2, 0, "grid")
     with pytest.raises(LPInternalError, match="closed-form dilation failed its dual certificate"):
         min_dilation(t, x, sign)
@@ -337,7 +337,7 @@ def test_min_dilation_matches_full_lp(case, sign):
     d = t.dim
     res = min_dilation(t, x, sign)
     full = halfspace_dilation_lp(t, x, sign)
-    oracle = solve_lp(full, ScalarMode.EXACT)
+    oracle = solve_lp(full)
     assert oracle.status is LPStatus.OPTIMAL
     assert res.lam == oracle.value
     # The optimum is unique: every binding row is tight at one translate.

@@ -11,7 +11,6 @@ from simplexcover.linprog import (
     check_farkas,
     solve_lp,
 )
-from simplexcover.scalars import ScalarMode
 
 F = Fraction
 
@@ -142,8 +141,7 @@ def test_float_matches_exact():
         sf = solve_lp(lp_float)
         assert sf.status is se.status
         if se.status is LPStatus.OPTIMAL:
-            ref = float(se.value)
-            assert abs(sf.value - ref) <= 1e-7 * max(1.0, abs(ref))
+            assert sf.value == float(se.value)
 
 
 def test_mode_inference():
@@ -153,30 +151,39 @@ def test_mode_inference():
     assert isinstance(solve_lp(lp_f).value, float)
 
 
-def test_forced_float_mode_on_rational_data():
-    lp = LinearProgram(1, (F(-1),), ((F(1),), (F(-1),)), (F(3), F(0)))
-    sol = solve_lp(lp, ScalarMode.FLOAT)
-    assert sol.status is LPStatus.OPTIMAL
-    assert sol.value == pytest.approx(-3.0)
-
-
-def test_float_breakdown_instead_of_wrong_answer():
-    # The true blocking row has a sub-tolerance pivot; honoring the other
-    # row would end at an infeasible point, so the solver must give up.
+def test_float_lp_is_solved_on_its_exact_twin():
+    # A pivot of 1e-13 next to one of 1.0: the optimum is exactly
+    # 1 / Fraction(1e-13), the binary rational 1e-13 denotes, rounded once.
     lp = LinearProgram(1, (-1.0,), ((1e-13,), (1.0,)), (1.0, 1e15))
     sol = solve_lp(lp)
-    assert sol.status is LPStatus.NUMERICAL_BREAKDOWN
+    assert sol.status is LPStatus.OPTIMAL
+    assert sol.z == (float(1 / Fraction(1e-13)),)
+
+
+def _rounded(v):
+    return None if v is None else tuple(map(float, v))
 
 
 def test_float_optimal_is_certificate_gated():
+    """Each float LP's result is its exact twin's result, rounded once."""
     rng = random.Random(5)
     for _ in range(40):
         lp = random_boxed_lp(rng, exact=False)
-        sol = solve_lp(lp)
-        if sol.status is LPStatus.OPTIMAL:
-            assert check_certificate(lp, sol, tol=1e-6)
-        elif sol.status is LPStatus.INFEASIBLE:
-            assert check_farkas(lp, sol.farkas, tol=1e-6)
+        twin = LinearProgram(
+            lp.num_vars,
+            map(Fraction, lp.objective),
+            (map(Fraction, r) for r in lp.rows),
+            map(Fraction, lp.rhs),
+        )
+        sol, exact = solve_lp(lp), solve_lp(twin)
+        assert sol.status is exact.status and sol.active == exact.active
+        assert sol.value == (None if exact.value is None else float(exact.value))
+        for field in ("z", "dual", "farkas", "ray"):
+            assert getattr(sol, field) == _rounded(getattr(exact, field)), field
+        if exact.status is LPStatus.OPTIMAL:
+            assert check_certificate(twin, exact, tol=0)
+        elif exact.status is LPStatus.INFEASIBLE:
+            assert check_farkas(twin, exact.farkas)
 
 
 def test_check_certificate_rejects_tampering():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from simplexcover import PointSet, SimplexStyle, make_simplex, render_scene_2d
+from simplexcover.errors import InputFormatError
 
 F = Fraction
 NS = "{http://www.w3.org/2000/svg}"
@@ -72,3 +73,10 @@ def test_rejects_non_planar_input():
     )
     with pytest.raises(ValueError, match="planar"):
         render_scene_2d(DOTS, [(t3, SimplexStyle())])
+
+
+def test_rejects_a_span_past_the_float_range():
+    # Each coordinate is a finite float, but their span is not.
+    wide = PointSet(2, ((1e308, 0.0), (-1e308, 0.0), (0.0, 1.0)))
+    with pytest.raises(InputFormatError, match="the scene's span is not a finite float"):
+        render_scene_2d(wide)

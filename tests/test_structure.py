@@ -5,9 +5,12 @@ modules it imports.  ``test_imports_match_the_table`` holds every module to
 its row, and ``test_no_private_name_crosses_a_module`` forbids taking a
 private name (``from .m import _x`` or ``m._x``) from another module, so
 that each rule has one home and the layering is checked, not assumed.
+``test_every_traced_name_exists`` holds the package to the functions that
+the benchmark's tracer looks up by name.
 """
 import ast
 import graphlib
+import importlib
 from pathlib import Path
 from typing import Dict, Iterator, Set, Tuple
 
@@ -15,6 +18,7 @@ import simplexcover
 
 PACKAGE = "simplexcover"
 SRC = Path(simplexcover.__file__).parent
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 IMPORTS: Dict[str, Set[str]] = {
     "errors": set(),
@@ -96,3 +100,15 @@ def test_no_private_name_crosses_a_module():
     found = [f"{path.name}:{line}: {text}" for path in _files()
              for kind, line, text in _crossings(path) if kind == "private"]
     assert found == []
+
+
+def test_every_traced_name_exists():
+    """The benchmark's tracer looks up each (module, name) of ``TRACED`` in
+    ``bench/spans.py`` by name; read here with ``ast``, without importing
+    ``bench``, so that a renamed or removed function fails tier-1."""
+    tree = ast.parse(SPANS.read_text(encoding="utf-8"))
+    traced = next(ast.literal_eval(node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", "") == "TRACED")
+    missing = [f"{module}.{name}" for module, name in traced
+               if not callable(getattr(importlib.import_module(f"{PACKAGE}.{module}"), name, None))]
+    assert traced and missing == []
