@@ -24,11 +24,9 @@ from .covering import (
     DilationResult,
     DilationSign,
     SandwichReport,
-    dilation_lp,
     john_positive_cover,
     min_dilation,
     min_dilations,
-    verify_sandwich,
 )
 from .errors import (
     DegeneratePointSetError,
@@ -43,12 +41,10 @@ from .errors import (
     TheoremViolationError,
 )
 from .geometry import (
-    HalfspaceForm,
     PointSet,
     Simplex,
     centroid,
     dilate_about_center,
-    halfspace_form,
     make_simplex,
     simplex_volume,
 )
@@ -57,8 +53,6 @@ from .linprog import (
     LPSolution,
     LPStatus,
     check_certificate,
-    check_farkas,
-    solve_lp,
 )
 from .mvs import (
     DEFAULT_ENUM_CAP,
@@ -91,7 +85,6 @@ __all__ = [
     "DilationSign",
     "DimensionMismatchError",
     "EnumerationCapError",
-    "HalfspaceForm",
     "InputFormatError",
     "LPInternalError",
     "LPSolution",
@@ -114,11 +107,8 @@ __all__ = [
     "case6_geometry",
     "centroid",
     "check_certificate",
-    "check_farkas",
     "dilate_about_center",
-    "dilation_lp",
     "enumerate_triangles",
-    "halfspace_form",
     "john_positive_cover",
     "make_simplex",
     "min_dilation",
@@ -132,9 +122,7 @@ __all__ = [
     "render_scene_2d",
     "sample_body",
     "simplex_volume",
-    "solve_lp",
     "sweep",
     "verify_counterexample",
     "verify_local_maximality",
-    "verify_sandwich",
 ]

@@ -115,31 +115,6 @@ def float_points(n: int, d: int, seed: int) -> PointSet:
     )
 
 
-def revisiting_float_inputs() -> dict:
-    """Float inputs on which the swap search's kernel loses precision.
-
-    ``huge`` is two points near 1e200 on a line; ``coplanar`` is seven points
-    of R^4 on the hyperplane x4 = 0.3 (x1 + x2 + x3).  On both, the largest
-    |u - 1| sits at a vertex's own column, so the float search would swap a
-    vertex for itself forever.
-    """
-    rng = random.Random(0)
-    coplanar = []
-    for _ in range(7):
-        p = [rng.uniform(-1, 1) for _ in range(3)]
-        coplanar.append((*p, 0.3 * (p[0] + p[1] + p[2])))
-    return {
-        "huge": PointSet(1, [(-7.3e199,), (6.9e199,)]),
-        "coplanar": PointSet(4, coplanar),
-    }
-
-
-# Eight collinear points 0.7 k (1, 2, 3, 4) of R^4.  Rounding gives further
-# seed vertices positive volume scores until the Gram matrix of the seed's
-# basis is singular.
-FLOAT_LINE = PointSet(4, [tuple(0.7 * k * c for c in (1, 2, 3, 4)) for k in range(1, 9)])
-
-
 # Six points of the plane whose first maximum-area triangle (0, 1, 2) needs
 # lambda+ = 9/4, and on which every triangle needs lambda+ >= 13/6 > 2.
 SIX_PLANAR_POINTS = tuple(
@@ -187,51 +162,6 @@ def unimodular_witness(*widths: int) -> List[Tuple[Fraction, ...]]:
     """
     rows = block_sum(*(UNIMODULAR_BLOCKS[w] for w in widths))
     return standard_simplex(len(rows[0]) - 1) + [tuple(Fraction(b) for b in r[1:]) for r in rows]
-
-
-# Float inputs on which rounding alone used to fail a check, as CSV text.
-# ``flat15`` and ``flat69`` are five planar points within ~1e-16 of a line:
-# the float slab kernel's rounding fails float ``john``'s containment check
-# and bounds check, a numerical breakdown.  ``line5`` is five nearly
-# collinear points whose float64 determinants chose a simplex that is not
-# maximal; enumerated exactly on its binary rationals, float ``mvs`` gets
-# exact mode's (0, 1, 2).  ``dup7`` is seven points of R^4, four of them
-# equal, so they do not span; a float copy of a chosen vertex won the local
-# search seed's score by rounding.  Exact mode passes the first three and
-# rejects ``dup7`` as not spanning.
-A7 = "-0.8344507149397993,-0.2764828784644533,0.18490558275547886,-0.33755496442423527\n"
-ROUNDING_CSV = {
-    "flat15": (
-        "0.04263379776465315,0.012790139329384248\n"
-        "-0.9276471114454758,-0.2782941334336363\n"
-        "0.8260276911607303,0.24780830734821466\n"
-        "-0.522100046025505,-0.15663001380766417\n"
-        "-0.8901035654620639,-0.2670310696386203\n"
-    ),
-    "flat69": (
-        "0.6027836079435767,0.1808350823830745\n"
-        "-0.8666486351918601,-0.2599945905575591\n"
-        "-0.31076505291408263,-0.09322951587422695\n"
-        "0.8397546099815116,0.2519263829944516\n"
-        "0.7461402533658015,0.22384207600974101\n"
-    ),
-    "line5": (
-        "-0.6572563854866372,-0.07957649402077338\n"
-        "-0.6675022826533001,-0.09297480668652147\n"
-        "0.5176214987409304,1.4567829853785854\n"
-        "-0.08485086157189672,0.6689444072005052\n"
-        "-0.10942879789360656,0.6368044325198526\n"
-    ),
-    "dup7": (
-        A7
-        + "-0.9993267331250031,-0.38303786252115746,0.3032310402309326,-0.699974682816463\n"
-        + A7
-        + "-0.7312404559023609,-0.5122084033505905,-0.08510753824687534,-0.7239361243726059\n"
-        + A7
-        + "0.01289751452298904,-0.22084843524787878,0.2213432586058699,0.4947927508368488\n"
-        + A7
-    ),
-}
 
 
 def traced_local_search(monkeypatch, x: PointSet, seed: int = 0):

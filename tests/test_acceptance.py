@@ -34,15 +34,14 @@ from simplexcover import (
     check_certificate,
     dilate_about_center,
     enumerate_triangles,
-    halfspace_form,
     min_dilation,
     mvs_exact,
-    solve_lp,
     verify_counterexample,
     verify_local_maximality,
 )
 from simplexcover.counterexample import analytic_case_bounds, case6_geometry
-from simplexcover.linprog import LinearProgram
+from simplexcover.geometry import halfspace_form
+from simplexcover.linprog import LinearProgram, solve_lp
 
 F = Fraction
 

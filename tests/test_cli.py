@@ -22,7 +22,8 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tu
 
 import pytest
 
-from helpers import ROUNDING_CSV, revisiting_float_inputs, unimodular_witness
+from hard_inputs import HARD
+from helpers import unimodular_witness
 import simplexcover
 from simplexcover import ScalarMode, TheoremViolationError, sample_body
 from simplexcover.cli import RunConfig, build_parser, main, parse_argv, run
@@ -137,24 +138,17 @@ def _decimal(r):
     return "%.6f" % (r.randint(-999999, 999999) / 1e6)
 
 
-def _scaled_square(scale: float) -> str:
-    return "".join(f"{a * scale!r},{b * scale!r}\n" for a, b in ((0, 0), (1, 0), (0, 1), (1, 1)))
-
-
 CORNERS_CSV = "0,0\n1,0\n1,1\n0,1\n"
 RIGHT_CSV = "0,0\n1,0\n0,1\n"
 P_T = {"p.csv": "0,0\n3,1\n1,4\n-2,2\n1/2,-3/2\n5/2,7/2\n", "t.csv": RIGHT_CSV}
 LATIN = b"0,0\n1,\xe9\n0,1\n"
 BOM = b"\xef\xbb\xbf0,0\n1,0\n0,1\n1,1\n"
-SQUARE_1E200 = "0,0\n1e200,0\n0,1e200\n1e200,1e200\n"
 DEC = _lines(0, 20, _decimal)
 DEC_TWICE = [p for p in _lines(1, 10, _decimal) for _ in range(2)]
 FAR = _lines(2, 20, lambda r: str(10**15 + r.randint(-99, 99)))
 LF = _lines(3, 300, lambda r: repr(r.uniform(-1, 1)))
 CRLF = ['"' + LF[0].replace(",", '",', 1), *LF[1:150], "", *LF[150:]]
-LINE8 = [",".join(repr(0.7 * k * c) for c in (1, 2, 3, 4)) for k in range(1, 9)]
 TU4 = [",".join(map(str, p)) for p in unimodular_witness(5)]
-COPLANAR = [",".join(map(repr, p)) for p in revisiting_float_inputs()["coplanar"].points]
 
 
 def _text(lines: Sequence[str], end: str = "\n") -> str:
@@ -255,12 +249,12 @@ CONTRACT: Dict[str, Row] = {
     # Float local search loses precision near 1e200, or on a hyperplane of
     # R^4, and would swap a vertex for itself forever.
     "revisit-huge": Row("mvs --local --mode float --input huge.csv", 1, "input-error",
-                        {"huge.csv": "-7.3e199\n6.9e199\n"}, suffix=RERUN),
+                        {"huge.csv": HARD["revisit-huge"].text()}, suffix=RERUN),
     "revisit-coplanar": Row("mvs --local --mode float --input coplanar.csv", 1, "input-error",
-                            {"coplanar.csv": _text(COPLANAR)}, suffix=RERUN),
+                            {"coplanar.csv": HARD["revisit-coplanar"].text()}, suffix=RERUN),
     # Eight collinear points whose rounding passes a float volume score.
     "line8-local": Row("mvs --local --mode float --input line8.csv", 1, "input-error",
-                       {"line8.csv": _text(LINE8)}, error=SPANS_NOTHING),
+                       {"line8.csv": HARD["line8"].text()}, error=SPANS_NOTHING),
     # A vertex's own slab value rounds past -d; exactly it is -d.
     "tol-0": Row("mvs --mode float --local --sample square --n 8 --dim 2 --tol 0"),
     "output-unwritable": Row("john --sample square --n 12 --dim 2 --output missing/r.json",
@@ -272,30 +266,32 @@ CONTRACT: Dict[str, Row] = {
     # numerical breakdown (exit 1), not a theorem violation (exit 2), while
     # exact mode passes every check.
     **{f"{name}-float": Row(f"john --mode float --input {name}.csv", 1, "input-error",
-                            {f"{name}.csv": ROUNDING_CSV[name]}, suffix=RERUN)
+                            {f"{name}.csv": HARD[name].text()}, suffix=RERUN)
        for name in ("flat15", "flat69")},
-    **{f"{name}-exact": Row(f"john --input {name}.csv", files={f"{name}.csv": ROUNDING_CSV[name]})
+    **{f"{name}-exact": Row(f"john --input {name}.csv", files={f"{name}.csv": HARD[name].text()})
        for name in ("flat15", "flat69")},
     # Float enumeration runs on the binary rationals the floats denote, so
     # line5 gets exact mode's maximum (0, 1, 2).
     **{f"line5-{mode}": Row(f"mvs --mode {mode} --input line5.csv",
-                            files={"line5.csv": ROUNDING_CSV["line5"]},
+                            files={"line5.csv": HARD["line5"].text()},
                             field=("result.mvs.simplex.vertex_indices", [0, 1, 2]))
        for mode in ("float", "exact")},
     # The unit square times 1e200: its exact volume rounds to inf, and the
     # report says "inf" instead of ending in a traceback.
-    "square-1e200": Row("mvs --mode float --input big.csv", files={"big.csv": SQUARE_1E200},
+    "square-1e200": Row("mvs --mode float --input big.csv",
+                        files={"big.csv": HARD["square-1e200"].text()},
                         field=("result.mvs.volume", "inf")),
+    # The same four floats: the first maximum is (0, 1, 2).
     "square-1e200-repr": Row("mvs --mode float --input sq.csv",
-                             files={"sq.csv": _scaled_square(1e200)},
+                             files={"sq.csv": HARD["square-1e200"].text()},
                              field=("result.mvs.simplex.vertex_indices", [0, 1, 2])),
     # Its float dilation fails the float certificate and asks for an exact
     # rerun: the one CLI run of that breakdown.
     "square-1e200-john": Row("john --mode float --input big.csv", 1, "input-error",
-                             {"big.csv": SQUARE_1E200}, suffix=RERUN),
+                             {"big.csv": HARD["square-1e200"].text()}, suffix=RERUN),
     # 5e-401 rounds to 0.0, and the float kernel's inverse comes out singular.
     "square-1e-200": Row("mvs --mode float --input sq.csv", 1, "input-error",
-                         {"sq.csv": _scaled_square(1e-200)},
+                         {"sq.csv": HARD["square-1e-200"].text()},
                          error="the float slab kernel rounded a non-degenerate simplex to a "
                                "singular one; rerun in exact mode"),
     # A near-flat float triangle: its exact doubled area is ~3.9e-17, so it
@@ -430,10 +426,10 @@ CONTRACT: Dict[str, Row] = {
     # Seven points of R^4, four of them equal: neither float search may
     # return a subset that repeats a point, nor seed with a repeated vertex.
     **{f"dup7-{command}": Row(f"{command} --mode float --input dup7.csv", 1, "input-error",
-                              {"dup7.csv": ROUNDING_CSV["dup7"]}, error=SPANS_NOTHING)
+                              {"dup7.csv": HARD["dup7"].text()}, error=SPANS_NOTHING)
        for command in ("mvs", "john")},
     "dup7-local": Row("mvs --local --mode float --seed 0 --input dup7.csv", 1, "input-error",
-                      {"dup7.csv": ROUNDING_CSV["dup7"]}, error=SPANS_NOTHING),
+                      {"dup7.csv": HARD["dup7"].text()}, error=SPANS_NOTHING),
     # 20 points of R^3 with 6 decimals: their integers span ~2 * 10^6, so the
     # exact float64 walk rescores its near-maximal subsets exactly.
     "decimals": Row("john --input dec20.csv", files={"dec20.csv": _text(DEC)}),

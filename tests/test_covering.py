@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
-    ROUNDING_CSV,
     UNIMODULAR_BLOCKS,
     block_sum,
     contains,
@@ -29,8 +28,6 @@ from simplexcover import (
     Simplex,
     TheoremViolationError,
     check_certificate,
-    dilation_lp,
-    halfspace_form,
     john_positive_cover,
     make_simplex,
     min_dilation,
@@ -38,13 +35,12 @@ from simplexcover import (
     mvs_exact,
     sample_body,
     simplex_volume,
-    verify_sandwich,
 )
 from simplexcover import cli
+from simplexcover.covering import dilation_lp, verify_sandwich
 from simplexcover.errors import LPInternalError, NumericalBreakdownError
-from simplexcover.geometry import slab_kernel
+from simplexcover.geometry import halfspace_form, slab_kernel
 from simplexcover.mvs import MvsResult
-from simplexcover.serialization import parse_points_csv
 
 F = Fraction
 
@@ -412,15 +408,6 @@ def test_only_float_dilations_derive_the_frame(monkeypatch, argv, frames):
     t = make_simplex([(F(0), F(0)), (F(1), F(0)), (F(0), F(1))])
     dilation_lp(t, PointSet(2, [(F(2), F(3))]), DilationSign.NEGATIVE)
     assert calls[frames:] == [ScalarMode.EXACT]
-
-
-@pytest.mark.parametrize("name", ["flat15", "flat69"])
-def test_near_flat_float_rounding_is_a_breakdown(name):
-    # flat15 fails the containment check, flat69 the bounds check.
-    with pytest.raises(NumericalBreakdownError, match="rerun in exact mode$"):
-        john_positive_cover(parse_points_csv(ROUNDING_CSV[name], ScalarMode.FLOAT))
-    rep = john_positive_cover(parse_points_csv(ROUNDING_CSV[name], ScalarMode.EXACT))
-    assert rep.sandwich.ok and rep.centered_containment_ok and rep.bounds_ok
 
 
 def test_boundary_point_on_outer_shell():

@@ -38,22 +38,19 @@ from simplexcover import (
     Simplex,
     centroid,
     check_certificate,
-    dilation_lp,
-    halfspace_form,
     john_positive_cover,
     make_simplex,
     min_dilation,
     min_dilations,
     simplex_volume,
-    solve_lp,
     verify_local_maximality,
-    verify_sandwich,
 )
 from simplexcover.counterexample import CounterexampleConfig, build_points, enumerate_triangles
-from simplexcover.covering import _frame
+from simplexcover.covering import _frame, dilation_lp, verify_sandwich
 from simplexcover.errors import DegenerateSimplexError, LPInternalError, SingularMatrixError
-from simplexcover.geometry import slab_kernel, slab_kernels
+from simplexcover.geometry import halfspace_form, slab_kernel, slab_kernels
 from simplexcover.linalg import scaled_inverse
+from simplexcover.linprog import solve_lp
 
 F = Fraction
 DIMS = (1, 2, 3, 4, 5)

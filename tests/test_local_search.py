@@ -11,22 +11,18 @@ coordinates near 10^30 whose products only fit Python ints.  Float mode is
 compared on random points, where no two candidates tie.  Pruning leaves few
 rows of a cube, so the block edges of the pair scan (``_PAIR_BLOCK`` - 1, +0
 and +1 rows) are covered by lattice points on a sphere, of which it keeps
-every row.
-
-``_farthest_pair`` is also compared with ``reference_farthest_pair``, which
-scans every pair one row at a time, on inputs where pruning keeps few rows,
-every row, or must not run: tied lattices, duplicated maxima, integers near
-10^400 and coordinates whose squares underflow or overflow.
+every row.  ``_farthest_pair`` meets its hard inputs in
+``tests/test_hard_inputs.py``.
 """
 import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
 import pytest
 
 import simplexcover.mvs as mvs
+from hard_inputs import points
 from helpers import (
     fraction_volume,
     reference_farthest_pair,
@@ -183,55 +179,7 @@ def test_sphere_rows_all_reach_the_block_scan(monkeypatch, scanned, d, n, exact)
     assert scanned == [n, n]
 
 
-def _pair_inputs():
-    rng = np.random.default_rng(19)
-    cases = {}
-    for d in (1, 2, 3, 5):
-        cube = rng.uniform(-1.0, 1.0, (300, d))
-        norms = np.sqrt((cube ** 2).sum(axis=1))[:, None]
-        cases[f"cube-d{d}"] = cube
-        cases[f"ball-d{d}"] = cube[norms[:, 0] <= 1]
-        cases[f"sphere-d{d}"] = cube / norms
-        cases[f"tiny-d{d}"] = cube * 1e-200
-        cases[f"subnormal-d{d}"] = cube * 1e-160  # squares lose their low bits
-        cases[f"big-d{d}"] = cube * 1e160
-        lattice = rng.integers(-3, 4, (200, d))
-        cases[f"lattice-d{d}"] = lattice.astype(np.float64)
-        cases[f"lattice-exact-d{d}"] = lattice.astype(object)
-        ints = rng.integers(-50, 51, (60, d)).astype(object)
-        cases[f"near-1e400-d{d}"] = ints + 10**400
-        cases[f"near-2^53-d{d}"] = ints + (2**53 - 50)
-        cases[f"past-2^53-d{d}"] = ints + (2**53 + 51)
-        # The farthest pair of the cube, written again at several places.
-        a, b = reference_farthest_pair(cube)
-        dup = cube[:100].copy()
-        dup[[10, 40, 70]], dup[[20, 60, 90]] = cube[a], cube[b]
-        cases[f"dup-max-d{d}"] = dup
-        cases[f"equal-d{d}"] = np.full((40, d), 0.3)
-        cases[f"equal-exact-d{d}"] = np.full((40, d), 7, dtype=object)
-    cases["mixed-scales"] = np.array([[1e-200, 1.0], [0.5, -1e-200], [1e-300, 1e-300], [-0.5, 0.25]])
-    return cases
-
-
-PAIR_INPUTS = _pair_inputs()
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("name", sorted(PAIR_INPUTS))
-def test_farthest_pair_matches_the_full_scan(name):
-    P = PAIR_INPUTS[name]
-    assert _farthest_pair(P) == reference_farthest_pair(P)
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_farthest_pair_without_overflow():
-    # Squared, these differences overflow; the scan compares them on a copy
-    # scaled by a power of two.
-    P = np.array([[0.0], [1e160], [-1e160]])
-    assert _farthest_pair(P) == (1, 2)
-
-
 def test_pruning_keeps_few_cube_rows(scanned):
-    P = PAIR_INPUTS["cube-d3"]
+    P = points("cube-d3").array
     assert _farthest_pair(P) == reference_farthest_pair(P)
     assert scanned and scanned[0] < len(P) // 10

@@ -6,7 +6,8 @@ its row, and ``test_no_private_name_crosses_a_module`` forbids taking a
 private name (``from .m import _x`` or ``m._x``) from another module, so
 that each rule has one home and the layering is checked, not assumed.
 ``test_every_traced_name_exists`` holds the package to the functions that
-the benchmark's tracer looks up by name.
+the benchmark's tracer looks up by name.  ``TEST_ORACLES`` are module-level
+helpers that tests and the tracer use but the package does not export.
 """
 import ast
 import graphlib
@@ -38,6 +39,11 @@ IMPORTS: Dict[str, Set[str]] = {
     "__init__": {"counterexample", "covering", "errors", "geometry", "linprog", "mvs",
                  "render", "sampling", "scalars", "serialization"},
 }
+
+# Test oracles, by home module: defined there, but not package API.
+TEST_ORACLES: Set[Tuple[str, str]] = {
+    ("geometry", "HalfspaceForm"), ("geometry", "halfspace_form"), ("covering", "dilation_lp"),
+    ("covering", "verify_sandwich"), ("linprog", "solve_lp"), ("linprog", "check_farkas")}
 
 
 def _is_private(name: str) -> bool:
@@ -112,3 +118,9 @@ def test_every_traced_name_exists():
     missing = [f"{module}.{name}" for module, name in traced
                if not callable(getattr(importlib.import_module(f"{PACKAGE}.{module}"), name, None))]
     assert traced and missing == []
+
+
+def test_test_oracles_stay_out_of_the_package_api():
+    for module, name in sorted(TEST_ORACLES):
+        assert name not in simplexcover.__all__ and name not in vars(simplexcover), name
+        assert hasattr(importlib.import_module(f"{PACKAGE}.{module}"), name), f"{module}.{name}"
