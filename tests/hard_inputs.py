@@ -7,7 +7,8 @@ expects (``None`` skips one) and at most one further assertion, ``fact``.
 filter, and whether it rescores the first maximum only, some near-ties or
 every subset.  ``john``, ``float_john`` and ``local`` are what exact
 ``john``, float ``john`` and float ``mvs --local`` print: ``OK`` (exit 0)
-or the error of exit 1.
+or the error of exit 1.  ``test_farthest_pair_matches_the_full_scan`` in
+``tests/test_local_search.py`` runs on every row too.
 """
 from __future__ import annotations
 

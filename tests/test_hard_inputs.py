@@ -1,6 +1,7 @@
 """Every check that applies to a hard input, run on the rows of ``HARD``:
-the subset walk against Bareiss, the pruned pair scan against the scan of
-every pair, and exact and float ``john`` through ``cli.main``."""
+the subset walk against Bareiss, and exact and float ``john`` through
+``cli.main``.  The pruned pair scan meets the rows in
+``tests/test_local_search.py``."""
 import itertools
 import json
 import warnings
@@ -11,11 +12,10 @@ from math import factorial
 import pytest
 
 from hard_inputs import ALL, EXACT, FIRST, HARD, OK, TIES, points
-from helpers import reference_farthest_pair
 from simplexcover import linalg, mvs
 from simplexcover.cli import main
 from simplexcover.errors import DegeneratePointSetError
-from simplexcover.mvs import _best_subset_python, _farthest_pair, mvs_exact
+from simplexcover.mvs import _best_subset_python, mvs_exact
 
 
 @pytest.fixture
@@ -65,13 +65,6 @@ def test_walk(name, chunk, walk_spy):
     every = list(itertools.combinations(range(len(x)), x.dim + 1))
     kind = FIRST if len(rescored) == 1 else ALL if rescored == every else TIES
     assert (walk_spy["filtered"], kind) == row.walk
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("name", list(HARD))
-def test_farthest_pair(name):
-    P = points(name).array
-    assert _farthest_pair(P) == reference_farthest_pair(P)
 
 
 def _run(tmp_path, capsys, argv: str, text: str):

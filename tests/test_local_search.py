@@ -11,8 +11,8 @@ coordinates near 10^30 whose products only fit Python ints.  Float mode is
 compared on random points, where no two candidates tie.  Pruning leaves few
 rows of a cube, so the block edges of the pair scan (``_PAIR_BLOCK`` - 1, +0
 and +1 rows) are covered by lattice points on a sphere, of which it keeps
-every row.  ``_farthest_pair`` meets its hard inputs in
-``tests/test_hard_inputs.py``.
+every row.  ``_farthest_pair`` is compared with ``reference_farthest_pair``,
+which scans every pair, on every row of ``HARD`` (``tests/hard_inputs.py``).
 """
 import itertools
 import random
@@ -22,7 +22,7 @@ from functools import lru_cache
 import pytest
 
 import simplexcover.mvs as mvs
-from hard_inputs import points
+from hard_inputs import HARD, points
 from helpers import (
     fraction_volume,
     reference_farthest_pair,
@@ -177,6 +177,13 @@ def test_sphere_rows_all_reach_the_block_scan(monkeypatch, scanned, d, n, exact)
         assert (res.simplex.vertex_indices, res.swap_count) == (indices, swaps)
         assert trace == [v if exact else float(v) for v in volumes]
     assert scanned == [n, n]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", list(HARD))
+def test_farthest_pair_matches_the_full_scan(name):
+    P = points(name).array
+    assert _farthest_pair(P) == reference_farthest_pair(P)
 
 
 def test_pruning_keeps_few_cube_rows(scanned):
