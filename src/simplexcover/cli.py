@@ -428,13 +428,20 @@ def parse_argv(argv: Sequence[str]) -> RunConfig:
                if _dest(f) in ns]
     if ignored and ("epsilon" in ns or "delta" in ns):
         parser.error(f"the five-point scene of --epsilon/--delta takes no {', '.join(ignored)}")
-    # A point flag that nothing reads is a usage error too, not ignored.
-    unread = [f for f, reader in (("--n", cfg.body), ("--dim", cfg.body),
-                                  ("--format", cfg.input or cfg.simplex))
-              if _dest(f) in ns and reader is None]
+    # A flag that nothing reads is a usage error too, not ignored.  mvs
+    # without --local never searches, while john and render search
+    # whenever C(n, d+1) exceeds --enum-cap, so they read --seed.
+    unread = {flag: why for flag, read, why in (
+        ("--n", cfg.body, "--n and --dim need --sample"),
+        ("--dim", cfg.body, "--n and --dim need --sample"),
+        ("--format", cfg.input or cfg.simplex, "--format needs --input"),
+        ("--enum-cap", not cfg.local, "--local enumerates no subsets"),
+        ("--seed", cfg.local or cfg.body or cfg.command != "mvs",
+         "mvs reads --seed only with --local or --sample"),
+    ) if _dest(flag) in ns and not read}
     if unread:
         parser.error(f"{', '.join(unread)} would be ignored: "
-                     "--n and --dim need --sample, --format needs --input")
+                     + ", ".join(dict.fromkeys(unread.values())))
     return cfg
 
 

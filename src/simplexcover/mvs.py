@@ -202,6 +202,13 @@ def _best_subset_python(P: Sequence[Sequence[int]], n: int, d: int):
     return _first_max(P, itertools.combinations(range(n), d + 1))
 
 
+def _exact_twin(x: PointSet) -> np.ndarray:
+    """The rows of float x as integers over one common denominator: the
+    binary rationals the floats denote, scaled alike."""
+    ints, _ = linalg.clear_denominators(x.array.tolist())
+    return np.array(ints, dtype=object).reshape(len(x), x.dim)
+
+
 def mvs_exact(x: PointSet, *, enum_cap: int = DEFAULT_ENUM_CAP) -> MvsResult:
     """Globally maximum-volume simplex by exhaustive subset enumeration; a
     float volume is the exact volume rounded once."""
@@ -213,11 +220,8 @@ def mvs_exact(x: PointSet, *, enum_cap: int = DEFAULT_ENUM_CAP) -> MvsResult:
         raise EnumerationCapError(
             f"C({n}, {d + 1}) = {total} subsets exceeds the cap of {enum_cap}"
         )
-    if x.mode is ScalarMode.EXACT:
-        P = x.array
-    else:  # every float is a binary rational: enumerate it exactly
-        ints, _ = linalg.clear_denominators(x.array.tolist())
-        P = np.array(ints, dtype=object).reshape(n, d)
+    # Every float is a binary rational: enumerate it exactly.
+    P = x.array if x.mode is ScalarMode.EXACT else _exact_twin(x)
     if d <= 7:
         combo, best_val = _best_subset_numpy(P, n, d)
     else:
@@ -354,15 +358,26 @@ def _greedy_seed(P: np.ndarray) -> List[int]:
 def mvs_local_search(x: PointSet, seed: int = 0) -> MvsResult:
     """Swap-locally-maximal simplex; the seed varies tie-breaking and starts.
 
-    A float search that comes back to a simplex raises
-    ``NumericalBreakdownError``.
+    A float search that comes back to a simplex, or whose seed finds float
+    points non-spanning that span exactly, raises ``NumericalBreakdownError``.
     """
     n, d = len(x), x.dim
     if n < d + 1:
         raise DegeneratePointSetError(f"need at least {d + 1} points, got {n}")
     order = list(range(n))
     random.Random(seed).shuffle(order)
-    chosen = [order[i] for i in _greedy_seed(x.array[order])]
+    try:
+        chosen = [order[i] for i in _greedy_seed(x.array[order])]
+    except DegeneratePointSetError:
+        if x.mode is ScalarMode.EXACT:
+            raise
+        # Rounding can call spanning floats non-spanning: the exact twin,
+        # seeded in the same order, decides which error stands.
+        _greedy_seed(_exact_twin(x)[order])
+        raise NumericalBreakdownError(
+            "float rounding lost the span of the points in the local search seed; "
+            "rerun in exact mode"
+        ) from None
 
     threshold: Scalar = (
         d + 1 if x.mode is ScalarMode.EXACT else (d + 1) * (1.0 + FLOAT_SWAP_MARGIN)

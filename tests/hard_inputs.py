@@ -35,6 +35,8 @@ FIRST, TIES, ALL = "first", "ties", "all"
 SPANS_NOTHING = "points do not affinely span the ambient space"
 REVISITED = "local search revisited a simplex in float mode; rerun in exact mode"
 CERTIFICATE = "dilation certificate failed in float mode; rerun in exact mode"
+SPAN_LOST = ("float rounding lost the span of the points in the local search seed; "
+             "rerun in exact mode")
 SINGULAR = ("the float slab kernel rounded a non-degenerate simplex to a singular one; "
             "rerun in exact mode")
 
@@ -178,7 +180,7 @@ WALK: Dict[str, Hard] = {
     # Binary rationals of ~1,330 bits; the volume rounds to inf.
     **{f"floats-1e200-d{d}": Hard(
         _rows(_random, 300 + d, d + 6, d, lambda g: g.uniform(-1, 1) * g.choice((1e200, 1e-200))),
-        FLOAT, walk=(True, FIRST), float_john=SINGULAR, local=SPANS_NOTHING,
+        FLOAT, walk=(True, FIRST), float_john=SINGULAR, local=SPAN_LOST,
         fact=lambda x, res: res.volume == float("inf")) for d in (2, 3)},
 }
 
@@ -215,10 +217,11 @@ def _pair_arrays() -> Dict[str, np.ndarray]:
 
 
 # Float john where it does not pass: at 1e160 and below 1e-150 the local
-# search seed's Gram scores overflow or underflow (ROADMAP item 5).
+# search seed's Gram scores overflow or underflow, though the points span
+# (ROADMAP item 5); equal points span nothing in either mode.
 PAIR_FLOAT_ERRORS = {
     "big-d1": CERTIFICATE,
-    **{f"{kind}-d{d}": SPANS_NOTHING for kind in ("tiny", "subnormal", "big") for d in (2, 3, 5)},
+    **{f"{kind}-d{d}": SPAN_LOST for kind in ("tiny", "subnormal", "big") for d in (2, 3, 5)},
     **{f"equal-d{d}": SPANS_NOTHING for d in (1, 2, 3, 5)},
 }
 
@@ -247,7 +250,7 @@ ROUNDING: Dict[str, Hard] = {
         "0.8260276911607303,0.24780830734821466 -0.522100046025505,-0.15663001380766417 "
         "-0.8901035654620639,-0.2670310696386203"), FLOAT, walk=(True, ALL),
         float_john="optimal dilation fails to contain its own input in float mode; "
-                   "rerun in exact mode", local=SPANS_NOTHING),
+                   "rerun in exact mode", local=SPAN_LOST),
     # As flat15, but rounding fails the bounds check.
     "flat69": Hard(_text(
         "0.6027836079435767,0.1808350823830745 -0.8666486351918601,-0.2599945905575591 "
@@ -279,9 +282,9 @@ ROUNDING: Dict[str, Hard] = {
                   FLOAT, SPANS_NOTHING, (True, ALL), SPANS_NOTHING, SPANS_NOTHING),
     # The unit square times 1e200 (volume inf) and 1e-200 (singular kernel).
     "square-1e200": Hard(_text("0,0 1e200,0 0,1e200 1e200,1e200"), FLOAT,
-                         walk=(True, ALL), float_john=CERTIFICATE, local=SPANS_NOTHING),
+                         walk=(True, ALL), float_john=CERTIFICATE, local=SPAN_LOST),
     "square-1e-200": Hard(_text("0.0,0.0 1e-200,0.0 0.0,1e-200 1e-200,1e-200"), FLOAT,
-                          walk=(True, ALL), float_john=SINGULAR, local=SPANS_NOTHING),
+                          walk=(True, ALL), float_john=SINGULAR, local=SPAN_LOST),
     "line-1e160": Hard(_text("0 1e160 -1e160"), FLOAT, walk=(True, FIRST),
                        float_john=CERTIFICATE, local=REVISITED),
     # Both ends lie L/2 from the box centre: only the pair pruning's margin keeps them.

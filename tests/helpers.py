@@ -234,6 +234,15 @@ def brute_mvs(x: PointSet) -> Tuple[Fraction, Tuple[int, ...]]:
     return best_vol, best_idx
 
 
+def tied_maxima(x: PointSet) -> List[Tuple[int, ...]]:
+    """Every (d+1)-subset of x of the largest volume, in lexicographic
+    order, by one determinant of x's cleared integers per subset."""
+    ints, _ = linalg.clear_denominators(x.points)
+    subsets = list(itertools.combinations(range(len(x)), x.dim + 1))
+    dets = [linalg.simplex_det([ints[i] for i in s]) for s in subsets]
+    return [s for s, v in zip(subsets, dets) if v == max(dets)]
+
+
 def halfspace_dilation_lp(t: Simplex, x: PointSet, sign: DilationSign) -> LinearProgram:
     """The full (d+1)*n row LP over variables (t_1..t_d, lambda)."""
     body = t if sign is DilationSign.POSITIVE else dilate_about_center(t, -1)
@@ -483,6 +492,19 @@ def barycentric_coordinates(s: Simplex, x: Sequence[Scalar]) -> List[Scalar]:
     rows = [[cols[j][k] for j in range(d)] for k in range(d)]
     mu = linalg.solve(rows, list(vec_sub(x, s.vertices[0])))
     return [1 - sum(mu)] + list(mu)
+
+
+def covers(h: HalfspaceForm, res: DilationResult, x: PointSet,
+           lam: Optional[Scalar] = None) -> bool:
+    """Whether translate + lam (+/-t) holds every point of x, for h the
+    halfspace form of t and lam defaulting to ``res.lam``: p is in it when
+    (p - translate) / (+/-lam) is in t."""
+    lam = res.lam if lam is None else lam
+    if lam == 0:
+        return all(p == res.translate for p in x.points)
+    s = lam if res.sign is DilationSign.POSITIVE else -lam
+    return all(contains(h, tuple((v - z) / s for v, z in zip(p, res.translate)))
+               for p in x.points)
 
 
 def point_in_simplex(s: Simplex, p) -> bool:

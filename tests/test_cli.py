@@ -22,6 +22,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tu
 
 import pytest
 
+from cover_cases import RIGHT, SQUARE, csv_text
 from hard_inputs import HARD
 from helpers import unimodular_witness
 import simplexcover
@@ -134,15 +135,21 @@ def _lines(seed: int, n: int, field: Callable[[random.Random], str]) -> List[str
     return [",".join(field(r) for _ in range(3)) for _ in range(n)]
 
 
+def _json_text(points, *extra: str) -> str:
+    """A JSON point file of integer points, then ``extra`` entries as written."""
+    entries = [json.dumps([int(v) for v in p]) for p in points] + list(extra)
+    return '{"dim": 2, "points": [' + ", ".join(entries) + "]}"
+
+
 def _decimal(r):
     return "%.6f" % (r.randint(-999999, 999999) / 1e6)
 
 
-CORNERS_CSV = "0,0\n1,0\n1,1\n0,1\n"
-RIGHT_CSV = "0,0\n1,0\n0,1\n"
+CORNERS_CSV, RIGHT_CSV = csv_text(SQUARE.points), csv_text(RIGHT.vertices)
+CORNERS_JSON = _json_text(SQUARE.points, '["1/2", "1/3"]')
 P_T = {"p.csv": "0,0\n3,1\n1,4\n-2,2\n1/2,-3/2\n5/2,7/2\n", "t.csv": RIGHT_CSV}
 LATIN = b"0,0\n1,\xe9\n0,1\n"
-BOM = b"\xef\xbb\xbf0,0\n1,0\n0,1\n1,1\n"
+BOM = b"\xef\xbb\xbf" + (RIGHT_CSV + "1,1\n").encode()
 DEC = _lines(0, 20, _decimal)
 DEC_TWICE = [p for p in _lines(1, 10, _decimal) for _ in range(2)]
 FAR = _lines(2, 20, lambda r: str(10**15 + r.randint(-99, 99)))
@@ -181,10 +188,10 @@ CONTRACT: Dict[str, Row] = {
                    files={"negzero.csv": "-0.0,-0.0\n1,0\n0,1\n-0.0,1\n"}),
     # 1e400 parses to inf in float mode; it must not reach the float kernel.
     "1e400-csv": Row("john --mode float --input inf.csv", 1, "input-error",
-                     {"inf.csv": "0,0\n1,0\n0,1\n1e400,1\n"},
+                     {"inf.csv": RIGHT_CSV + "1e400,1\n"},
                      error="point 3 has a non-finite coordinate: (inf, 1.0)"),
     "1e400-json": Row("john --mode float --input inf.json", 1, "input-error",
-                      {"inf.json": '{"dim": 2, "points": [[0, 0], [1, 0], [0, 1], [1e400, 1]]}'},
+                      {"inf.json": _json_text(RIGHT.vertices, "[1e400, 1]")},
                       error="point 3 has a non-finite coordinate: (inf, 1.0)"),
     # A p/q text goes through Fraction, whose float() overflows to inf here.
     "fraction-past-float": Row("john --mode float --input big.csv", 1, "input-error",
@@ -241,11 +248,9 @@ CONTRACT: Dict[str, Row] = {
     "corners-csv-bom": Row("john --input pts.csv",
                            files={"pts.csv": "\ufeff" + CORNERS_CSV + "1/2,1/3\n"},
                            same_as="corners-csv"),
-    "corners-json": Row("john --input pts.json", files={"pts.json": (
-        '{"dim": 2, "points": [[0, 0], [1, 0], [1, 1], [0, 1], ["1/2", "1/3"]]}')}),
-    "corners-json-bom": Row("john --input pts.json", files={"pts.json": (
-        '\ufeff{"dim": 2, "points": [[0, 0], [1, 0], [1, 1], [0, 1], ["1/2", "1/3"]]}')},
-        same_as="corners-json"),
+    "corners-json": Row("john --input pts.json", files={"pts.json": CORNERS_JSON}),
+    "corners-json-bom": Row("john --input pts.json", files={"pts.json": "\ufeff" + CORNERS_JSON},
+                            same_as="corners-json"),
     # Float local search loses precision near 1e200, or on a hyperplane of
     # R^4, and would swap a vertex for itself forever.
     "revisit-huge": Row("mvs --local --mode float --input huge.csv", 1, "input-error",
@@ -378,6 +383,13 @@ CONTRACT: Dict[str, Row] = {
                               prefix="--dim would be ignored"),
     "format-without-input": Row("john --sample square --n 12 --dim 2 --format json", 1,
                                 "input-error", prefix="--format would be ignored"),
+    # Local search enumerates no subsets, and exact mvs never searches.
+    **{f"enum-cap-local-{command}": Row(f"{command} --local --enum-cap 3 --input sq.csv{out}", 1,
+                                        "input-error", {"sq.csv": CORNERS_CSV},
+                                        prefix="--enum-cap would be ignored")
+       for command, out in (("mvs", ""), ("render", " --output o.svg"))},
+    "mvs-seed": Row("mvs --seed 7 --input sq.csv", 1, "input-error", {"sq.csv": CORNERS_CSV},
+                    prefix="--seed would be ignored"),
     # render's five-point scene reads no points, so it refuses point flags.
     # Where the --output directory does not exist, a scene that is drawn
     # would fail with another error.

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cover_cases import RIGHT
 from helpers import dense_dual, halfspace_dilation_lp
 from simplexcover import (
     CounterexampleConfig,
@@ -108,7 +109,7 @@ def test_enumerate_triangles_names_degenerate_triple():
 
 def test_enumerate_triangles_wants_five_planar_points():
     with pytest.raises(ValueError):
-        enumerate_triangles(PointSet(2, ((F(0), F(0)), (F(1), F(0)), (F(0), F(1)))))
+        enumerate_triangles(PointSet(2, RIGHT.vertices))
 
 
 def test_mirror_label():

@@ -6,28 +6,23 @@ from fractions import Fraction
 
 import pytest
 
+from cover_cases import RIGHT, SQUARE
 from helpers import (
     UNIMODULAR_BLOCKS,
     block_sum,
     contains,
-    dense_dual,
-    halfspace_dilation_lp,
-    point_in_simplex,
+    covers,
     rational_points,
     reflect_vertex,
     unimodular_witness,
 )
 from simplexcover import (
     CoverReport,
-    DilationResult,
     DilationSign,
-    LPSolution,
-    LPStatus,
     PointSet,
     ScalarMode,
     Simplex,
     TheoremViolationError,
-    check_certificate,
     john_positive_cover,
     make_simplex,
     min_dilation,
@@ -36,95 +31,16 @@ from simplexcover import (
     sample_body,
     simplex_volume,
 )
-from simplexcover import cli
-from simplexcover.covering import dilation_lp, verify_sandwich
+from simplexcover.covering import dilation_lp
 from simplexcover.errors import LPInternalError, NumericalBreakdownError
 from simplexcover.geometry import halfspace_form, slab_kernel
 from simplexcover.mvs import MvsResult
 
 F = Fraction
 
-RIGHT = make_simplex([(F(0), F(0)), (F(1), F(0)), (F(0), F(1))])
-TETRA = make_simplex(
-    [
-        (F(1), F(1), F(1)),
-        (F(1), F(-1), F(-1)),
-        (F(-1), F(1), F(-1)),
-        (F(-1), F(-1), F(1)),
-    ]
-)
-
-
-def covering_body(res: DilationResult, t: Simplex) -> Simplex:
-    """Materialize translate + lam * (+/-T) as an explicit simplex."""
-    s = 1 if res.sign is DilationSign.POSITIVE else -1
-    return make_simplex(
-        [
-            tuple(tv + res.lam * s * v for tv, v in zip(res.translate, vert))
-            for vert in t.vertices
-        ]
-    )
-
-
-def assert_covers(res: DilationResult, t: Simplex, x: PointSet) -> None:
-    body = covering_body(res, t)
-    for p in x.points:
-        assert point_in_simplex(body, p)
-
-
-# ---------------------------------------------------------------------------
-# hand-checked instances
-# ---------------------------------------------------------------------------
-
-def test_square_corners_both_signs():
-    corners = PointSet(2, ((F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1))))
-    t = mvs_exact(corners).simplex
-    # lex tie-break among the four half-square triangles
-    assert t.vertex_indices == (0, 1, 2)
-
-    pos = min_dilation(t, corners, DilationSign.POSITIVE)
-    neg = min_dilation(t, corners, DilationSign.NEGATIVE)
-    assert pos.lam == 2 and pos.translate == (F(-1), F(0))
-    assert neg.lam == 2 and neg.translate == (F(2), F(1))
-    # Each facet's first point of largest slab value: for +T the lines x = 1,
-    # y = x and y = 0 are pushed out to (1, 0), (0, 1) and (0, 0); for -T
-    # the opposite sides reach (0, 0), (1, 0) and (1, 1).
-    assert pos.binding == (1, 3, 0) and neg.binding == (0, 1, 2)
-    assert_covers(pos, t, corners)
-    assert_covers(neg, t, corners)
-
-
-@pytest.mark.parametrize("t", [RIGHT, TETRA], ids=["d2", "d3"])
-def test_own_vertices_positive_one_negative_d(t):
-    # Covering conv(T) by a positive translate needs lam = 1; by a negative
-    # translate exactly lam = d, the tight case of the negative bound.
-    x = PointSet(t.dim, t.vertices)
-    assert min_dilation(t, x, DilationSign.POSITIVE).lam == 1
-    assert min_dilation(t, x, DilationSign.NEGATIVE).lam == t.dim
-
-
-def test_unit_interval_d1():
-    t = make_simplex([(F(0),), (F(1),)])
-    x = PointSet(1, ((F(0),), (F(1),)))
-    for sign in DilationSign:
-        res = min_dilation(t, x, sign)
-        assert res.lam == 1
-        assert_covers(res, t, x)
-
-
-def test_reflected_vertex_needs_positive_two():
-    # Appending the facet reflection of one vertex forces lam+ = 2 for the
-    # regular tetrahedron: the only dual combination averaging the facet
-    # normals to zero is uniform, giving (d+2 + d) / (d+1) = 2.
-    vhat = reflect_vertex(TETRA, 0)
-    x = PointSet(3, TETRA.vertices + (vhat,))
-    res = min_dilation(TETRA, x, DilationSign.POSITIVE)
-    assert res.lam == 2
-    assert_covers(res, TETRA, x)
-
 
 @pytest.mark.parametrize("sign", list(DilationSign), ids=lambda s: s.value)
-@pytest.mark.parametrize("points", [RIGHT.vertices, [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]],
+@pytest.mark.parametrize("points", [RIGHT.vertices, [tuple(map(float, p)) for p in RIGHT.vertices]],
                          ids=["exact", "float"])
 def test_min_dilations_of_no_simplices_is_empty(sign, points):
     assert min_dilations(PointSet(2, points), [], sign) == []
@@ -137,47 +53,6 @@ def test_dilation_lp_shape():
     assert len(lp.rows) == 3 * 3
     assert lp.objective == (0, 0, 1)
     assert all(r[-1] == -1 for r in lp.rows)
-
-
-# ---------------------------------------------------------------------------
-# randomized semantic checks
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("sign", list(DilationSign), ids=lambda s: s.value)
-def test_random_instances_cover_and_certify(sign):
-    for seed in range(12):
-        d = 2 + seed % 3
-        x = PointSet(d, rational_points(d + 5, d, seed=seed))
-        t = mvs_exact(x).simplex
-        res = min_dilation(t, x, sign)
-        assert_covers(res, t, x)
-        # Dual from the reduced LP must certify the full one row for row.
-        full = halfspace_dilation_lp(t, x, sign)
-        sol = LPSolution(
-            status=LPStatus.OPTIMAL,
-            z=res.lp_translate + (res.lam,),
-            value=res.lam,
-            dual=dense_dual(res, len(x)),
-        )
-        assert check_certificate(full, sol, tol=0)
-
-
-def test_optimum_is_a_true_minimum():
-    # Shrinking lam below the optimum must lose at least one point.
-    for seed in range(6):
-        x = PointSet(2, rational_points(8, 2, seed=40 + seed))
-        t = mvs_exact(x).simplex
-        for sign in DilationSign:
-            res = min_dilation(t, x, sign)
-            shrunk = DilationResult(
-                lam=res.lam * F(99, 100),
-                sign=sign,
-                translate=res.translate,
-                binding=res.binding,
-                lp_translate=res.lp_translate,
-            )
-            body = covering_body(shrunk, t)
-            assert not all(point_in_simplex(body, p) for p in x.points)
 
 
 def test_translation_equivariance():
@@ -206,29 +81,6 @@ def test_scale_equivariance():
 
 
 # ---------------------------------------------------------------------------
-# sandwich reports
-# ---------------------------------------------------------------------------
-
-def test_sandwich_slacks_on_own_vertices():
-    for t in (RIGHT, TETRA):
-        d = t.dim
-        rep = verify_sandwich(t, PointSet(d, t.vertices))
-        assert rep.ok
-        assert rep.local_maximality.slab == [(-d, 1)] * (d + 1)
-        assert rep.facet_slacks == [(0, d + 1)] * (d + 1)
-
-
-def test_sandwich_flags_non_maximal_simplex():
-    small = make_simplex([(F(0), F(0)), (F(1, 8), F(0)), (F(0), F(1, 8))])
-    x = PointSet(2, small.vertices + ((F(5), F(5)),))
-    rep = verify_sandwich(small, x)
-    assert not rep.ok
-    assert rep.local_maximality.worst_facet is not None
-    assert rep.local_maximality.excess > 0
-    assert min(outer for _, outer in rep.facet_slacks) < 0
-
-
-# ---------------------------------------------------------------------------
 # the covering guarantee end to end
 # ---------------------------------------------------------------------------
 
@@ -250,7 +102,7 @@ def test_john_cover_exact_instances():
         cons = rep.d_plus_2_construction
         assert simplex_volume(cons) == (d + 2) ** d * rep.mvs.volume
         assert contains_all(cons, x)
-        assert_covers(rep.negative, rep.mvs.simplex, x)
+        assert covers(halfspace_form(rep.mvs.simplex), rep.negative, x)
 
 
 def test_john_negative_cover_shortcut():
@@ -285,13 +137,12 @@ def test_escalation_from_bad_local_simplex(monkeypatch):
     # check is reported as it is, without a warning or an exact re-run.
     import simplexcover.covering as covering
 
-    corners = PointSet(2, ((F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1))))
     small = make_simplex([(F(0), F(0)), (F(1, 4), F(0)), (F(0), F(1, 4))])
     bad = MvsResult(simplex=small, volume=simplex_volume(small), method="local-search")
     monkeypatch.setattr(covering, "max_volume_simplex", lambda x, **kw: bad)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = john_positive_cover(corners)
+        rep = john_positive_cover(SQUARE)
     assert rep.mvs is bad
     assert rep.mvs.method == "local-search"
     assert not rep.sandwich.ok
@@ -303,19 +154,18 @@ def test_exactly_maximal_failure_is_a_theorem_violation(monkeypatch):
     # away; it has to surface as a theorem violation.
     import simplexcover.covering as covering
 
-    corners = PointSet(2, ((F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1))))
     small = make_simplex([(F(0), F(0)), (F(1, 4), F(0)), (F(0), F(1, 4))])
     bad = MvsResult(simplex=small, volume=simplex_volume(small), method="exact")
     monkeypatch.setattr(covering, "max_volume_simplex", lambda x, **kw: bad)
     with pytest.raises(TheoremViolationError):
-        john_positive_cover(corners)
+        john_positive_cover(SQUARE)
 
 
 def test_float_failure_of_an_enumerated_simplex_is_a_breakdown(monkeypatch):
     # The same failure on float input is rounding, not a theorem violation.
     import simplexcover.covering as covering
 
-    corners = PointSet(2, ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
+    corners = PointSet(2, [tuple(map(float, p)) for p in SQUARE.points])
     small = make_simplex([(0.0, 0.0), (0.25, 0.0), (0.0, 0.25)])
     bad = MvsResult(simplex=small, volume=simplex_volume(small), method="exact")
     monkeypatch.setattr(covering, "max_volume_simplex", lambda x, **kw: bad)
@@ -405,37 +255,8 @@ def test_only_float_dilations_derive_the_frame(monkeypatch, argv, frames):
     code, _ = cli.run(cli.parse_argv(argv))
     assert code == 0
     assert len(calls) == frames and set(calls) <= {ScalarMode.FLOAT}
-    t = make_simplex([(F(0), F(0)), (F(1), F(0)), (F(0), F(1))])
-    dilation_lp(t, PointSet(2, [(F(2), F(3))]), DilationSign.NEGATIVE)
+    dilation_lp(RIGHT, PointSet(2, [(F(2), F(3))]), DilationSign.NEGATIVE)
     assert calls[frames:] == [ScalarMode.EXACT]
-
-
-def test_boundary_point_on_outer_shell():
-    # A point sitting exactly on the d+2 shell keeps the guarantee tight:
-    # centered containment holds with zero slack.
-    vhat = reflect_vertex(RIGHT, 0)
-    x = PointSet(2, RIGHT.vertices + (vhat,))
-    rep = verify_sandwich(RIGHT, x)
-    assert rep.ok
-    assert max(hi for _, hi in rep.local_maximality.slab) == 4
-    assert min(outer for _, outer in rep.facet_slacks) == 0
-    res = min_dilation(RIGHT, x, DilationSign.POSITIVE)
-    assert res.lam <= 4
-    assert_covers(res, RIGHT, x)
-
-
-def test_random_float_matches_exact():
-    rng = random.Random(9)
-    for _ in range(6):
-        pts = rational_points(8, 2, seed=rng.randrange(10**6))
-        x = PointSet(2, pts)
-        xf = PointSet(2, tuple(tuple(float(v) for v in p) for p in pts))
-        t = mvs_exact(x).simplex
-        tf = make_simplex([tuple(float(v) for v in p) for p in t.vertices])
-        for sign in DilationSign:
-            exact = min_dilation(t, x, sign)
-            approx = min_dilation(tf, xf, sign)
-            assert approx.lam == pytest.approx(float(exact.lam), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cover_cases import RIGHT, TETRA, random_simplex
 from helpers import barycentric_coordinates, contains, fraction_volume, reflect_vertex
 from simplexcover.errors import (
     DegenerateSimplexError,
@@ -32,21 +33,6 @@ from simplexcover.scalars import ScalarMode
 
 F = Fraction
 
-RIGHT_TRIANGLE = make_simplex([(F(0), F(0)), (F(1), F(0)), (F(0), F(1))])
-TETRA = make_simplex(
-    [(F(1), F(1), F(1)), (F(1), F(-1), F(-1)), (F(-1), F(1), F(-1)), (F(-1), F(-1), F(1))]
-)
-
-
-def random_simplex(d, seed):
-    rng = random.Random(seed)
-    while True:
-        verts = [tuple(F(rng.randint(-40, 40), 8) for _ in range(d)) for _ in range(d + 1)]
-        s = Simplex(d, tuple(verts))
-        if simplex_volume(s) != 0:
-            return s
-
-
 def test_pointset_validation():
     with pytest.raises(DimensionMismatchError):
         PointSet(2, ((F(0), F(0)), (F(1),)))
@@ -58,7 +44,7 @@ def test_pointset_rejects_non_finite_floats():
     nan, inf = float("nan"), float("inf")
     for bad in (nan, inf, -inf):
         with pytest.raises(InputFormatError, match="non-finite"):
-            mvs_exact(PointSet(2, ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (bad, 0.5))))
+            mvs_exact(PointSet(2, [tuple(map(float, p)) for p in RIGHT.vertices] + [(bad, 0.5)]))
     # exact coordinates are never converted to float, so size is no problem
     huge = F(10**400, 3)
     assert PointSet(1, ((huge,), (-huge,))).points[0] == (huge,)
@@ -138,7 +124,7 @@ def test_simplex_requires_d_plus_1_vertices():
 @pytest.mark.parametrize("dim, vertices, indices, error", [
     (0, ((),), None, "dimension must be >= 1, got 0"),
     (2, ((F(0), F(0)), (F(1),), (F(0), F(1))), None, "vertex 1 has 1 coordinates, expected 2"),
-    (2, ((F(0), F(0)), (F(1), F(0)), (F(0), F(1))), (0, 1),
+    (2, RIGHT.vertices, (0, 1),
      "vertex_indices length must be dim + 1"),
 ], ids=["dim-0", "short-vertex", "short-indices"])
 def test_simplex_checks_its_shape(dim, vertices, indices, error):
@@ -159,7 +145,7 @@ def test_make_simplex_rejects_non_finite(bad):
 
 
 def test_volume_known_values():
-    assert simplex_volume(RIGHT_TRIANGLE) == F(1, 2)
+    assert simplex_volume(RIGHT) == F(1, 2)
     assert simplex_volume(TETRA) == F(8, 3)
     seg = make_simplex([(F(-3),), (F(5),)])
     assert simplex_volume(seg) == 8
@@ -223,13 +209,13 @@ def test_volume_is_the_fraction_determinant(d):
 
 
 def test_centroid():
-    assert centroid(RIGHT_TRIANGLE) == (F(1, 3), F(1, 3))
+    assert centroid(RIGHT) == (F(1, 3), F(1, 3))
     assert centroid(TETRA) == (F(0), F(0), F(0))
 
 
 def test_halfspace_form_identities():
     """a_i.(v_j - c) is 1 off the facet's vertex and -d at it."""
-    for s in (RIGHT_TRIANGLE, TETRA, random_simplex(4, 5)):
+    for s in (RIGHT, TETRA, random_simplex(4, 5)):
         d = s.dim
         h = halfspace_form(s)
         for i in range(d + 1):
@@ -241,7 +227,7 @@ def test_halfspace_form_identities():
 
 def test_reflect_vertex_factor():
     # v_hat = c - ((d+2)/d)(v - c); its facet value must be exactly d+2
-    for s in (RIGHT_TRIANGLE, TETRA):
+    for s in (RIGHT, TETRA):
         d = s.dim
         h = halfspace_form(s)
         c = centroid(s)
@@ -252,11 +238,11 @@ def test_reflect_vertex_factor():
 
 
 def test_dilate_about_center():
-    s2 = dilate_about_center(RIGHT_TRIANGLE, 2)
-    assert simplex_volume(s2) == 4 * simplex_volume(RIGHT_TRIANGLE)
-    assert centroid(s2) == centroid(RIGHT_TRIANGLE)
+    s2 = dilate_about_center(RIGHT, 2)
+    assert simplex_volume(s2) == 4 * simplex_volume(RIGHT)
+    assert centroid(s2) == centroid(RIGHT)
     with pytest.raises(ValueError):
-        dilate_about_center(RIGHT_TRIANGLE, 0)
+        dilate_about_center(RIGHT, 0)
 
 
 def test_negative_dilation_reflects():
@@ -268,7 +254,7 @@ def test_negative_dilation_reflects():
 
 
 def test_reflect_through_centroid_is_dilation_by_minus_one():
-    for t in (RIGHT_TRIANGLE, TETRA):
+    for t in (RIGHT, TETRA):
         c = centroid(t)
         s = dilate_about_center(t, -1)
         assert s.vertices == tuple(vec_sub(vec_scale(c, 2), v) for v in t.vertices)
@@ -276,41 +262,21 @@ def test_reflect_through_centroid_is_dilation_by_minus_one():
 
 
 def test_contains():
-    h = halfspace_form(RIGHT_TRIANGLE)
+    h = halfspace_form(RIGHT)
     assert contains(h, (F(1, 4), F(1, 4)))
     assert contains(h, (F(0), F(0)))  # vertex: boundary counts
     assert not contains(h, (F(1), F(1)))
-    c = centroid(RIGHT_TRIANGLE)
-    far = vec_add(c, vec_scale(vec_sub(RIGHT_TRIANGLE.vertices[0], c), 2))
+    c = centroid(RIGHT)
+    far = vec_add(c, vec_scale(vec_sub(RIGHT.vertices[0], c), 2))
     assert not contains(h, far)
     with pytest.raises(DimensionMismatchError):
         contains(h, (F(0),))
 
 
 def test_contains_float_tolerance():
-    t = make_simplex([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
-    h = halfspace_form(t)
+    h = halfspace_form(make_simplex([tuple(map(float, p)) for p in RIGHT.vertices]))
     assert contains(h, (0.5 + 1e-12, 0.5 - 1e-12), tol=1e-9)
     assert not contains(h, (0.51, 0.51), tol=1e-9)
-
-
-def test_slab_bounds_on_vertices():
-    # the simplex against its own vertices: every facet sees [-d, 1]
-    for s in (RIGHT_TRIANGLE, TETRA, random_simplex(5, 9)):
-        d = s.dim
-        x = PointSet(d, s.vertices)
-        assert slab_kernel(s, x).slab() == [(F(-d), F(1))] * (d + 1)
-
-
-def test_slab_detects_points_beyond_reflected_vertex():
-    s = RIGHT_TRIANGLE
-    h = halfspace_form(s)
-    c = centroid(s)
-    beyond = vec_sub(c, vec_scale(vec_sub(s.vertices[0], c), F(5, 2)))  # past (d+2)/d = 2
-    x = PointSet(2, s.vertices + (beyond,))
-    lo, hi = slab_kernel(s, x).slab()[0]
-    assert hi == F(5) and hi > s.dim + 2
-    assert h.value(0, beyond) == F(5)
 
 
 def test_barycentric_membership_agrees_with_halfspaces():

@@ -11,7 +11,7 @@ from math import factorial
 
 import pytest
 
-from hard_inputs import ALL, EXACT, FIRST, HARD, OK, TIES, points
+from hard_inputs import ALL, EXACT, FIRST, HARD, OK, SPANS_NOTHING, TIES, points
 from simplexcover import linalg, mvs
 from simplexcover.cli import main
 from simplexcover.errors import DegeneratePointSetError
@@ -104,3 +104,5 @@ def test_float_john(name, tmp_path, capsys):
                 code, rep = _run(tmp_path, capsys, f"{argv} --mode float", row.text())
             assert (code, rep.get("error", OK)) == ((0, OK) if want == OK else (1, want)), argv
             assert code == 1 or not caught, argv
+            # Float mode calls points non-spanning only where exact john does.
+            assert rep.get("error") != SPANS_NOTHING or row.john == SPANS_NOTHING, argv

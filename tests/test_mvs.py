@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from cover_cases import RIGHT, SQUARE, pair
 from hard_inputs import points
 from helpers import (
     brute_mvs,
     det,
     float_points,
     rational_points,
-    reflect_vertex,
     traced_local_search,
 )
 from simplexcover.errors import DegeneratePointSetError, EnumerationCapError
@@ -19,7 +19,6 @@ from simplexcover.geometry import (
     PointSet,
     Simplex,
     halfspace_form,
-    make_simplex,
     simplex_volume,
     slab_kernel,
 )
@@ -37,8 +36,7 @@ F = Fraction
 
 def test_square_corners_volume_and_tiebreak():
     # all four triangles have volume 1/2; lex-smallest index tuple wins
-    x = PointSet(2, ((F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))))
-    res = mvs_exact(x)
+    res = mvs_exact(SQUARE)
     assert res.volume == F(1, 2)
     assert res.simplex.vertex_indices == (0, 1, 2)
     assert res.method == "exact"
@@ -194,12 +192,7 @@ def test_degenerate_point_set():
 
 def test_reflected_vertex_tie():
     """Appending v_hat_0 creates a second optimum; slab max hits d + 2."""
-    t = make_simplex(
-        [(F(1), F(1), F(1)), (F(1), F(-1), F(-1)), (F(-1), F(1), F(-1)),
-         (F(-1), F(-1), F(1))]
-    )
-    vh = reflect_vertex(t, 0)
-    x = PointSet(3, t.vertices + (vh,))
+    _, x = pair("tetra-reflected")
     res = mvs_exact(x)
     # both (0,1,2,3) and (1,2,3,4) attain the max; lex order keeps the original
     assert res.simplex.vertex_indices == (0, 1, 2, 3)
@@ -267,8 +260,7 @@ def test_local_search_rejects_sets_that_do_not_span(x):
 def test_local_search_needs_d_plus_1_points():
     with pytest.raises(DegeneratePointSetError, match="need at least 4 points"):
         mvs_local_search(PointSet(3, ((F(0),) * 3, (F(1),) * 3)))
-    x = PointSet(2, ((F(0), F(0)), (F(1), F(0)), (F(0), F(1))))
-    assert mvs_local_search(x).simplex.vertex_indices is not None
+    assert mvs_local_search(PointSet(2, RIGHT.vertices)).simplex.vertex_indices is not None
 
 
 def test_float_rounding_alone_passes_the_check_at_tol_zero():

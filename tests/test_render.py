@@ -4,14 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from cover_cases import RIGHT as TRI, SQUARE as DOTS
 from simplexcover import PointSet, SimplexStyle, make_simplex, render_scene_2d
 from simplexcover.errors import InputFormatError
 
 F = Fraction
 NS = "{http://www.w3.org/2000/svg}"
-
-TRI = make_simplex([(F(0), F(0)), (F(1), F(0)), (F(0), F(1))])
-DOTS = PointSet(2, ((F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1))))
 
 
 def test_svg_parses_with_expected_elements():

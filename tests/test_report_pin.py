@@ -26,6 +26,7 @@ import hashlib
 
 import pytest
 
+from cover_cases import RIGHT, csv_text
 from helpers import report_v1
 from simplexcover.cli import _load_points, parse_argv, run
 from simplexcover.serialization import dumps_report
@@ -49,7 +50,7 @@ FILES = {
     # Collinear in the plane, and three equal points on the line.
     "col.csv": "0,0\n1,2\n2,4\n1/2,1\n",
     "same1.csv": "1\n1\n1\n",
-    "t.csv": "0,0\n1,0\n0,1\n",
+    "t.csv": csv_text(RIGHT.vertices),
     # A vertex denominator (3) that none of p.csv's coordinates has.
     "t3.csv": "0,0\n7/3,0\n0,5/3\n",
     # Many distinct prime denominators; local search makes 2 swaps.

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cover_cases import TETRA
 from helpers import point_in_simplex
 from simplexcover import InputFormatError, ScalarMode, make_simplex, sample_body
 import simplexcover.sampling as sampling
@@ -58,12 +59,7 @@ def test_annulus_needs_d2():
 
 def test_regular_simplex_d3_exact_vertices():
     x = sample_body("regular-simplex", 4, 3, seed=0, mode=ScalarMode.EXACT)
-    assert x.points == (
-        (F(1), F(1), F(1)),
-        (F(1), F(-1), F(-1)),
-        (F(-1), F(1), F(-1)),
-        (F(-1), F(-1), F(1)),
-    )
+    assert x.points == TETRA.vertices
 
 
 def test_regular_simplex_d1_exact():

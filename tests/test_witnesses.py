@@ -17,6 +17,7 @@ An entry is of one of two kinds:
 """
 import itertools
 import json
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -24,8 +25,14 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import pytest
 
-from helpers import SIX_PLANAR_POINTS, UNIMODULAR_BLOCKS, standard_simplex, unimodular_witness
-from simplexcover import DilationSign, PointSet, cli, linalg, make_simplex, min_dilations
+from helpers import (
+    SIX_PLANAR_POINTS,
+    UNIMODULAR_BLOCKS,
+    standard_simplex,
+    tied_maxima,
+    unimodular_witness,
+)
+from simplexcover import DilationSign, PointSet, cli, make_simplex, min_dilations
 
 F = Fraction
 
@@ -173,12 +180,8 @@ def test_every_tied_maximum_obeys_the_theorem(name):
     ties, total, least, first = TIES[name]
     x = PointSet(len(WITNESSES[name].points[0]), WITNESSES[name].points)
     d = x.dim
-    ints, _ = linalg.clear_denominators(x.points)
-    subsets = list(itertools.combinations(range(len(x)), d + 1))
-    dets = [linalg.simplex_det([ints[i] for i in s]) for s in subsets]
-    best = max(dets)
-    tied = [s for s, det in zip(subsets, dets) if det == best]
-    assert (len(tied), len(subsets)) == (ties, total)
+    tied = tied_maxima(x)
+    assert (len(tied), math.comb(len(x), d + 1)) == (ties, total)
     simplices = [make_simplex([x.points[i] for i in s], s) for s in tied]
     pos = [r.lam for r in min_dilations(x, simplices, DilationSign.POSITIVE)]
     neg = [r.lam for r in min_dilations(x, simplices, DilationSign.NEGATIVE)]
