@@ -48,12 +48,6 @@ from .geometry import (
     make_simplex,
     simplex_volume,
 )
-from .linprog import (
-    LinearProgram,
-    LPSolution,
-    LPStatus,
-    check_certificate,
-)
 from .mvs import (
     DEFAULT_ENUM_CAP,
     LocalMaximalityReport,
@@ -87,9 +81,6 @@ __all__ = [
     "EnumerationCapError",
     "InputFormatError",
     "LPInternalError",
-    "LPSolution",
-    "LPStatus",
-    "LinearProgram",
     "LocalMaximalityReport",
     "MvsResult",
     "NumericalBreakdownError",
@@ -106,7 +97,6 @@ __all__ = [
     "build_points",
     "case6_geometry",
     "centroid",
-    "check_certificate",
     "dilate_about_center",
     "enumerate_triangles",
     "john_positive_cover",

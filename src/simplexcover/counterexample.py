@@ -10,15 +10,15 @@ Whenever epsilon + delta < 1/2 ("feasible" configurations), no triangle on
 three of the five points admits a translate whose 2-dilation covers all
 five: the minimal covering dilation lambda* exceeds 2 for every one of the
 ten triangles.  Everything in this module runs in exact rational
-arithmetic; ``min_dilations`` builds the ten slab kernels as one batch and
-checks each lambda* once, by substituting its dual certificate, whose rows
-are the containment test, and raises if it fails.
+arithmetic; ``min_dilations`` builds the ten slab kernels as one batch and,
+with no LP, checks each closed-form lambda* once on its kernel's integers
+against its dual certificate, whose rows are the containment test.
 
 The ten triangles fall into six classes under the mirror symmetry
 x -> -x (which swaps A with B and C with D).  For each class an analytic
-intercept bound backs the LP result; the library treats the LP as the
-authority and checks that every analytic bound that certifies
-impossibility is confirmed by the LP values.
+intercept bound backs the certified lambda*; the library treats lambda*
+as the authority and checks that every analytic bound that certifies
+impossibility is confirmed by the lambda* values.
 """
 from __future__ import annotations
 

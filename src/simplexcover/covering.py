@@ -16,30 +16,21 @@ binding rows gives
 with every row tight at the unique translate z = -(1/(d+1)) sum_i
 (M_i - lambda)(v_i - c), and the dual y = 1/(d+1) on each facet's extreme
 row.  In barycentric coordinates beta this reads lambda+ = 1 - sum_i
-min_j beta_i and lambda- = sum_i max_j beta_i - 1.  The answer is not
-trusted on that algebra alone but re-checked by substitution, as a dual
-certificate (``check_certificate``) on the d+1 binding rows, which hold
-exactly when every point is covered.  With the weight fixed at 1/(d+1),
-the indices of the binding points (``DilationResult.binding``) are the
-whole dual: that weight on row i * n + binding[i] of ``dilation_lp``, and
-0 on every other row, certifies the full LP too.
+min_j beta_i and lambda- = sum_i max_j beta_i - 1.  No LP is built: the
+answer is re-checked against that dual certificate, which comes down to
+two facts of the kernel (``_certified``): the normals sum to zero, and
+each binding row holds, so the covering body contains every point.  The
+binding points' indices (``DilationResult.binding``) are the whole dual,
+weight 1/(d+1) on row i * n + binding[i] of the full LP (``dilation_lp``,
+which only the tests build), so they certify it too.
 
 Every dilation is read from a slab kernel: the slab values over one
 positive denominator D, and the vertices times S and the inverse times D
 that they came from, Python ints in exact mode.  ``min_dilations`` reads
-the kernels of many simplices as one batch (``slab_kernels``), with one
-row maximum over all their facets, and certifies each simplex on its own;
-``min_dilation`` is its one-simplex case.
-``_frame`` derives the centroid and the normals from a kernel for the
-float path and for ``dilation_lp``; the exact path needs neither.  Exact
-``min_dilation`` computes the closed form over the one denominator
-Q = (d+1)^3 D S and checks its certificate on an integer LP: the binding
-rows times D, the variables times Q and the objective (0, ..., 0, (d+1) D),
-all scalings positive, so that its point is the closed form's numerators
-and its dual is (1, ..., 1) (proof at ``_exact_dilation``).
-``check_certificate`` then runs at tolerance 0 on Python ints alone, and
-Fractions are built only for the reported values.  Float kernels take the
-same steps in floats: the certificate is checked at
+many simplices' kernels as one batch (``slab_kernels``), with one row
+maximum over all their facets, and certifies each on its own.  Exact
+kernels are checked at tolerance 0 on Python ints alone, with Fractions
+only for the reported values; float kernels in floats, the certificate at
 ``FLOAT_CERTIFICATE_TOL`` and containment at ``default_tol``.
 
 ``john_positive_cover`` takes its simplex from ``max_volume_simplex`` and
@@ -56,6 +47,7 @@ from the slab property of its facet functionals:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
@@ -75,7 +67,7 @@ from .geometry import (
     vec_add,
     vec_scale,
 )
-from .linprog import LinearProgram, LPSolution, LPStatus, check_certificate
+from .linprog import LinearProgram
 from .mvs import (
     DEFAULT_ENUM_CAP,
     LocalMaximalityReport,
@@ -208,11 +200,8 @@ def _float_dilation(
         for q in range(d)
     )
 
-    reduced = _facet_rows(k, normals, s, [[j] for j in argmax])
-    certificate = LPSolution(
-        status=LPStatus.OPTIMAL, z=z + (lam,), value=lam, dual=(k.ratio(1, d + 1),) * (d + 1)
-    )
-    if not check_certificate(reduced, certificate, tol=FLOAT_CERTIFICATE_TOL):
+    signed = [tuple(s * a for a in normal) for normal in normals]
+    if not _certified(signed, 1, z, lam, [m / k.den for m in top], FLOAT_CERTIFICATE_TOL):
         raise NumericalBreakdownError(
             "dilation certificate failed in float mode; rerun in exact mode"
         )
@@ -242,7 +231,7 @@ def _float_dilation(
 def _exact_dilation(
     k: SlabKernel, sign: DilationSign, argmax: List[int], top: List[int]
 ) -> DilationResult:
-    """The closed form and its checks on an exact kernel's integers.
+    """The closed form and its certificate on an exact kernel's integers.
 
     Write n1 = d+1, S = ``k.scale``, V_i = ``k.scaled_vertices[i]`` = S v_i,
     R_i = ``k.inverse[i]`` and D = ``k.den`` > 0, so that a_i = -n1 S
@@ -252,23 +241,18 @@ def _exact_dilation(
         lambda = T / (n1 D) = Ln / Q,      Ln = T n1^2 S,
         z_q = Zn_q / Q,      Zn_q = -s sum_i (n1 top_i - T) (n1 V_i[q] - sum_k V_k[q]).
 
-    The reduced LP P has rows (-s a_i, -1) . (z, lambda) <= -top_i / D,
-    objective lambda, point (z, lambda) and dual 1/n1 on every row.  Scale
-    each row by D > 0 and substitute (z, lambda) = (z', lambda') / Q with
-    Q > 0: the rows become (s n1 S R_i[:d], -D) . (z', lambda') <= -top_i Q,
-    with the same feasible points times Q.  Scale the objective lambda' / Q
-    by n1 D Q > 0 to (0, ..., 0, n1 D); the optimal points stay the same.
-    In this integer LP the point is (Zn, Ln), the value n1 D Ln and the dual
-    (1, ..., 1).  Each condition ``check_certificate`` tests on it is the
-    same condition on P at the closed form's Fractions, multiplied by a
-    positive integer: each row's slack by D Q, the dual by n1, y . G + c by
-    n1 D, and both c . z - value and y . h + value by n1 D Q.  So it holds
-    at tolerance 0 exactly when P's certificate holds.
-
-    The rows are the containment proof: row i, top_i Q <= D Ln - s n1 S
-    (R_i[:d] . Zn), is top_i / D <= lambda + s a_i . z for facet i's largest
-    slab value, times D Q > 0.  Fractions are built only for the reported
-    lam, translate and lp_translate.
+    Its certificate is the dual (1, ..., 1) on the LP that minimizes
+    n1 D lambda' subject to the d+1 binding rows s n1 S (R_i[:d] . z') -
+    D lambda' <= -top_i Q, at (z', lambda') = (Zn, Ln); these rows are
+    s a_i . z + lambda >= M_i times D Q > 0.  With that dual, the
+    conditions of an LP dual certificate come down to two facts:
+    y . G = -c on the z columns is sum_i R_i[q] = 0 (the normals sum to
+    zero), and each row says that the covering body contains facet i's
+    largest slab value, so every point.  The rest holds by construction:
+    y >= 0, the lambda column -n1 D = -c, c . z' = value := n1 D Ln, and
+    y . h = -T Q = -value, as Q = n1^3 D S makes both T n1^3 D S.
+    ``_certified`` checks the two facts at tolerance 0, and Fractions are
+    built only for the reported lam, translate and lp_translate.
     """
     n1, S, D = len(top), k.scale, k.den
     d = n1 - 1
@@ -282,16 +266,8 @@ def _exact_dilation(
         for q in range(d)
     )
 
-    reduced = LinearProgram(
-        d + 1,
-        (0,) * d + (n1 * D,),
-        tuple(tuple(s * n1 * S * r for r in row[:d]) + (-D,) for row in k.inverse),
-        tuple(-m * Q for m in top),
-    )
-    certificate = LPSolution(
-        status=LPStatus.OPTIMAL, z=Zn + (Ln,), value=n1 * D * Ln, dual=(1,) * n1
-    )
-    if not check_certificate(reduced, certificate, tol=0):
+    normals = [tuple(-s * n1 * S * r for r in row[:d]) for row in k.inverse]  # D s a_i
+    if not _certified(normals, D, Zn, Ln, [m * Q for m in top], 0):
         raise LPInternalError("closed-form dilation failed its dual certificate")
 
     # translate = z + (1 - s lam) c, with c = sums / (n1 S).
@@ -306,10 +282,26 @@ def _exact_dilation(
     )
 
 
+def _certified(
+    normals: Sequence[Point], den: Scalar, z: Point, lam: Scalar, highs: Sequence[Scalar],
+    tol: Scalar,
+) -> bool:
+    """Whether the dual (1, ..., 1) certifies (z, lam) on the d+1 rows
+    den lam + normals[i] . z >= highs[i] when minimizing (d+1) den lam,
+    checked as the two facts it comes down to (``_exact_dilation``): the
+    normals sum to zero, within ``tol`` times their largest term (or 1),
+    and each row holds, within ``tol`` times its larger side (or 1).  A
+    non-finite entry of the point fails."""
+    rows = (den * lam + sum(a * v for a, v in zip(n, z)) for n in normals)
+    return (all(abs(v) < math.inf for v in (*z, lam))
+            and all(abs(sum(col)) <= tol * max(1, *map(abs, col)) for col in zip(*normals))
+            and all(h - r <= tol * max(1, abs(h), abs(r)) for h, r in zip(highs, rows)))
+
+
 def john_positive_cover(
     x: PointSet, *, enum_cap: int = DEFAULT_ENUM_CAP, seed: int = 0
 ) -> CoverReport:
-    """Full covering report: constructive (d+2)-dilation plus both LP optima.
+    """Full covering report: constructive (d+2)-dilation plus both minimal dilations.
 
     Exact input is checked at tolerance 0, float input at ``DEFAULT_FLOAT_TOL``.
     A local-search simplex that fails a check is reported as it is.  An

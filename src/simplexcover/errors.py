@@ -26,7 +26,7 @@ class EnumerationCapError(SimplexCoverError, RuntimeError):
 
 
 class LPInternalError(SimplexCoverError, RuntimeError):
-    """An LP that is feasible and bounded by construction came back otherwise."""
+    """An exact dilation or LP optimum failed the certificate it holds by construction."""
 
 
 class NumericalBreakdownError(SimplexCoverError, ArithmeticError):

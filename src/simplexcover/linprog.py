@@ -3,11 +3,12 @@
     minimize    c . z
     subject to  G z <= h        (z free)
 
-The runtime uses only ``check_certificate``: every dilation is a closed
-form, re-checked by substitution against dual multipliers y >= 0 with
-y.G = -c and y.h = -value.  ``solve_lp`` is the tests' reference solver.
-Nothing at runtime calls it; it stays in the package because the
-benchmark's span tracer looks it up by name (ROADMAP.md, item 2).
+Nothing at runtime calls this module: ``covering`` checks each dilation's
+dual certificate on its slab kernel.  ``solve_lp`` and
+``check_certificate`` (substitution against dual multipliers y >= 0 with
+y.G = -c and y.h = -value) are the tests' reference solver and checker;
+they stay in the package because the benchmark's span tracer looks them
+up by name (ROADMAP.md, item 2).
 
 ``solve_lp`` is a two-phase primal simplex on the standard-form tableau,
 in Fractions only.  Free variables are split as z = u - w with u, w >= 0,

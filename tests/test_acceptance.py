@@ -26,12 +26,9 @@ from helpers import (
 from simplexcover import (
     CounterexampleConfig,
     DilationSign,
-    LPSolution,
-    LPStatus,
     PointSet,
     Simplex,
     build_points,
-    check_certificate,
     dilate_about_center,
     enumerate_triangles,
     min_dilation,
@@ -41,7 +38,7 @@ from simplexcover import (
 )
 from simplexcover.counterexample import analytic_case_bounds, case6_geometry
 from simplexcover.geometry import halfspace_form
-from simplexcover.linprog import LinearProgram, solve_lp
+from simplexcover.linprog import LinearProgram, LPSolution, LPStatus, check_certificate, solve_lp
 
 F = Fraction
 

@@ -9,11 +9,8 @@ from simplexcover import (
     CounterexampleConfig,
     DegenerateSimplexError,
     DilationSign,
-    LPSolution,
-    LPStatus,
     PointSet,
     build_points,
-    check_certificate,
     enumerate_triangles,
     sweep,
     verify_counterexample,
@@ -31,6 +28,7 @@ from simplexcover.counterexample import (
 from simplexcover import cli
 from simplexcover.errors import LPInternalError
 from simplexcover.geometry import slab_kernels
+from simplexcover.linprog import LPSolution, LPStatus, check_certificate
 
 F = Fraction
 FIFTH = CounterexampleConfig(F(1, 5), F(1, 5))
@@ -291,7 +289,7 @@ def test_sweep_grid_frozen():
 def test_sweep_raises_on_a_failing_certificate(monkeypatch):
     import simplexcover.covering as covering
 
-    monkeypatch.setattr(covering, "check_certificate", lambda *args, **kwargs: False)
+    monkeypatch.setattr(covering, "_certified", lambda *args: False)
     with pytest.raises(LPInternalError, match="closed-form dilation failed its dual certificate"):
         sweep([F(1, 5)], [F(1, 5)])
     # The command fails the same way on both sides of feasibility.
@@ -306,25 +304,25 @@ def test_each_triangle_builds_one_kernel(monkeypatch):
     # triangle's dilation is still checked on its own certificate.
     import simplexcover.covering as covering
 
-    batches, checks = [], []
+    batches, checks, certified = [], [], covering._certified
 
     def counted_kernels(x, simplices):
         batches.append(list(simplices))
         return slab_kernels(x, simplices)
 
-    def counted_check(*args, **kwargs):
-        checks.append(args[0])
-        return check_certificate(*args, **kwargs)
+    def counted_check(normals, *args):
+        checks.append(normals)
+        return certified(normals, *args)
 
     monkeypatch.setattr(covering, "slab_kernels", counted_kernels)
     monkeypatch.setattr(covering, "slab_kernel", None)  # no single-kernel path
-    monkeypatch.setattr(covering, "check_certificate", counted_check)
+    monkeypatch.setattr(covering, "_certified", counted_check)
     triangles, _ = min_dilation_all(FIFTH)
     assert [[t.vertex_indices for t in b] for b in batches] == [
         [t.vertex_indices for t in triangles]
     ]
     assert len(checks) == 10
-    assert all(len(lp.rows) == 3 for lp in checks)
+    assert all(len(normals) == 3 for normals in checks)
 
 
 def test_sweep_accepts_strings():

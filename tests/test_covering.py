@@ -199,7 +199,7 @@ def test_failed_containment_check(monkeypatch, mode):
 def test_float_certificate_breakdown_asks_for_an_exact_rerun(monkeypatch):
     import simplexcover.covering as covering
 
-    monkeypatch.setattr(covering, "check_certificate", lambda *args, **kwargs: False)
+    monkeypatch.setattr(covering, "_certified", lambda *args: False)
     x = PointSet(2, [tuple(map(float, p)) for p in rational_points(8, 2, seed=1).points])
     with pytest.raises(NumericalBreakdownError, match="rerun in exact mode$"):
         min_dilation(mvs_exact(x).simplex, x, DilationSign.NEGATIVE)

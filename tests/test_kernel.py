@@ -1,6 +1,6 @@
 """Oracle tests for the slab kernel and the routines built on it.
 
-The first nine tests run on the (simplex, point set) pairs of ``COVERS``
+The first ten tests run on the (simplex, point set) pairs of ``COVERS``
 (``tests/cover_cases.py``), each parametrized by row name, on the exact
 pair and on its float twin:
 - the kernel: ``test_kernel_matches_halfspace_form``,
@@ -8,7 +8,8 @@ pair and on its float twin:
   ``test_float_kernel_is_the_scalar_formula_bitwise``,
   ``test_float_frame_is_the_eager_formula_bitwise`` and
   ``test_exact_points_against_a_float_simplex_are_rounded_once``;
-- the dilations: ``test_min_dilation_matches_full_lp`` (by sign);
+- the dilations: ``test_min_dilation_matches_full_lp`` and, for their
+  certificate, ``test_certificate_matches_check_certificate`` (by sign);
 - the slab checks: ``test_local_maximality_matches_facet_scan``;
 - the float twin's lambda and slab: ``test_float_mode_matches_exact``;
 - the paper's bounds where T is a maximum-volume simplex of X:
@@ -27,11 +28,14 @@ triangles.  Batched kernels (``slab_kernels``, ``min_dilations``) are
 compared with the same simplices one at a time, against
 ``reference_slab_kernel``, and ``dilation_lp`` with the full LP built from
 the halfspace form.  Tampered kernel integers must fail the integer
-certificate.
+certificate, and non-finite float slab values the float one, in
+``_certified`` and in ``check_certificate`` alike.
 """
+import contextlib
 import dataclasses
 import enum
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -67,8 +71,14 @@ from simplexcover import (
     verify_local_maximality,
 )
 from simplexcover.counterexample import CounterexampleConfig, build_points, enumerate_triangles
-from simplexcover.covering import _frame, dilation_lp, verify_sandwich
-from simplexcover.errors import DegenerateSimplexError, LPInternalError, SingularMatrixError
+from simplexcover import covering
+from simplexcover.covering import _certified, _facet_rows, _frame, dilation_lp, verify_sandwich
+from simplexcover.errors import (
+    DegenerateSimplexError,
+    LPInternalError,
+    NumericalBreakdownError,
+    SingularMatrixError,
+)
 from simplexcover.geometry import halfspace_form, slab_kernel, slab_kernels
 from simplexcover.linalg import scaled_inverse
 from simplexcover.linprog import LPSolution, LPStatus, check_certificate, solve_lp
@@ -213,6 +223,36 @@ def test_min_dilation_matches_full_lp(name, sign):
         oracle = solve_lp(full)
         assert (oracle.status, oracle.value) == (LPStatus.OPTIMAL, res.lam)
         assert oracle.z[:t.dim] == res.lp_translate
+
+
+def certificate_verdicts(k, sign: DilationSign):
+    """(``_certified``, ``check_certificate``) on kernel k's binding rows:
+    the first as ``_kernel_dilations`` calls it, the second on the reduced
+    LP that ``_facet_rows`` builds, at the same point with dual 1/(d+1)."""
+    calls = []
+    with pytest.MonkeyPatch.context() as m, contextlib.suppress(
+            LPInternalError, NumericalBreakdownError):
+        m.setattr(covering, "_certified", lambda *args: calls.append(args) or _certified(*args))
+        covering._kernel_dilations([k], sign)
+    (args,) = calls
+    _, _, z, lam, _, tol = args
+    n1, s = len(k.inverse), 1 if sign is DilationSign.POSITIVE else -1
+    if k.mode is ScalarMode.EXACT:  # the integer point is the closed form times Q
+        q = n1**3 * k.den * k.scale
+        z, lam = tuple(F(v, q) for v in z), F(lam, q)
+    binding = [[j] for j in np.argmax(s * k.values, axis=1).tolist()]
+    reduced = _facet_rows(k, _frame(k)[1], s, binding)
+    cert = LPSolution(status=LPStatus.OPTIMAL, z=z + (lam,), value=lam,
+                      dual=(k.ratio(1, n1),) * n1)
+    return _certified(*args), check_certificate(reduced, cert, tol)
+
+
+@pytest.mark.parametrize("name", ROWS)
+@pytest.mark.parametrize("sign", list(DilationSign), ids=lambda s: s.value)
+def test_certificate_matches_check_certificate(name, sign):
+    t, x = pair(name)
+    for k in (slab_kernel(t, x), slab_kernel(*float_twin(t, x))):
+        assert certificate_verdicts(k, sign) == (True, True), k.mode
 
 
 def reference_local_maximality(t: Simplex, x: PointSet):
@@ -428,22 +468,59 @@ def test_batched_kernels_equal_one_kernel_at_a_time(batch):
                     _dilation_fields(fraction_min_dilation(t, x, sign)) for t in simplices]
 
 
-@pytest.mark.parametrize("row", [0, -1], ids=["first-row", "last-row"])
+def _plus_one(rows, r: int):
+    """rows with entry [r][0] one larger."""
+    rows = [list(v) for v in rows]
+    rows[r][0] += 1
+    return tuple(map(tuple, rows))
+
+
+TAMPERS = {
+    "first-row": lambda k: dataclasses.replace(k, inverse=_plus_one(k.inverse, 0)),
+    "last-row": lambda k: dataclasses.replace(k, inverse=_plus_one(k.inverse, -1)),
+    "scaled-vertex": lambda k: dataclasses.replace(
+        k, scaled_vertices=_plus_one(k.scaled_vertices, 0)),
+}
+
+
+@pytest.mark.parametrize("tamper", list(TAMPERS))
 @pytest.mark.parametrize("sign", list(DilationSign), ids=lambda s: s.value)
-def test_tampered_kernel_integers_fail_the_integer_certificate(monkeypatch, row, sign):
-    # One entry of the integer inverse off by one breaks y . G = -c.
-    import simplexcover.covering as covering
+def test_tampered_kernel_integers_fail_the_integer_certificate(tamper, sign):
+    # An inverse entry off by one breaks the normals' zero sum; a scaled
+    # vertex off by one moves the closed-form point off a binding row.
+    k = TAMPERS[tamper](slab_kernel(*pair("d2-grid-0")))
+    assert certificate_verdicts(k, sign) == (False, False)
+    with pytest.raises(LPInternalError, match="^closed-form dilation failed its dual certificate$"):
+        covering._kernel_dilations([k], sign)
 
-    def tampered(t, x):
-        k = slab_kernel(t, x)
-        inverse = [list(r) for r in k.inverse]
-        inverse[row][0] += 1
-        return dataclasses.replace(k, inverse=tuple(map(tuple, inverse)))
 
-    monkeypatch.setattr(covering, "slab_kernels", lambda x, ts: [tampered(t, x) for t in ts])
-    t, x = pair("d2-grid-0")
-    with pytest.raises(LPInternalError, match="closed-form dilation failed its dual certificate"):
-        min_dilation(t, x, sign)
+def _slab_value(k, value):
+    """k with the first slab value replaced by ``value``."""
+    values = k.values.copy()
+    values[0, 0] = value
+    return dataclasses.replace(k, values=values)
+
+
+# Each float tamper by sign: a NaN or infinite largest slab value, or
+# vertices whose last coordinate is 1e307 times larger, so that only the
+# translate overflows.
+FLOAT_TAMPERS = {
+    "nan": lambda k, s: _slab_value(k, math.nan),
+    "inf": lambda k, s: _slab_value(k, s * math.inf),
+    "inf-translate": lambda k, s: dataclasses.replace(
+        k, scaled_vertices=tuple((*v[:-1], 1e307 * v[-1]) for v in k.scaled_vertices)),
+}
+
+
+@pytest.mark.parametrize("tamper", list(FLOAT_TAMPERS))
+@pytest.mark.parametrize("sign", list(DilationSign), ids=lambda s: s.value)
+def test_non_finite_float_kernels_fail_the_float_certificate(tamper, sign):
+    s = 1 if sign is DilationSign.POSITIVE else -1
+    k = FLOAT_TAMPERS[tamper](slab_kernel(*float_twin(*pair("d2-grid-0"))), s)
+    assert certificate_verdicts(k, sign) == (False, False)
+    with pytest.raises(NumericalBreakdownError,
+                       match="^dilation certificate failed in float mode; rerun in exact mode$"):
+        covering._kernel_dilations([k], sign)
 
 
 @pytest.mark.parametrize("den", [64, 10**6, 3**40], ids=["den64", "den1e6", "den3^40"])

@@ -32,7 +32,15 @@ from helpers import (
     tied_maxima,
     unimodular_witness,
 )
-from simplexcover import DilationSign, PointSet, cli, make_simplex, min_dilations
+from simplexcover import (
+    CounterexampleConfig,
+    DilationSign,
+    PointSet,
+    build_points,
+    cli,
+    make_simplex,
+    min_dilations,
+)
 
 F = Fraction
 
@@ -102,6 +110,11 @@ WITNESSES = {
     },
     "d2-six-points-all-triangles": Witness(
         "min-on-X", SIX_PLANAR_POINTS, F(13, 6), vertices=(0, 1, 3)),
+    # The five-point family at epsilon = 23/60, delta = 7/30, past its
+    # proven range epsilon + delta < 1/2.
+    "d2-five-points-all-triangles": Witness(
+        "min-on-X", build_points(CounterexampleConfig(F(23, 60), F(7, 30))).points, F(67, 30),
+        vertices=(0, 1, 2)),
     "d3-seven-points-all-tetrahedra": Witness(
         "min-on-X", SEVEN_IN_R3, F(65313830658, 21582302635), vertices=(0, 1, 5, 6)),
 }
