@@ -76,7 +76,7 @@ from .mvs import (
     max_volume_simplex,
     verify_local_maximality,
 )
-from .scalars import FLOAT_CERTIFICATE_TOL, Scalar, ScalarMode, default_tol
+from .scalars import FLOAT_CERTIFICATE_TOL, Scalar, ScalarMode, default_tol, total
 
 
 class DilationSign(enum.Enum):
@@ -126,7 +126,7 @@ def _frame(k: SlabKernel) -> Tuple[Point, Tuple[Point, ...]]:
     kernel's simplex: u_i(x) = 1 - (d+1) R_i . (S x, 1) / D has the
     gradient a_i = -(d+1) S R_i[:d] / D."""
     d, S = len(k.inverse) - 1, k.scale
-    center = tuple(k.ratio(sum(v[q] for v in k.scaled_vertices), (d + 1) * S) for q in range(d))
+    center = tuple(k.ratio(total(v[q] for v in k.scaled_vertices), (d + 1) * S) for q in range(d))
     normals = tuple(
         tuple(k.ratio(-(d + 1) * S * r[q], k.den) for q in range(d)) for r in k.inverse
     )
@@ -189,14 +189,14 @@ def _float_dilation(
     """The closed form in floats, checked at the float tolerance."""
     d = len(top) - 1
     s = 1 if sign is DilationSign.POSITIVE else -1
-    lam = k.scalar(sum(top), d + 1)
+    lam = k.scalar(total(top), d + 1)
     w = [k.scalar(m) - lam for m in top]
     c, normals = _frame(k)
     # Offset of the covering body's centroid from c, so the covering body is
     # (c + z) + lam * (body - c); every facet row is tight: s a_i . z = w_i.
     # A float kernel's scale is 1, so its scaled vertices are the vertices.
     z = tuple(
-        -s * sum(wi * (v[q] - c[q]) for wi, v in zip(w, k.scaled_vertices)) / (d + 1)
+        -s * total(wi * (v[q] - c[q]) for wi, v in zip(w, k.scaled_vertices)) / (d + 1)
         for q in range(d)
     )
 
@@ -292,9 +292,9 @@ def _certified(
     normals sum to zero, within ``tol`` times their largest term (or 1),
     and each row holds, within ``tol`` times its larger side (or 1).  A
     non-finite entry of the point fails."""
-    rows = (den * lam + sum(a * v for a, v in zip(n, z)) for n in normals)
+    rows = (den * lam + total(a * v for a, v in zip(n, z)) for n in normals)
     return (all(abs(v) < math.inf for v in (*z, lam))
-            and all(abs(sum(col)) <= tol * max(1, *map(abs, col)) for col in zip(*normals))
+            and all(abs(total(col)) <= tol * max(1, *map(abs, col)) for col in zip(*normals))
             and all(h - r <= tol * max(1, abs(h), abs(r)) for h, r in zip(highs, rows)))
 
 

@@ -42,7 +42,7 @@ from .errors import (
     NumericalBreakdownError,
     SingularMatrixError,
 )
-from .scalars import Scalar, ScalarMode, infer_mode
+from .scalars import Scalar, ScalarMode, infer_mode, total
 
 Point = Tuple[Scalar, ...]
 
@@ -60,7 +60,7 @@ def vec_scale(a: Sequence[Scalar], s: Scalar) -> Point:
 
 
 def dot(a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
-    return sum(x * y for x, y in zip(a, b))
+    return total(x * y for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -216,7 +216,7 @@ def simplex_volume(s: Simplex) -> Scalar:
 def centroid(s: Simplex) -> Point:
     d = s.dim
     n = d + 1
-    sums = [sum(v[k] for v in s.vertices) for k in range(d)]
+    sums = [total(v[k] for v in s.vertices) for k in range(d)]
     return tuple(Fraction(1, n) * x for x in sums)
 
 

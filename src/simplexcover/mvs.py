@@ -433,10 +433,11 @@ def kernel_local_maximality(
     report = _slab_check(k, tol)
     if report.ok or k.mode is ScalarMode.EXACT:
         return report
-    # The kernel read float(v) for every coordinate.  Slab values are
-    # invariant under scaling t and x together, so the integers of those
-    # binary rationals, over one denominator, decide the check.
-    ints, _ = linalg.clear_denominators([[float(v) for v in p] for p in t.vertices + x.points])
+    # The kernel read float(v) for the vertices and x.array / x.scale for the
+    # points.  Slab values are invariant under scaling t and x together, so
+    # the integers of those binary rationals, over one denominator, decide.
+    floats = [[float(v) for v in p] for p in t.vertices] + (x.array / x.scale).tolist()
+    ints, _ = linalg.clear_denominators(floats)
     verts, pts = ints[:t.dim + 1], ints[t.dim + 1:]
     exact = _slab_check(
         slab_kernel(Simplex(t.dim, verts, t.vertex_indices), PointSet(x.dim, pts)), tol

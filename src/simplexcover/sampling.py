@@ -18,7 +18,7 @@ from typing import List, Tuple
 
 from .errors import InputFormatError
 from .geometry import Point, PointSet
-from .scalars import Scalar, ScalarMode
+from .scalars import Scalar, ScalarMode, total
 
 BODIES = ("square", "disk", "regular-simplex", "annulus")
 
@@ -52,7 +52,7 @@ def _reject_sample(rng: random.Random, d: int, exact: bool, body: str) -> Point:
 
 
 def _norm_sq(p: Point) -> Scalar:
-    return sum(c * c for c in p)
+    return total(c * c for c in p)
 
 
 def _regular_simplex_vertices(d: int, exact: bool) -> Tuple[Point, ...]:
@@ -81,15 +81,15 @@ def _regular_simplex_vertices(d: int, exact: bool) -> Tuple[Point, ...]:
         v[i] = 1.0
         v[d] = -1.0
         for b in basis:
-            coef = sum(vi * bi for vi, bi in zip(v, b))
+            coef = total(vi * bi for vi, bi in zip(v, b))
             v = [vi - coef * bi for vi, bi in zip(v, b)]
-        nrm = math.sqrt(sum(vi * vi for vi in v))
+        nrm = math.sqrt(total(vi * vi for vi in v))
         basis.append([vi / nrm for vi in v])
     verts = []
     for i in range(d + 1):
         e = [-c] * (d + 1)
         e[i] += 1.0
-        verts.append(tuple(sum(ei * bi for ei, bi in zip(e, b)) for b in basis))
+        verts.append(tuple(total(ei * bi for ei, bi in zip(e, b)) for b in basis))
     return tuple(verts)
 
 
@@ -134,7 +134,7 @@ def sample_body(
                 coef = [wi / tot for wi in w]
             pts.append(
                 tuple(
-                    sum(ci * v[k] for ci, v in zip(coef, verts))
+                    total(ci * v[k] for ci, v in zip(coef, verts))
                     for k in range(d)
                 )
             )

@@ -15,7 +15,9 @@ float only when a float operand is present, so exact constants such as
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import operator
 import re
 import sys
 from fractions import Fraction
@@ -65,6 +67,16 @@ def default_tol(mode: ScalarMode) -> Scalar:
 
 def is_exact_value(x: Scalar) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
+def total(values: Iterable[Scalar]) -> Scalar:
+    """The sum of ``values``, added left to right from int 0.
+
+    Builtin ``sum`` adds floats this way up to Python 3.11; from 3.12 on it
+    compensates their rounding, which can change the last bits of a float
+    sum.  Reports pin every bit, so every sum that may hold floats is this
+    one."""
+    return functools.reduce(operator.add, values, 0)
 
 
 def infer_mode(values: Iterable[Scalar]) -> ScalarMode:

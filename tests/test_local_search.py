@@ -22,6 +22,7 @@ from functools import lru_cache
 import pytest
 
 import simplexcover.mvs as mvs
+from cli_cases import CONTRACT
 from hard_inputs import HARD, points
 from helpers import (
     fraction_volume,
@@ -115,8 +116,7 @@ def test_exact_search_converts_only_the_simplex_vertices(monkeypatch):
     # kernel then converts only the d+1 vertices of the current simplex.
     import simplexcover.linalg as linalg
 
-    text = ("2,18/61 21/89,26/41 18/97,-37/5 -19/41,-24/29 -33/17,-34/41 -11/53,-15/23 "
-            "-24/13,4/61 0,11/5 2/29,-3 30/47,9/53 -9/83,-21/5 17/79,21/23")
+    text = CONTRACT["mixed-local"].files["mixed.csv"]
     x = PointSet(2, [tuple(map(F, p.split(","))) for p in text.split()])
     rows = []
     clear = linalg.clear_denominators

@@ -15,6 +15,7 @@ from simplexcover.scalars import (
     is_exact_value,
     parse_scalar,
     scalar_to_str,
+    total,
 )
 
 
@@ -33,6 +34,13 @@ def test_is_exact_value():
     assert is_exact_value(3)
     assert is_exact_value(Fraction(-2, 7))
     assert not is_exact_value(0.25)
+
+
+def test_total_adds_left_to_right_from_int_0():
+    assert total([0.1] * 10) == 0.9999999999999999  # compensated: 1.0
+    assert math.copysign(1, total([-0.0])) == 1 and total([]) == 0
+    assert total([1, Fraction(1, 3)]) == Fraction(4, 3)
+    assert type(total(x for x in (2, 3))) is int
 
 
 @pytest.mark.parametrize(
